@@ -39,8 +39,8 @@ from .numerics import NumericError, ShapeError, finite_difference_check
 from .objectives import total_loss
 from .synth import SynthSpec, SynthSpecError
 from .synth import generate as synth_generate
-from .training import (TrainConfig, TrainingDiverged, load_checkpoint, prepare,
-                       train)
+from .training import (Checkpoint, TrainConfig, TrainingDiverged, load_checkpoint,
+                       prepare, train)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -122,6 +122,18 @@ def _resolve_checkpoint(path) -> str:
     return path
 
 
+def _load_checkpoint(path) -> Checkpoint:
+    """Load a checkpoint file or directory; anything unreadable is E_NO_CKPT."""
+    path = _resolve_checkpoint(path)
+    try:
+        return load_checkpoint(path)
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        # malformed JSON raises a ValueError; a missing or ill-typed field
+        # raises one of the four while the payload is decoded
+        raise CliError("E_NO_CKPT",
+                       f"unreadable checkpoint {path}: {type(e).__name__}: {e}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -170,7 +182,7 @@ def _parse_prefixes(text: str) -> tuple[float, ...]:
 
 
 def cmd_eval(args) -> int:
-    ckpt = load_checkpoint(_resolve_checkpoint(args.ckpt))
+    ckpt = _load_checkpoint(args.ckpt)
     model = ckpt.model
     raw, file_vocab = load_corpus(args.data)
     # ids in the file follow its own interning order; line them up by name
@@ -188,7 +200,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    ckpt = load_checkpoint(_resolve_checkpoint(args.ckpt))
+    ckpt = _load_checkpoint(args.ckpt)
     model = ckpt.model
     goal = model.vocab.goal_id(args.goal)
     first = model.vocab.mark_id(args.first_mark)

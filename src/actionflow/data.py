@@ -61,11 +61,6 @@ class Ctas:
     def times(self) -> np.ndarray:
         return np.array([a.t for a in self.actions], dtype=np.float64)
 
-    def gaps(self) -> np.ndarray:
-        """Inter-action gaps t_i - t_{i-1}; the first entry measures from 0."""
-        t = self.times()
-        return np.diff(t, prepend=0.0)
-
     def validate(self) -> None:
         if not self.actions:
             raise DataError(f"sequence {self.id!r}: empty action list")

@@ -83,18 +83,6 @@ class EncoderState:
     s: Tensor
     x: Tensor | None = None
 
-    def __len__(self) -> int:
-        return self.s.data.shape[0]
-
-    def history(self, j: int) -> np.ndarray:
-        """The vector summarizing actions 1..j+1 (0-based index j)."""
-        return self.s.data[j]
-
-    def prefix_sum(self, j: int) -> np.ndarray:
-        if self.x is None:
-            raise ValueError("this state was encoded without the order-free summary")
-        return self.x.data[j]
-
 
 # ---------------------------------------------------------------------------
 # parameter initialization
@@ -181,21 +169,6 @@ def embed_actions(store: ParamStore, cfg: EncoderConfig, marks, times) -> Tensor
     y = add(y, matmul(Tensor(times[:, None]), store["embed.w_time"]))
     y = add(y, matmul(Tensor(gaps[:, None]), store["embed.w_gap"]))
     return add(y, store["embed.bias"])
-
-
-def embed_action(store: ParamStore, cfg: EncoderConfig, mark: int, t: float,
-                 prev_time: float) -> np.ndarray:
-    """Single-action embedding with an explicit previous time (forward only)."""
-    n_rows = store["embed.marks"].data.shape[0]
-    if not 0 <= mark < n_rows:
-        raise DataError(f"mark id {mark} outside vocabulary of size {n_rows}")
-    gap = t - prev_time
-    if gap < 0.0:
-        raise DataError(f"gap {gap} is negative")
-    return (store["embed.marks"].data[mark]
-            + t * store["embed.w_time"].data[0]
-            + gap * store["embed.w_gap"].data[0]
-            + store["embed.bias"].data)
 
 
 def positional_add(store: ParamStore, cfg: EncoderConfig, y: Tensor) -> Tensor:

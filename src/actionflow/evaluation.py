@@ -5,6 +5,8 @@ Conventions shared by all entry points:
 
 * Test corpora are raw (no terminal marks); every reported transition count
   is the sum of n_i - 1 over raw test sequences.
+* Each test sequence is encoded once (teacher_forced); the next-action and
+  goal scorers both read that one ForwardPass.
 * Next-action metrics are teacher-forced micro-averages over all test
   transitions: the predicted mark is the head argmax, the predicted time is
   the previous time plus the lognormal median.
@@ -32,7 +34,7 @@ import numpy as np
 
 from .data import Ctas, load_corpus
 from .generation import GenRequest, core_actions, generate
-from .model import Model, ModelConfig
+from .model import ForwardPass, Model, ModelConfig
 from .training import TrainConfig, run_training
 
 log = logging.getLogger(__name__)
@@ -50,19 +52,24 @@ def _fraction_key(f: float) -> str:
 # teacher-forced next-action metrics
 # ---------------------------------------------------------------------------
 
-def next_action_eval(model: Model, corpus: list[Ctas]) -> dict:
+def teacher_forced(model: Model, corpus: list[Ctas]) -> list[tuple[Ctas, ForwardPass]]:
+    """One forward pass per sequence over its observed actions, in id order."""
+    return [(seq, model.forward(seq.marks(), seq.times()))
+            for seq in sorted(corpus, key=lambda s: s.id)]
+
+
+def next_action_eval(passes: list[tuple[Ctas, ForwardPass]]) -> dict:
     """Micro-averaged mark accuracy and absolute time error over transitions."""
     records = []
     correct = 0
     transitions = 0
     abs_err = 0.0
-    for seq in sorted(corpus, key=lambda s: s.id):
+    for seq, fwd in passes:
         n = len(seq.actions)
         if n < 2:
             raise ValueError(f"sequence {seq.id!r} has no transitions to evaluate")
         marks = seq.marks()
         times = seq.times()
-        fwd = model.forward(marks, times)
         pred_marks = np.argmax(fwd.mark_prob.data[:-1], axis=1)
         pred_times = times[:-1] + np.exp(fwd.mu.data[:-1, 0])
         seq_correct = int(np.sum(pred_marks == marks[1:]))
@@ -102,7 +109,7 @@ def majority_mark_baseline(train: list[Ctas], test: list[Ctas]) -> float:
 # goal detection
 # ---------------------------------------------------------------------------
 
-def goal_eval(model: Model, corpus: list[Ctas],
+def goal_eval(passes: list[tuple[Ctas, ForwardPass]],
               prefix_fractions=DEFAULT_PREFIXES) -> dict:
     """Goal accuracy when only a leading fraction of each sequence is visible."""
     fractions = tuple(float(f) for f in prefix_fractions)
@@ -111,10 +118,8 @@ def goal_eval(model: Model, corpus: list[Ctas],
             raise ValueError(f"prefix fraction must lie in (0, 1], got {f}")
     hits = {f: 0 for f in fractions}
     records = []
-    ordered = sorted(corpus, key=lambda s: s.id)
-    for seq in ordered:
+    for seq, fwd in passes:
         n = len(seq.actions)
-        fwd = model.forward(seq.marks(), seq.times())
         goals = np.argmax(fwd.goal_prob.data, axis=1)
         row = {"id": seq.id, "goal": seq.goal, "predicted": {}}
         for f in fractions:
@@ -125,7 +130,7 @@ def goal_eval(model: Model, corpus: list[Ctas],
                 hits[f] += 1
         records.append(row)
     return {
-        "gpa_at": {_fraction_key(f): hits[f] / len(ordered) for f in fractions},
+        "gpa_at": {_fraction_key(f): hits[f] / len(passes) for f in fractions},
         "per_sequence": records,
     }
 
@@ -229,8 +234,9 @@ def full_report(model: Model, test: list[Ctas], *, seed: int = 0,
     """Run all evaluations on a raw test corpus and bundle the results."""
     if not test:
         raise ValueError("empty test corpus")
-    next_part = next_action_eval(model, test)
-    goal_part = goal_eval(model, test, prefix_fractions)
+    passes = teacher_forced(model, test)
+    next_part = next_action_eval(passes)
+    goal_part = goal_eval(passes, prefix_fractions)
     gen_part = None
     cl = None
     if with_generation:
@@ -283,8 +289,9 @@ def sweep_point(corpus_path: str, model_dict: dict, train_dict: dict,
         model_cfg = ModelConfig.from_dict(model_dict)
         train_cfg = TrainConfig.from_dict(train_dict)
         model, prep, _ = run_training(corpus, vocab, model_cfg, train_cfg)
-        nxt = next_action_eval(model, prep.test_raw)
-        gpa = goal_eval(model, prep.test_raw, DEFAULT_PREFIXES)["gpa_at"]
+        passes = teacher_forced(model, prep.test_raw)
+        nxt = next_action_eval(passes)
+        gpa = goal_eval(passes, DEFAULT_PREFIXES)["gpa_at"]
         row.update({
             "status": "ok",
             "apa": nxt["apa"],

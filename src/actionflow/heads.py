@@ -31,31 +31,11 @@ SIGMA_FLOOR = 1e-4
 
 
 @dataclass
-class MarkDist:
-    """Probabilities over all marks, terminal mark included."""
-
-    probs: np.ndarray
-
-    def argmax(self) -> int:
-        return int(np.argmax(self.probs))
-
-
-@dataclass
 class TimeDensity:
     """Lognormal parameters for the gap to the next action."""
 
     mu: float
     sigma2: float
-
-
-@dataclass
-class GoalDist:
-    """Probabilities over all goals."""
-
-    probs: np.ndarray
-
-    def argmax(self) -> int:
-        return int(np.argmax(self.probs))
 
 
 def init_head_params(store: ParamStore, d: int, m: int, n_marks: int,
@@ -117,46 +97,6 @@ def time_params(store: ParamStore, s: Tensor, cluster_ids) -> tuple[Tensor, Tens
     raw = add(matmul(e, store["time.w_var"]), store["time.b_var"])
     sigma2 = add(softplus(raw), SIGMA_FLOOR)
     return mu, sigma2
-
-
-# ---------------------------------------------------------------------------
-# single-index conveniences (forward only)
-# ---------------------------------------------------------------------------
-
-def _softmax_row(row: np.ndarray) -> np.ndarray:
-    e = np.exp(row - row.max())
-    return e / e.sum()
-
-
-def mark_head(store: ParamStore, s: np.ndarray, x: np.ndarray | None = None,
-              alpha: float = 0.0) -> MarkDist:
-    """Next-mark distribution for one history vector."""
-    v = s if x is None or alpha == 0.0 else s + alpha * x
-    logits = v @ store["mark.w"].data + store["mark.bias"].data
-    return MarkDist(probs=_softmax_row(logits))
-
-
-def goal_head(store: ParamStore, s: np.ndarray, x: np.ndarray | None = None,
-              alpha: float = 0.0) -> GoalDist:
-    """Goal distribution for one history vector."""
-    v = s if x is None or alpha == 0.0 else s + alpha * x
-    hidden = np.maximum(v @ store["goal.w_hidden"].data + store["goal.b_hidden"].data, 0.0)
-    logits = hidden @ store["goal.w_out"].data + store["goal.b_out"].data
-    return GoalDist(probs=_softmax_row(logits))
-
-
-def time_head(store: ParamStore, s: np.ndarray, cluster: int,
-              x: np.ndarray | None = None, alpha: float = 0.0) -> TimeDensity:
-    """Gap density for one history vector, gated by the given cluster."""
-    m = store["time.clusters"].data.shape[0]
-    if not 0 <= cluster < m:
-        raise NumericError(f"cluster id {cluster} outside [0, {m})")
-    v = s if x is None or alpha == 0.0 else s + alpha * x
-    e = v * store["time.clusters"].data[cluster]
-    mu = float(e @ store["time.w_mu"].data[:, 0] + store["time.b_mu"].data[0])
-    raw = float(e @ store["time.w_var"].data[:, 0] + store["time.b_var"].data[0])
-    sigma2 = float(np.logaddexp(0.0, raw) + SIGMA_FLOOR)
-    return TimeDensity(mu=mu, sigma2=sigma2)
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,6 @@ class ModelConfig:
 class ForwardPass:
     """All per-index predictions from one encoding of a sequence."""
 
-    state: enc.EncoderState
     mark_logprob: Tensor
     mark_prob: Tensor
     goal_logprob: Tensor
@@ -154,7 +153,6 @@ class Model:
         cluster_ids = self.clusters.clusters_of(marks)
         mu, sigma2 = heads.time_params(self.store, s_time, cluster_ids)
         return ForwardPass(
-            state=state,
             mark_logprob=mark_lp,
             mark_prob=exp(mark_lp),
             goal_logprob=goal_lp,

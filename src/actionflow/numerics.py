@@ -568,19 +568,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     return _emit("layer_norm", out, (x, gain, bias), vjp)
 
 
-def normalized_rows(x: Tensor) -> Tensor:
-    """Layer normalization without gain/bias, for inspecting the raw transform."""
-    d = x.data.shape[1]
-    one = Tensor(np.ones(d))
-    zero = Tensor(np.zeros(d))
-    return layer_norm(x, one, zero)
-
-
 # ---------------------------------------------------------------------------
 # parameter storage
 # ---------------------------------------------------------------------------
 
 SERIALIZATION_VERSION = 1
+
+
+def encode_arrays(arrays: dict[str, np.ndarray]) -> dict:
+    """Named arrays as JSON-ready ``{"shape", "values"}`` entries, in name order."""
+    return {name: {"shape": list(a.shape), "values": a.ravel().tolist()}
+            for name, a in sorted(arrays.items())}
+
+
+def decode_arrays(payload: dict) -> dict[str, np.ndarray]:
+    """Inverse of encode_arrays; entries come back as float64 arrays."""
+    return {name: np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
+            for name, entry in payload.items()}
 
 
 class ParamStore:
@@ -625,24 +629,12 @@ class ParamStore:
         for t in self._params.values():
             t.grad = None
 
-    def size(self) -> int:
-        return sum(t.data.size for t in self._params.values())
-
-    def clone(self) -> "ParamStore":
-        other = ParamStore()
-        for name, t in self.items():
-            other.add(name, t.data.copy())
-        return other
-
     # -- serialization (JSON floats round-trip bit-exactly in python3) ------
 
     def to_dict(self) -> dict:
         return {
             "version": SERIALIZATION_VERSION,
-            "params": {
-                name: {"shape": list(t.data.shape), "values": t.data.ravel().tolist()}
-                for name, t in self.items()
-            },
+            "params": encode_arrays({name: t.data for name, t in self.items()}),
         }
 
     @classmethod
@@ -650,9 +642,7 @@ class ParamStore:
         if payload.get("version") != SERIALIZATION_VERSION:
             raise ValueError(f"unsupported ParamStore version {payload.get('version')!r}")
         store = cls()
-        for name in sorted(payload["params"]):
-            entry = payload["params"][name]
-            arr = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
+        for name, arr in decode_arrays(payload["params"]).items():
             store.add(name, arr)
         return store
 

@@ -2,6 +2,8 @@
 
 All loss functions build taped tensor expressions, so calling them inside an
 open GradTape yields gradients; calling them outside just computes numbers.
+Each per-sequence term scores a ForwardPass its caller computed; none runs
+the model itself.
 Per-sequence losses cover:
 
 * nll: negative log-likelihood of every transition, combining the next-mark
@@ -124,26 +126,22 @@ def _nll_terms(fwd: ForwardPass, seq: Ctas, eos_time_term: bool,
     return mul(add(mark_ll, sum_all(per_step)), -1.0)
 
 
-def nll(model: Model, seq: Ctas, eos_time_term: bool = True,
-        fwd: ForwardPass | None = None) -> Tensor:
+def nll(model: Model, seq: Ctas, eos_time_term: bool = True, *,
+        fwd: ForwardPass) -> Tensor:
     """Negative log-likelihood of all transitions of one sequence.
 
     The terminal transition's mark term always participates; its time term
     can be dropped with eos_time_term=False since the terminal gap is a
     synthetic constant.
     """
-    if fwd is None:
-        fwd = model.forward(seq.marks(), seq.times())
     return _nll_terms(fwd, seq, eos_time_term, model.vocab.eos_id)
 
 
-def discounted_goal_ce(model: Model, seq: Ctas, gamma: float,
-                       fwd: ForwardPass | None = None) -> Tensor:
+def discounted_goal_ce(model: Model, seq: Ctas, gamma: float, *,
+                       fwd: ForwardPass) -> Tensor:
     """Sum over indices k=1..n of gamma^k times the goal cross-entropy."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    if fwd is None:
-        fwd = model.forward(seq.marks(), seq.times())
     n = len(seq.actions)
     idx = np.arange(n, dtype=np.intp)
     lp = pick(fwd.goal_logprob, idx, np.full(n, seq.goal, dtype=np.intp))
@@ -151,25 +149,21 @@ def discounted_goal_ce(model: Model, seq: Ctas, gamma: float,
     return mul(sum_all(mul(lp, Tensor(weights))), -1.0)
 
 
-def margin_goal(model: Model, seq: Ctas, fwd: ForwardPass | None = None) -> Tensor:
+def margin_goal(model: Model, seq: Ctas, *, fwd: ForwardPass) -> Tensor:
     """Hinge penalty for drops in the true goal's probability along the sequence."""
-    if fwd is None:
-        fwd = model.forward(seq.marks(), seq.times())
     n = len(seq.actions)
     idx = np.arange(n, dtype=np.intp)
     p = pick(fwd.goal_prob, idx, np.full(n, seq.goal, dtype=np.intp))
     return hinge_sum(p)
 
 
-def margin_action(model: Model, seq: Ctas, fwd: ForwardPass | None = None) -> Tensor:
+def margin_action(model: Model, seq: Ctas, *, fwd: ForwardPass) -> Tensor:
     """Hinge penalty for drops in the probabilities of the goal's action set.
 
     The candidate set is the marks observed with this goal in the training
     split (terminal mark excluded); each candidate keeps its own running
     best.
     """
-    if fwd is None:
-        fwd = model.forward(seq.marks(), seq.times())
     candidates = model.vocab.marks_for_goal(seq.goal)
     p = take_cols(fwd.mark_prob, np.array(candidates, dtype=np.intp))
     return hinge_sum(p)

@@ -31,7 +31,7 @@ from .data import (
     split_by_goal,
 )
 from .model import Model, ModelConfig
-from .numerics import GradTape, NumericError, ParamStore
+from .numerics import GradTape, NumericError, ParamStore, decode_arrays, encode_arrays
 from .objectives import LossBreakdown, total_loss
 
 log = logging.getLogger(__name__)
@@ -130,21 +130,12 @@ class Adam:
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
     def state_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "m": {k: {"shape": list(a.shape), "values": a.ravel().tolist()}
-                  for k, a in sorted(self.m.items())},
-            "v": {k: {"shape": list(a.shape), "values": a.ravel().tolist()}
-                  for k, a in sorted(self.v.items())},
-        }
+        return {"step": self.step, "m": encode_arrays(self.m), "v": encode_arrays(self.v)}
 
     def load_state_dict(self, payload: dict) -> None:
         self.step = int(payload["step"])
-        for attr in ("m", "v"):
-            target = getattr(self, attr)
-            target.clear()
-            for k, entry in payload[attr].items():
-                target[k] = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
+        self.m = decode_arrays(payload["m"])
+        self.v = decode_arrays(payload["v"])
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +161,17 @@ def checkpoint_payload(model: Model, train_cfg: TrainConfig | None = None,
 def save_checkpoint(path, model: Model, train_cfg: TrainConfig | None = None,
                     optimizer: Adam | None = None, epoch: int = 0,
                     best_total: float | None = None) -> None:
+    """Write the checkpoint atomically: a crash mid-write leaves the old file."""
     payload = checkpoint_payload(model, train_cfg, optimizer, epoch, best_total)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 @dataclass
@@ -189,6 +188,8 @@ class Checkpoint:
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("checkpoint is not a JSON object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
     config = ModelConfig.from_dict(payload["model_config"])

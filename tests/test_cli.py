@@ -1,6 +1,7 @@
 """End-to-end and error-path tests for the command line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -198,6 +199,43 @@ class TestEval:
         assert capsys.readouterr().err.startswith("E_NO_CKPT:")
 
 
+def write_unreadable_checkpoint(kind, workspace, tmp_path):
+    """A final.json under tmp_path that load_checkpoint cannot turn into a model."""
+    good = (workspace["run"] / "final.json").read_text()
+    if kind == "truncated":
+        text = good[:len(good) // 2]
+    elif kind == "not_an_object":
+        text = "[1, 2, 3]"
+    elif kind == "missing_fields":
+        text = json.dumps({"version": 1})
+    else:
+        payload = json.loads(good)
+        payload["params"] = []  # ill-typed: a list where an object belongs
+        text = json.dumps(payload)
+    ckpt = tmp_path / "final.json"
+    ckpt.write_text(text)
+    return ckpt
+
+
+class TestUnreadableCheckpoint:
+    KINDS = ("truncated", "not_an_object", "missing_fields", "ill_typed_field")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_eval(self, workspace, capsys, tmp_path, kind):
+        ckpt = write_unreadable_checkpoint(kind, workspace, tmp_path)
+        assert main(["eval", "--ckpt", str(ckpt),
+                     "--data", str(workspace["run"] / "test.jsonl"),
+                     "--report", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err.startswith("E_NO_CKPT:")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_generate(self, workspace, capsys, tmp_path, kind):
+        write_unreadable_checkpoint(kind, workspace, tmp_path)
+        assert main(["generate", "--ckpt", str(tmp_path), "--goal", "brew",
+                     "--first-mark", "grind", "--out", str(tmp_path / "g.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith("E_NO_CKPT:")
+
+
 class TestGenerate:
     def test_writes_sequences_and_reasons(self, workspace, capsys, tmp_path):
         out = tmp_path / "gen.jsonl"
@@ -326,10 +364,18 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+def run_module(*args):
+    """``python -m actionflow`` on the package this suite imported."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "actionflow", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run([sys.executable, "-m", "actionflow", "--help"],
-                              capture_output=True, text=True)
+        proc = run_module("--help")
         assert proc.returncode == 0
         assert "actionflow" in proc.stdout
         for name in ("synth", "train", "eval", "generate", "gradcheck",
@@ -337,7 +383,6 @@ class TestEntryPoint:
             assert name in proc.stdout
 
     def test_module_usage_error_exit_code(self):
-        proc = subprocess.run([sys.executable, "-m", "actionflow", "nope"],
-                              capture_output=True, text=True)
+        proc = run_module("nope")
         assert proc.returncode == 2
         assert "E_USAGE:" in proc.stderr

@@ -74,12 +74,6 @@ class TestSequenceInvariants:
         with pytest.raises(DataError):
             seq(0, -1, [0], [0.0]).validate()
 
-    def test_gaps_measure_from_zero(self):
-        # the first action's gap is its own start time
-        s = seq(0, 0, [0, 1, 2], [1.0, 1.5, 4.0])
-        np.testing.assert_allclose(s.gaps(), [1.0, 0.5, 2.5])
-        assert s.gaps().shape == (3,)
-
     def test_marks_and_times_are_arrays(self):
         s = seq(0, 0, [3, 1], [0.0, 2.0])
         assert s.marks().tolist() == [3, 1]

@@ -8,7 +8,6 @@ from actionflow.encoder import (
     CapacityError,
     EncoderConfig,
     _attention,
-    embed_action,
     embed_actions,
     encode,
     init_encoder_params,
@@ -136,8 +135,13 @@ class TestEmbedding:
         batch = embed_actions(store, cfg, marks, times)
         prev = 0.0
         for i, (mk, t) in enumerate(zip(marks, times)):
-            single = embed_action(store, cfg, mk, float(t), prev)
-            np.testing.assert_allclose(single, batch.data[i], atol=1e-12)
+            prefix = embed_actions(store, cfg, marks[:i + 1], times[:i + 1])
+            np.testing.assert_array_equal(prefix.data[i], batch.data[i])
+            expect = (store["embed.marks"].data[mk]
+                      + t * store["embed.w_time"].data[0]
+                      + (t - prev) * store["embed.w_gap"].data[0]
+                      + store["embed.bias"].data)
+            np.testing.assert_allclose(batch.data[i], expect, atol=1e-12)
             prev = float(t)
 
     def test_decreasing_times_rejected(self):

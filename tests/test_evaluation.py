@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from actionflow import evaluation
 from actionflow.data import Action, ClusterMap, Ctas, Vocab, write_corpus
 from actionflow.evaluation import (
     DEFAULT_PREFIXES,
@@ -19,6 +20,7 @@ from actionflow.evaluation import (
     next_action_eval,
     sensitivity_sweep,
     sweep_point,
+    teacher_forced,
     write_sweep_csv,
 )
 from actionflow.model import Model, ModelConfig
@@ -48,6 +50,20 @@ def small_corpus(n=5, seed=0, length=4):
     return out
 
 
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """Sequence lengths of every Model.forward call made while the test runs."""
+    calls = []
+    original = Model.forward
+
+    def counted(self, marks, times):
+        calls.append(len(marks))
+        return original(self, marks, times)
+
+    monkeypatch.setattr(Model, "forward", counted)
+    return calls
+
+
 def force_mark(model, mark, strength=50.0):
     bias = model.store["mark.bias"]
     bias.data[:] = -strength
@@ -71,7 +87,7 @@ class TestNextActionEval:
     def test_matches_forward_pass_oracle(self):
         model = make_model(seed=1)
         corpus = small_corpus(n=4, seed=2)
-        result = next_action_eval(model, corpus)
+        result = next_action_eval(teacher_forced(model, corpus))
         correct = 0
         transitions = 0
         err = 0.0
@@ -91,14 +107,14 @@ class TestNextActionEval:
         force_mark(model, 1)
         force_mu(model, 0.0)  # predicted gap is always e^0 = 1
         corpus = [make_seq([0, 1, 0], [0.0, 1.0, 3.0], sid="x")]
-        result = next_action_eval(model, corpus)
+        result = next_action_eval(teacher_forced(model, corpus))
         assert result["apa"] == 0.5
         assert result["mae"] == pytest.approx((0.0 + 1.0) / 2, abs=1e-12)
 
     def test_summaries_recompute_from_records(self):
         model = make_model(seed=3)
         corpus = small_corpus(n=6, seed=4)
-        result = next_action_eval(model, corpus)
+        result = next_action_eval(teacher_forced(model, corpus))
         recs = result["per_sequence"]
         total = sum(r["transitions"] for r in recs)
         assert result["apa"] == sum(r["correct"] for r in recs) / total
@@ -108,8 +124,8 @@ class TestNextActionEval:
     def test_order_invariance_and_id_sorting(self):
         model = make_model(seed=5)
         corpus = small_corpus(n=6, seed=6)
-        forward = next_action_eval(model, corpus)
-        backward = next_action_eval(model, list(reversed(corpus)))
+        forward = next_action_eval(teacher_forced(model, corpus))
+        backward = next_action_eval(teacher_forced(model, list(reversed(corpus))))
         assert forward == backward
         ids = [r["id"] for r in forward["per_sequence"]]
         assert ids == sorted(ids)
@@ -117,7 +133,7 @@ class TestNextActionEval:
     def test_single_action_sequence_rejected(self):
         model = make_model()
         with pytest.raises(ValueError, match="transitions"):
-            next_action_eval(model, [make_seq([0], [1.0])])
+            next_action_eval(teacher_forced(model, [make_seq([0], [1.0])]))
 
 
 class TestMajorityBaseline:
@@ -146,13 +162,14 @@ class TestGoalEval:
         force_goal(model, 1)
         corpus = [make_seq([0, 1, 2], [0, 1, 2], goal=g, sid=f"s{i}")
                   for i, g in enumerate([1, 1, 1, 0])]
-        result = goal_eval(model, corpus)
+        result = goal_eval(teacher_forced(model, corpus))
         assert result["gpa_at"] == {"0.3": 0.75, "0.6": 0.75, "1": 0.75}
 
     def test_fraction_keys_are_compact(self):
         model = make_model(seed=1)
         corpus = small_corpus(n=3, seed=1)
-        result = goal_eval(model, corpus, prefix_fractions=(0.25, 0.5, 1.0))
+        result = goal_eval(teacher_forced(model, corpus),
+                           prefix_fractions=(0.25, 0.5, 1.0))
         assert set(result["gpa_at"]) == {"0.25", "0.5", "1"}
 
     def test_invalid_fractions_rejected(self):
@@ -160,12 +177,12 @@ class TestGoalEval:
         corpus = small_corpus(n=2)
         for bad in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError, match="fraction"):
-                goal_eval(model, corpus, prefix_fractions=(bad,))
+                goal_eval(teacher_forced(model, corpus), prefix_fractions=(bad,))
 
     def test_summary_recomputes_from_records(self):
         model = make_model(seed=2)
         corpus = small_corpus(n=8, seed=3)
-        result = goal_eval(model, corpus)
+        result = goal_eval(teacher_forced(model, corpus))
         for key, value in result["gpa_at"].items():
             hits = sum(1 for r in result["per_sequence"]
                        if r["predicted"][key] == r["goal"])
@@ -174,7 +191,7 @@ class TestGoalEval:
     def test_full_prefix_uses_last_position(self):
         model = make_model(seed=4)
         seq = small_corpus(n=1, seed=5)[0]
-        result = goal_eval(model, [seq], prefix_fractions=(1.0,))
+        result = goal_eval(teacher_forced(model, [seq]), prefix_fractions=(1.0,))
         fwd = model.forward(seq.marks(), seq.times())
         expect = int(np.argmax(fwd.goal_prob.data[-1]))
         assert result["per_sequence"][0]["predicted"]["1"] == expect
@@ -182,7 +199,7 @@ class TestGoalEval:
     def test_tiny_fraction_still_feeds_one_action(self):
         model = make_model(seed=4)
         seq = small_corpus(n=1, seed=6)[0]
-        result = goal_eval(model, [seq], prefix_fractions=(0.01,))
+        result = goal_eval(teacher_forced(model, [seq]), prefix_fractions=(0.01,))
         fwd = model.forward(seq.marks(), seq.times())
         expect = int(np.argmax(fwd.goal_prob.data[0]))
         assert result["per_sequence"][0]["predicted"]["0.01"] == expect
@@ -252,8 +269,9 @@ class TestEvalReport:
 
     def test_summary_fields_match_components(self):
         model, corpus, report = self.build()
-        nxt = next_action_eval(model, corpus)
-        gpa = goal_eval(model, corpus)["gpa_at"]
+        passes = teacher_forced(model, corpus)
+        nxt = next_action_eval(passes)
+        gpa = goal_eval(passes)["gpa_at"]
         gen = generation_eval(model, corpus, seed=5)
         assert report.apa == nxt["apa"]
         assert report.mae == nxt["mae"]
@@ -288,6 +306,12 @@ class TestEvalReport:
         model = make_model()
         with pytest.raises(ValueError, match="empty"):
             full_report(model, [])
+
+    def test_one_forward_pass_per_sequence(self, forward_calls):
+        model = make_model(seed=4)
+        corpus = small_corpus(n=5, seed=11)
+        full_report(model, corpus, with_generation=False)
+        assert forward_calls == [len(seq) for seq in corpus]
 
 
 class TestSweep:
@@ -381,6 +405,25 @@ class TestSweep:
         assert len(parsed) == 2
         assert parsed[1][0] == "0.5"
         assert parsed[1][1] == "ok"
+
+    def test_sweep_point_scores_with_one_forward_pass_per_sequence(
+            self, tmp_path, monkeypatch, forward_calls):
+        path = self.corpus_file(tmp_path)
+        model, train = self.base_dicts()
+        held_out = []
+        run_training = evaluation.run_training
+
+        def train_then_count_scoring(*args, **kwargs):
+            result = run_training(*args, **kwargs)
+            held_out.extend(result[1].test_raw)
+            forward_calls.clear()
+            return result
+
+        monkeypatch.setattr(evaluation, "run_training", train_then_count_scoring)
+        row = sweep_point(path, model, train, {})
+        assert row["status"] == "ok"
+        assert held_out
+        assert len(forward_calls) == len(held_out)
 
     def test_sweep_point_applies_overrides(self, tmp_path):
         path = self.corpus_file(tmp_path)

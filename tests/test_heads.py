@@ -7,19 +7,14 @@ import pytest
 
 from actionflow.heads import (
     SIGMA_FLOOR,
-    GoalDist,
-    MarkDist,
     TimeDensity,
     fuse,
-    goal_head,
     goal_logits,
     init_head_params,
     log_density,
-    mark_head,
     mark_logits,
     point_time,
     sample_time,
-    time_head,
     time_params,
 )
 from actionflow.numerics import NumericError, ParamStore, Tensor, log_softmax
@@ -33,36 +28,58 @@ def make_store(m=3, n_marks=4, n_goals=2, seed=0):
     return store
 
 
+def rows(s):
+    """History vectors as a [k, D] tensor; one vector becomes one row."""
+    return Tensor(np.atleast_2d(s))
+
+
+def mark_probs(store, s):
+    return np.exp(log_softmax(mark_logits(store, rows(s))).data)
+
+
+def goal_probs(store, s):
+    return np.exp(log_softmax(goal_logits(store, rows(s))).data)
+
+
+def time_row(store, s, cluster):
+    """(mu, sigma2) for one history vector gated by one cluster."""
+    mu, sigma2 = time_params(store, rows(s), [cluster])
+    return float(mu.data[0, 0]), float(sigma2.data[0, 0])
+
+
+def softmax_oracle(logits):
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
 class TestMarkHead:
     def test_single_mark_vocabulary(self):
         store = make_store(n_marks=1)
-        dist = mark_head(store, np.random.default_rng(1).normal(size=D))
-        np.testing.assert_allclose(dist.probs, [1.0])
+        probs = mark_probs(store, np.random.default_rng(1).normal(size=D))
+        np.testing.assert_allclose(probs, [[1.0]])
 
     def test_zero_weights_uniform(self):
         store = make_store(n_marks=4)
         store["mark.w"].data[:] = 0.0
         store["mark.bias"].data[:] = 0.0
-        dist = mark_head(store, np.random.default_rng(2).normal(size=D))
-        np.testing.assert_allclose(dist.probs, 0.25)
+        probs = mark_probs(store, np.random.default_rng(2).normal(size=D))
+        np.testing.assert_allclose(probs, 0.25)
 
     def test_scalar_softmax_oracle(self):
         store = make_store(n_marks=3, seed=3)
         s = np.random.default_rng(3).normal(size=D)
-        dist = mark_head(store, s)
         logits = np.array([s @ store["mark.w"].data[:, c] + store["mark.bias"].data[c]
                            for c in range(3)])
-        e = np.exp(logits - logits.max())
-        np.testing.assert_allclose(dist.probs, e / e.sum(), atol=1e-12)
+        np.testing.assert_allclose(mark_probs(store, s)[0], softmax_oracle(logits),
+                                   atol=1e-12)
 
     def test_normalization_for_arbitrary_inputs(self):
         store = make_store(seed=4)
         rng = np.random.default_rng(4)
-        for _ in range(200):
-            s = rng.normal(size=D) * float(rng.uniform(0.1, 50.0))
-            dist = mark_head(store, s)
-            assert abs(dist.probs.sum() - 1.0) < 1e-9
-            assert np.all(dist.probs >= 0.0)
+        s = rng.normal(size=(200, D)) * rng.uniform(0.1, 50.0, size=(200, 1))
+        probs = mark_probs(store, s)
+        assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
+        assert np.all(probs >= 0.0)
 
     def test_batch_logits_match_single(self):
         store = make_store(seed=5)
@@ -70,26 +87,25 @@ class TestMarkHead:
         s = rng.normal(size=(3, D))
         batch = mark_logits(store, Tensor(s)).data
         for i in range(3):
-            single = mark_head(store, s[i])
-            e = np.exp(batch[i] - batch[i].max())
-            np.testing.assert_allclose(single.probs, e / e.sum(), atol=1e-12)
-
-    def test_argmax(self):
-        assert MarkDist(np.array([0.1, 0.7, 0.2])).argmax() == 1
+            single = mark_logits(store, Tensor(s[i:i + 1])).data[0]
+            np.testing.assert_allclose(batch[i], single, atol=1e-12)
+            oracle = s[i] @ store["mark.w"].data + store["mark.bias"].data
+            np.testing.assert_allclose(mark_probs(store, s[i])[0], softmax_oracle(oracle),
+                                       atol=1e-12)
 
 
 class TestGoalHead:
     def test_single_goal(self):
         store = make_store(n_goals=1)
-        dist = goal_head(store, np.random.default_rng(6).normal(size=D))
-        np.testing.assert_allclose(dist.probs, [1.0])
+        probs = goal_probs(store, np.random.default_rng(6).normal(size=D))
+        np.testing.assert_allclose(probs, [[1.0]])
 
     def test_zero_weights_uniform(self):
         store = make_store(n_goals=3)
         for name in ("goal.w_hidden", "goal.b_hidden", "goal.w_out", "goal.b_out"):
             store[name].data[:] = 0.0
-        dist = goal_head(store, np.random.default_rng(7).normal(size=D))
-        np.testing.assert_allclose(dist.probs, 1.0 / 3.0)
+        probs = goal_probs(store, np.random.default_rng(7).normal(size=D))
+        np.testing.assert_allclose(probs, 1.0 / 3.0)
 
     def test_relu_softmax_oracle(self):
         store = make_store(n_goals=2, seed=8)
@@ -97,15 +113,14 @@ class TestGoalHead:
         hidden = np.maximum(s @ store["goal.w_hidden"].data
                             + store["goal.b_hidden"].data, 0.0)
         logits = hidden @ store["goal.w_out"].data + store["goal.b_out"].data
-        e = np.exp(logits - logits.max())
-        np.testing.assert_allclose(goal_head(store, s).probs, e / e.sum(), atol=1e-12)
+        np.testing.assert_allclose(goal_probs(store, s)[0], softmax_oracle(logits),
+                                   atol=1e-12)
 
     def test_normalization(self):
         store = make_store(seed=9)
         rng = np.random.default_rng(9)
-        for _ in range(200):
-            dist = goal_head(store, rng.normal(size=D) * 20.0)
-            assert abs(dist.probs.sum() - 1.0) < 1e-9
+        probs = goal_probs(store, rng.normal(size=(200, D)) * 20.0)
+        assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_batch_logits_match_single(self):
         store = make_store(seed=10)
@@ -114,47 +129,45 @@ class TestGoalHead:
         batch = goal_logits(store, Tensor(s)).data
         logp = log_softmax(Tensor(batch)).data
         for i in range(4):
-            np.testing.assert_allclose(np.exp(logp[i]),
-                                       goal_head(store, s[i]).probs, atol=1e-12)
-
-    def test_argmax(self):
-        assert GoalDist(np.array([0.9, 0.1])).argmax() == 0
+            single = goal_logits(store, Tensor(s[i:i + 1])).data[0]
+            np.testing.assert_allclose(batch[i], single, atol=1e-12)
+            hidden = np.maximum(s[i] @ store["goal.w_hidden"].data
+                                + store["goal.b_hidden"].data, 0.0)
+            oracle = hidden @ store["goal.w_out"].data + store["goal.b_out"].data
+            np.testing.assert_allclose(np.exp(logp[i]), softmax_oracle(oracle), atol=1e-12)
 
 
 class TestTimeHead:
     def test_m1_identity_gating(self):
         store = make_store(m=1, seed=11)
         s = np.random.default_rng(11).normal(size=D)
-        td = time_head(store, s, cluster=0)
+        mu, _ = time_row(store, s, 0)
         e = s * store["time.clusters"].data[0]
-        mu = e @ store["time.w_mu"].data[:, 0] + store["time.b_mu"].data[0]
-        assert td.mu == pytest.approx(mu, abs=1e-12)
+        expect = e @ store["time.w_mu"].data[:, 0] + store["time.b_mu"].data[0]
+        assert mu == pytest.approx(expect, abs=1e-12)
 
     def test_raw_zero_variance_floor(self):
         store = make_store(seed=12)
         store["time.w_var"].data[:] = 0.0
         store["time.b_var"].data[:] = 0.0
-        td = time_head(store, np.random.default_rng(12).normal(size=D), cluster=1)
-        assert td.sigma2 == pytest.approx(math.log(2.0) + SIGMA_FLOOR, abs=1e-12)
+        _, sigma2 = time_row(store, np.random.default_rng(12).normal(size=D), 1)
+        assert sigma2 == pytest.approx(math.log(2.0) + SIGMA_FLOOR, abs=1e-12)
 
     def test_variance_positive_for_extreme_raw(self):
         store = make_store(seed=13)
         rng = np.random.default_rng(13)
         for scale in (1.0, 100.0, 10000.0):
-            td = time_head(store, rng.normal(size=D) * scale, cluster=0)
-            assert td.sigma2 >= SIGMA_FLOOR
-            assert math.isfinite(td.sigma2)
+            _, sigma2 = time_row(store, rng.normal(size=D) * scale, 0)
+            assert sigma2 >= SIGMA_FLOOR
+            assert math.isfinite(sigma2)
 
     def test_cluster_choice_changes_output(self):
         store = make_store(m=2, seed=14)
         s = np.random.default_rng(14).normal(size=D)
-        a = time_head(store, s, cluster=0)
-        b = time_head(store, s, cluster=1)
-        assert a.mu != b.mu or a.sigma2 != b.sigma2
+        assert time_row(store, s, 0) != time_row(store, s, 1)
         # but identical embeddings give identical parameters
         store["time.clusters"].data[1] = store["time.clusters"].data[0]
-        c = time_head(store, s, cluster=1)
-        assert c.mu == time_head(store, s, cluster=0).mu
+        assert time_row(store, s, 1)[0] == time_row(store, s, 0)[0]
 
     def test_inactive_cluster_embedding_is_ignored_exactly(self):
         store = make_store(m=3, seed=15)
@@ -168,9 +181,8 @@ class TestTimeHead:
 
     def test_unknown_cluster_rejected(self):
         store = make_store(m=2)
-        s = np.zeros(D)
         with pytest.raises(NumericError):
-            time_head(store, s, cluster=5)
+            time_params(store, Tensor(np.zeros((1, D))), [5])
         with pytest.raises(NumericError):
             time_params(store, Tensor(np.zeros((1, D))), [-1])
 
@@ -181,9 +193,15 @@ class TestTimeHead:
         ids = [2, 0, 1, 2]
         mu, s2 = time_params(store, Tensor(s), ids)
         for i in range(4):
-            td = time_head(store, s[i], cluster=ids[i])
-            assert mu.data[i, 0] == pytest.approx(td.mu, abs=1e-12)
-            assert s2.data[i, 0] == pytest.approx(td.sigma2, abs=1e-12)
+            single_mu, single_s2 = time_row(store, s[i], ids[i])
+            assert mu.data[i, 0] == pytest.approx(single_mu, abs=1e-12)
+            assert s2.data[i, 0] == pytest.approx(single_s2, abs=1e-12)
+            e = s[i] * store["time.clusters"].data[ids[i]]
+            raw = e @ store["time.w_var"].data[:, 0] + store["time.b_var"].data[0]
+            oracle_mu = e @ store["time.w_mu"].data[:, 0] + store["time.b_mu"].data[0]
+            assert mu.data[i, 0] == pytest.approx(oracle_mu, abs=1e-12)
+            assert s2.data[i, 0] == pytest.approx(np.logaddexp(0.0, raw) + SIGMA_FLOOR,
+                                                  abs=1e-12)
 
 
 class TestFusion:
@@ -203,16 +221,15 @@ class TestFusion:
     def test_single_vector_heads_with_alpha_zero_match_base(self):
         store = make_store(seed=20)
         rng = np.random.default_rng(20)
-        s = rng.normal(size=D)
-        x = rng.normal(size=D)
-        base = mark_head(store, s)
-        fused = mark_head(store, s, x=x, alpha=0.0)
-        np.testing.assert_array_equal(base.probs, fused.probs)
-        assert goal_head(store, s, x=x, alpha=0.0).probs.tolist() == \
-               goal_head(store, s).probs.tolist()
-        a = time_head(store, s, 0, x=x, alpha=0.0)
-        b = time_head(store, s, 0)
-        assert (a.mu, a.sigma2) == (b.mu, b.sigma2)
+        s = rows(rng.normal(size=D))
+        x = rows(rng.normal(size=D))
+        fused = fuse(s, x, 0.0)
+        np.testing.assert_array_equal(mark_logits(store, fused).data,
+                                      mark_logits(store, s).data)
+        np.testing.assert_array_equal(goal_logits(store, fused).data,
+                                      goal_logits(store, s).data)
+        for a, b in zip(time_params(store, fused, [0]), time_params(store, s, [0])):
+            np.testing.assert_array_equal(a.data, b.data)
 
 
 class TestLogDensity:

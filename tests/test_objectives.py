@@ -41,6 +41,10 @@ def make_seq(marks, times, goal=0, sid="s0"):
                 actions=[Action(m, float(t)) for m, t in zip(marks, times)])
 
 
+def fwd_of(model, seq):
+    return model.forward(seq.marks(), seq.times())
+
+
 def eos_seq(model, marks, times, goal=0, sid="s0"):
     eos = model.vocab.eos_id
     return make_seq(list(marks) + [eos], list(times) + [times[-1] + 1.0],
@@ -51,8 +55,8 @@ class TestNll:
     def test_per_term_accumulation_oracle(self):
         model = make_model(seed=1)
         seq = eos_seq(model, [0, 1, 2], [0.5, 1.2, 3.0], goal=0)
-        fwd = model.forward(seq.marks(), seq.times())
-        value = float(nll(model, seq).data)
+        fwd = fwd_of(model, seq)
+        value = float(nll(model, seq, fwd=fwd).data)
         marks = seq.marks()
         gaps = np.diff(seq.times())
         expect = 0.0
@@ -66,23 +70,24 @@ class TestNll:
     def test_single_transition(self):
         model = make_model(seed=2)
         seq = make_seq([0, 1], [0.3, 1.1])
-        fwd = model.forward(seq.marks(), seq.times())
+        fwd = fwd_of(model, seq)
         td = TimeDensity(mu=float(fwd.mu.data[0, 0]),
                          sigma2=float(fwd.sigma2.data[0, 0]))
         expect = -(fwd.mark_logprob.data[0, 1] + log_density(td, 0.8))
-        assert float(nll(model, seq).data) == pytest.approx(expect, abs=1e-12)
+        assert float(nll(model, seq, fwd=fwd).data) == pytest.approx(expect, abs=1e-12)
 
     def test_no_transitions_rejected(self):
         model = make_model()
+        seq = make_seq([0], [0.5])
         with pytest.raises(ValueError):
-            nll(model, make_seq([0], [0.5]))
+            nll(model, seq, fwd=fwd_of(model, seq))
 
     def test_eos_time_term_flag_drops_only_terminal_gap(self):
         model = make_model(seed=3)
         seq = eos_seq(model, [0, 1], [0.2, 0.9], goal=1)
-        fwd = model.forward(seq.marks(), seq.times())
-        full = float(nll(model, seq, eos_time_term=True).data)
-        partial = float(nll(model, seq, eos_time_term=False).data)
+        fwd = fwd_of(model, seq)
+        full = float(nll(model, seq, eos_time_term=True, fwd=fwd).data)
+        partial = float(nll(model, seq, eos_time_term=False, fwd=fwd).data)
         k = len(seq.actions) - 2
         td = TimeDensity(mu=float(fwd.mu.data[k, 0]),
                          sigma2=float(fwd.sigma2.data[k, 0]))
@@ -92,8 +97,9 @@ class TestNll:
     def test_flag_ignored_without_terminal_mark(self):
         model = make_model(seed=4)
         seq = make_seq([0, 1, 2], [0.2, 0.9, 1.7])
-        a = float(nll(model, seq, eos_time_term=True).data)
-        b = float(nll(model, seq, eos_time_term=False).data)
+        fwd = fwd_of(model, seq)
+        a = float(nll(model, seq, eos_time_term=True, fwd=fwd).data)
+        b = float(nll(model, seq, eos_time_term=False, fwd=fwd).data)
         assert a == b
 
     def test_nonpositive_gap_propagates_with_id(self):
@@ -107,29 +113,30 @@ class TestDiscountedGoalCe:
     def test_gamma_one_is_plain_ce_sum(self):
         model = make_model(seed=5)
         seq = eos_seq(model, [0, 1, 2], [0.1, 0.9, 2.2], goal=1)
-        fwd = model.forward(seq.marks(), seq.times())
-        value = float(discounted_goal_ce(model, seq, 1.0).data)
+        fwd = fwd_of(model, seq)
+        value = float(discounted_goal_ce(model, seq, 1.0, fwd=fwd).data)
         expect = -float(np.sum(fwd.goal_logprob.data[:, seq.goal]))
         assert value == pytest.approx(expect, abs=1e-12)
 
     def test_gamma_zero_is_exactly_zero(self):
         model = make_model(seed=6)
         seq = make_seq([0, 1], [0.1, 0.9])
-        assert float(discounted_goal_ce(model, seq, 0.0).data) == 0.0
+        value = discounted_goal_ce(model, seq, 0.0, fwd=fwd_of(model, seq))
+        assert float(value.data) == 0.0
 
     def test_two_step_hand_weighting(self):
         model = make_model(seed=7)
         seq = make_seq([0, 2], [0.4, 1.0], goal=0)
-        fwd = model.forward(seq.marks(), seq.times())
+        fwd = fwd_of(model, seq)
         ce = -fwd.goal_logprob.data[:, 0]
-        value = float(discounted_goal_ce(model, seq, 0.9).data)
+        value = float(discounted_goal_ce(model, seq, 0.9, fwd=fwd).data)
         assert value == pytest.approx(0.9 * ce[0] + 0.81 * ce[1], abs=1e-12)
 
     def test_gamma_outside_unit_interval_rejected(self):
         model = make_model()
         seq = make_seq([0, 1], [0.1, 0.9])
         with pytest.raises(ValueError):
-            discounted_goal_ce(model, seq, 1.5)
+            discounted_goal_ce(model, seq, 1.5, fwd=fwd_of(model, seq))
 
 
 class TestHingeSum:
@@ -174,18 +181,19 @@ class TestMargins:
     def test_margin_goal_matches_oracle(self):
         model = make_model(seed=10)
         seq = eos_seq(model, [0, 1, 2, 0], [0.2, 0.8, 1.5, 2.1], goal=1)
-        fwd = model.forward(seq.marks(), seq.times())
+        fwd = fwd_of(model, seq)
         p = fwd.goal_prob.data[:, seq.goal]
         best, expect = 0.0, 0.0
         for v in p:
             expect += max(0.0, best - v)
             best = max(best, v)
-        assert float(margin_goal(model, seq).data) == pytest.approx(expect, abs=1e-12)
+        assert float(margin_goal(model, seq, fwd=fwd).data) == pytest.approx(
+            expect, abs=1e-12)
 
     def test_margin_action_matches_nested_oracle(self):
         model = make_model(seed=11)
         seq = eos_seq(model, [1, 2, 1], [0.2, 0.8, 1.5], goal=1)
-        fwd = model.forward(seq.marks(), seq.times())
+        fwd = fwd_of(model, seq)
         expect = 0.0
         for c in model.vocab.marks_for_goal(seq.goal):
             best = 0.0
@@ -193,14 +201,15 @@ class TestMargins:
                 v = fwd.mark_prob.data[i, c]
                 expect += max(0.0, best - v)
                 best = max(best, v)
-        assert float(margin_action(model, seq).data) == pytest.approx(expect, abs=1e-12)
+        assert float(margin_action(model, seq, fwd=fwd).data) == pytest.approx(
+            expect, abs=1e-12)
 
     def test_margin_action_needs_goal_action_sets(self):
         model = make_model(seed=12)
         model.vocab.goal_marks = None
         seq = make_seq([0, 1], [0.1, 0.9])
         with pytest.raises(DataError):
-            margin_action(model, seq)
+            margin_action(model, seq, fwd=fwd_of(model, seq))
 
     def test_margins_nonnegative(self):
         model = make_model(seed=13)
@@ -210,8 +219,9 @@ class TestMargins:
             marks = rng.integers(0, 3, size=k).tolist()
             times = np.cumsum(rng.uniform(0.2, 1.0, size=k))
             seq = make_seq(marks, times, goal=int(rng.integers(0, 2)))
-            assert float(margin_goal(model, seq).data) >= 0.0
-            assert float(margin_action(model, seq).data) >= 0.0
+            fwd = fwd_of(model, seq)
+            assert float(margin_goal(model, seq, fwd=fwd).data) >= 0.0
+            assert float(margin_action(model, seq, fwd=fwd).data) >= 0.0
 
 
 class TestL2AndBreakdown:
@@ -252,10 +262,11 @@ class TestTotalLoss:
                                l2_coeff=0.001)
         per_seq = []
         for seq in batch:
-            v = (float(nll(model, seq).data)
-                 + float(discounted_goal_ce(model, seq, 0.9).data)
-                 + 0.1 * (float(margin_goal(model, seq).data)
-                          + float(margin_action(model, seq).data)))
+            fwd = fwd_of(model, seq)
+            v = (float(nll(model, seq, fwd=fwd).data)
+                 + float(discounted_goal_ce(model, seq, 0.9, fwd=fwd).data)
+                 + 0.1 * (float(margin_goal(model, seq, fwd=fwd).data)
+                          + float(margin_action(model, seq, fwd=fwd).data)))
             per_seq.append(v)
         l2 = float(l2_penalty(model.store).data)
         assert float(total.data) == pytest.approx(np.mean(per_seq) + 0.001 * l2,
@@ -267,7 +278,7 @@ class TestTotalLoss:
         batch = self.batch(model)
         _, bd = total_loss(model, batch, gamma=0.9, margin_weight=0.1,
                            l2_coeff=0.001)
-        nlls = [float(nll(model, s).data) for s in batch]
+        nlls = [float(nll(model, s, fwd=fwd_of(model, s)).data) for s in batch]
         assert bd.nll == pytest.approx(np.mean(nlls), abs=1e-12)
 
     def test_margin_disabled_reduces_to_core_terms(self):
@@ -275,9 +286,10 @@ class TestTotalLoss:
         batch = self.batch(model)
         total, bd = total_loss(model, batch, gamma=0.9, margin_weight=0.1,
                                l2_coeff=0.001, apply_margin=False)
-        core = np.mean([float(nll(model, s).data)
-                        + float(discounted_goal_ce(model, s, 0.9).data)
-                        for s in batch])
+        passes = [(s, fwd_of(model, s)) for s in batch]
+        core = np.mean([float(nll(model, s, fwd=fwd).data)
+                        + float(discounted_goal_ce(model, s, 0.9, fwd=fwd).data)
+                        for s, fwd in passes])
         l2 = float(l2_penalty(model.store).data)
         assert float(total.data) == pytest.approx(core + 0.001 * l2, abs=1e-12)
         assert bd.margin_goal == 0.0 or bd.total == pytest.approx(

@@ -10,6 +10,7 @@ from actionflow.data import Action, ClusterMap, Ctas, Vocab, append_eos
 from actionflow.model import Model, ModelConfig
 from actionflow.numerics import GradTape, ParamStore, Tensor, mul, sub, sum_all
 from actionflow.synth import GoalTemplate, SynthSpec, generate
+from actionflow import training
 from actionflow.training import (
     CHECKPOINT_VERSION,
     Adam,
@@ -269,6 +270,23 @@ class TestCheckpoints:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "final.json"
+        save_checkpoint(path, self.make_model(seed=1), epoch=1)
+        before = path.read_bytes()
+
+        def dump_partway(obj, fh):
+            fh.write(json.dumps(obj)[:100])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(training.json, "dump", dump_partway)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, self.make_model(seed=2), epoch=2)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).epoch == 1
+        assert os.listdir(tmp_path) == ["final.json"]
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         vocab, cm, cfg = tiny_setup()
