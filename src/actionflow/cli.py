@@ -87,7 +87,12 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        return cls.from_dict(_read_json(path))
+        payload = _read_json(path)
+        try:
+            return cls.from_dict(payload)
+        except (TypeError, AttributeError) as e:
+            # a value of the wrong JSON type fails inside dict() or a comparison
+            raise CliError("E_CONFIG", f"{path}: ill-typed value: {e}") from None
 
 
 def _read_json(path) -> dict:

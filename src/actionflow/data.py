@@ -377,15 +377,11 @@ def observed_marks_by_goal(corpus: list[Ctas]) -> dict[int, tuple[int, ...]]:
     return {g: tuple(sorted(ms)) for g, ms in sorted(sets.items())}
 
 
-def build_clusters(corpus: list[Ctas], m: int, seed: int = 0,
-                   eos_id: int | None = None) -> ClusterMap:
-    """Cluster marks by their mean gap to the following action.
+def _duration_means(corpus: list[Ctas]) -> tuple[dict[int, int], dict[int, float], list[int]]:
+    """Per-mark occurrence counts and mean gap to the following action.
 
-    A mark's duration proxy is the mean of t_{i+1} - t_i over its training
-    occurrences; a sequence's final action contributes nothing. Marks never
-    observed with a follower fall back to the global mean. 1-D k-means with
-    seeded k-means++ initialization and 100 refinement iterations produces
-    the assignment.
+    A sequence's final action contributes nothing. Marks never observed with
+    a follower fall back to the global mean gap and are listed third.
     """
     gaps_by_mark: dict[int, list[float]] = {}
     counts: dict[int, int] = {}
@@ -397,24 +393,46 @@ def build_clusters(corpus: list[Ctas], m: int, seed: int = 0,
             counts[mk] = counts.get(mk, 0) + 1
             if i + 1 < len(marks):
                 gaps_by_mark.setdefault(mk, []).append(float(t[i + 1] - t[i]))
-    all_marks = sorted(counts)
-    if not all_marks:
+    if not counts:
         raise DataError("cannot build clusters from an empty corpus")
-    if not 1 <= m <= len(all_marks):
-        raise DataError(
-            f"cluster count {m} outside [1, {len(all_marks)}] distinct marks")
     pooled = [g for gs in gaps_by_mark.values() for g in gs]
     if not pooled:
         raise DataError("no mark is ever followed by another action")
     global_mean = float(np.mean(pooled))
-    means: dict[int, float] = {}
-    for mk in all_marks:
-        if mk in gaps_by_mark:
-            means[mk] = float(np.mean(gaps_by_mark[mk]))
-        else:
-            log.warning("mark id %d has no observed follower; using global mean %.6g",
-                        mk, global_mean)
-            means[mk] = global_mean
+    all_marks = sorted(counts)
+    means = {mk: float(np.mean(gaps_by_mark[mk])) if mk in gaps_by_mark else global_mean
+             for mk in all_marks}
+    return counts, means, [mk for mk in all_marks if mk not in gaps_by_mark]
+
+
+def distinct_durations(corpus: list[Ctas]) -> int:
+    """Number of distinct per-mark duration proxies: the most clusters
+    build_clusters can fill."""
+    return len(set(_duration_means(corpus)[1].values()))
+
+
+def build_clusters(corpus: list[Ctas], m: int, seed: int = 0,
+                   eos_id: int | None = None) -> ClusterMap:
+    """Cluster marks by their mean gap to the following action.
+
+    A mark's duration proxy is the mean of t_{i+1} - t_i over its training
+    occurrences; a sequence's final action contributes nothing. Marks never
+    observed with a follower fall back to the global mean. 1-D k-means with
+    seeded k-means++ initialization and 100 refinement iterations produces
+    the assignment. m may not exceed the number of distinct proxies, since
+    marks sharing a proxy always share a cluster and extra clusters would
+    stay empty.
+    """
+    counts, means, unfollowed = _duration_means(corpus)
+    all_marks = sorted(counts)
+    distinct = len(set(means.values()))
+    if not 1 <= m <= distinct:
+        raise DataError(
+            f"cluster count {m} outside [1, {distinct}]: {len(all_marks)} marks "
+            f"have {distinct} distinct mean gaps")
+    for mk in unfollowed:
+        log.warning("mark id %d has no observed follower; using global mean %.6g",
+                    mk, means[mk])
     values = np.array([means[mk] for mk in all_marks], dtype=np.float64)[:, None]
     if m == 1:
         labels = np.zeros(len(all_marks), dtype=int)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,37 +44,14 @@ from .numerics import (
     transpose,
 )
 
-FFN_FORMS = ("summed", "standard")
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 MASK_FILL = -1e30
 
 
 class CapacityError(ValueError):
     """A prefix is longer than the positional table supports."""
-
-
-@dataclass
-class EncoderConfig:
-    """Width, head count, depth, positional capacity, feed-forward form."""
-
-    d: int = 16
-    heads: int = 2
-    blocks: int = 2
-    max_len: int = 32
-    ffn: str = "summed"
-
-    def validate(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"embedding width must be positive, got {self.d}")
-        if self.heads < 1 or self.d % self.heads != 0:
-            raise ValueError(
-                f"width {self.d} must be divisible by head count {self.heads}")
-        if self.blocks < 1:
-            raise ValueError(f"block count must be positive, got {self.blocks}")
-        if self.max_len < 2:
-            raise ValueError(f"positional capacity must be at least 2, got {self.max_len}")
-        if self.ffn not in FFN_FORMS:
-            raise ValueError(f"feed-forward form must be one of {FFN_FORMS}, got {self.ffn!r}")
 
 
 @dataclass
@@ -88,9 +66,13 @@ class EncoderState:
 # parameter initialization
 # ---------------------------------------------------------------------------
 
-def init_encoder_params(store: ParamStore, cfg: EncoderConfig, n_marks: int,
+def init_encoder_params(store: ParamStore, cfg: ModelConfig, n_marks: int,
                         rng: np.random.Generator) -> None:
-    """Create all encoder parameters; consumption order of rng is fixed."""
+    """Create all encoder parameters; consumption order of rng is fixed.
+
+    max_len must be resolved; the positional table gets max_len + 1 rows so
+    a terminal mark always fits.
+    """
     cfg.validate()
     d = cfg.d
     bound = 1.0 / math.sqrt(d)
@@ -102,7 +84,7 @@ def init_encoder_params(store: ParamStore, cfg: EncoderConfig, n_marks: int,
     store.add("embed.w_time", uniform((1, d)))
     store.add("embed.w_gap", uniform((1, d)))
     store.add("embed.bias", np.zeros(d))
-    store.add("pos.table", rng.normal(0.0, 0.02, size=(cfg.max_len, d)))
+    store.add("pos.table", rng.normal(0.0, 0.02, size=(cfg.max_len + 1, d)))
     for b in range(cfg.blocks):
         for proj in ("wq", "wk", "wv", "wo"):
             store.add(f"block{b}.attn.{proj}", uniform((d, d)))
@@ -125,7 +107,7 @@ def init_encoder_params(store: ParamStore, cfg: EncoderConfig, n_marks: int,
         store.add(f"block{b}.ln2.bias", np.zeros(d))
 
 
-def init_set_params(store: ParamStore, cfg: EncoderConfig,
+def init_set_params(store: ParamStore, cfg: ModelConfig,
                     rng: np.random.Generator) -> None:
     """Parameters of the order-free prefix summary (fused variant only)."""
     d = cfg.d
@@ -146,7 +128,7 @@ def init_set_params(store: ParamStore, cfg: EncoderConfig,
 # forward passes
 # ---------------------------------------------------------------------------
 
-def embed_actions(store: ParamStore, cfg: EncoderConfig, marks, times) -> Tensor:
+def embed_actions(store: ParamStore, marks, times) -> Tensor:
     """Embed all actions of a sequence: mark row + time and gap features + bias.
 
     The gap feature for the first action measures from time zero. Positional
@@ -171,15 +153,16 @@ def embed_actions(store: ParamStore, cfg: EncoderConfig, marks, times) -> Tensor
     return add(y, store["embed.bias"])
 
 
-def positional_add(store: ParamStore, cfg: EncoderConfig, y: Tensor) -> Tensor:
+def positional_add(store: ParamStore, y: Tensor) -> Tensor:
     """Add the trainable positional rows 0..k-1 to the embedded prefix."""
-    k = y.data.shape[0]
-    if k > cfg.max_len:
-        raise CapacityError(f"prefix length {k} exceeds positional capacity {cfg.max_len}")
-    return add(y, take_rows(store["pos.table"], np.arange(k, dtype=np.intp)))
+    table = store["pos.table"]
+    k, capacity = y.data.shape[0], table.data.shape[0]
+    if k > capacity:
+        raise CapacityError(f"prefix length {k} exceeds positional capacity {capacity}")
+    return add(y, take_rows(table, np.arange(k, dtype=np.intp)))
 
 
-def _attention(store: ParamStore, cfg: EncoderConfig, x: Tensor, block: int,
+def _attention(store: ParamStore, cfg: ModelConfig, x: Tensor, block: int,
                mask: np.ndarray) -> Tensor:
     q = matmul(x, store[f"block{block}.attn.wq"])
     k = matmul(x, store[f"block{block}.attn.wk"])
@@ -197,7 +180,7 @@ def _attention(store: ParamStore, cfg: EncoderConfig, x: Tensor, block: int,
     return matmul(merged, store[f"block{block}.attn.wo"])
 
 
-def _feed_forward(store: ParamStore, cfg: EncoderConfig, x: Tensor, block: int) -> Tensor:
+def _feed_forward(store: ParamStore, cfg: ModelConfig, x: Tensor, block: int) -> Tensor:
     if cfg.ffn == "summed":
         gated = relu(add(mul(x, store[f"block{block}.ffn.w_in"]),
                          store[f"block{block}.ffn.b_in"]))
@@ -210,7 +193,7 @@ def _feed_forward(store: ParamStore, cfg: EncoderConfig, x: Tensor, block: int) 
                store[f"block{block}.ffn.b2"])
 
 
-def encode(store: ParamStore, cfg: EncoderConfig, y: Tensor) -> Tensor:
+def encode(store: ParamStore, cfg: ModelConfig, y: Tensor) -> Tensor:
     """History vectors for every prefix index, in one pass.
 
     Attention is causally masked, so row j of the result depends only on
@@ -220,7 +203,7 @@ def encode(store: ParamStore, cfg: EncoderConfig, y: Tensor) -> Tensor:
     k = y.data.shape[0]
     if k == 0:
         raise ValueError("empty prefix")
-    x = positional_add(store, cfg, y)
+    x = positional_add(store, y)
     mask = np.triu(np.ones((k, k), dtype=bool), 1)
     for b in range(cfg.blocks):
         attn = _attention(store, cfg, x, b, mask)
@@ -230,7 +213,7 @@ def encode(store: ParamStore, cfg: EncoderConfig, y: Tensor) -> Tensor:
     return x
 
 
-def set_embed(store: ParamStore, cfg: EncoderConfig, y: Tensor) -> Tensor:
+def set_embed(store: ParamStore, y: Tensor) -> Tensor:
     """Order-free prefix summary: sum of per-action ReLU features.
 
     Row j is the sum over i <= j of relu(net(W y_i + b)), where net is a

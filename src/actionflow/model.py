@@ -23,6 +23,8 @@ from .numerics import ParamStore, Tensor, exp, log_softmax
 
 VARIANTS = ("base", "plus")
 
+FFN_FORMS = ("summed", "standard")
+
 CONFIG_VERSION = 1
 
 
@@ -57,12 +59,15 @@ class ModelConfig:
                 raise ValueError(f"{name} must be finite")
         if self.max_len is not None and self.max_len < 2:
             raise ValueError(f"max_len must be at least 2, got {self.max_len}")
-        self.encoder_config().validate()
-
-    def encoder_config(self) -> enc.EncoderConfig:
-        rows = 4 if self.max_len is None else self.max_len + 1
-        return enc.EncoderConfig(d=self.d, heads=self.heads, blocks=self.blocks,
-                                 max_len=rows, ffn=self.ffn)
+        if self.d < 1:
+            raise ValueError(f"embedding width must be positive, got {self.d}")
+        if self.heads < 1 or self.d % self.heads != 0:
+            raise ValueError(
+                f"width {self.d} must be divisible by head count {self.heads}")
+        if self.blocks < 1:
+            raise ValueError(f"block count must be positive, got {self.blocks}")
+        if self.ffn not in FFN_FORMS:
+            raise ValueError(f"feed-forward form must be one of {FFN_FORMS}, got {self.ffn!r}")
 
     def to_dict(self) -> dict:
         payload = asdict(self)
@@ -116,23 +121,20 @@ class Model:
     def init(cls, config: ModelConfig, vocab: Vocab, clusters: ClusterMap,
              seed: int = 0) -> "Model":
         """Fresh parameters; rng consumption order is fixed by construction."""
-        config.validate()
-        store = ParamStore()
+        model = cls(config, vocab, clusters, ParamStore())
         rng = np.random.default_rng([seed, 0])
-        ecfg = config.encoder_config()
-        enc.init_encoder_params(store, ecfg, vocab.n_marks, rng)
-        heads.init_head_params(store, config.d, config.clusters,
+        enc.init_encoder_params(model.store, config, vocab.n_marks, rng)
+        heads.init_head_params(model.store, config.d, config.clusters,
                                vocab.n_marks, vocab.n_goals, rng)
         if config.variant == "plus":
-            enc.init_set_params(store, ecfg, rng)
-        return cls(config, vocab, clusters, store)
+            enc.init_set_params(model.store, config, rng)
+        return model
 
     def encode(self, marks, times) -> enc.EncoderState:
         """History vectors (and prefix sums for the plus variant)."""
-        ecfg = self.config.encoder_config()
-        y = enc.embed_actions(self.store, ecfg, marks, times)
-        s = enc.encode(self.store, ecfg, y)
-        x = enc.set_embed(self.store, ecfg, y) if self.config.variant == "plus" else None
+        y = enc.embed_actions(self.store, marks, times)
+        s = enc.encode(self.store, self.config, y)
+        x = enc.set_embed(self.store, y) if self.config.variant == "plus" else None
         return enc.EncoderState(s=s, x=x)
 
     def forward(self, marks, times) -> ForwardPass:

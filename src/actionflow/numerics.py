@@ -9,13 +9,12 @@ summed over many sequences costs no extra bookkeeping.
 
 Broadcasting is deliberately narrow: scalars combine with anything, and a
 rank-1 tensor may be added to / multiplied into the rows of a rank-2 tensor
-(the bias case). Everything else must be reshaped explicitly, which keeps the
-finite-difference oracle and the backward rules straightforward.
+(the bias case). Everything else is rejected, which keeps the finite-difference
+oracle and the backward rules straightforward.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,32 +182,17 @@ def _is_number(x) -> bool:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 2d x 2d, 2d x 1d, and 1d x 2d operands."""
+    """Matrix product of two rank-2 operands."""
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
-        out = ad @ bd
-
-        def vjp(g):
-            return (g @ bd.T, ad.T @ g)
-    elif ad.ndim == 2 and bd.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
-        out = ad @ bd
-
-        def vjp(g):
-            return (np.outer(g, bd), ad.T @ g)
-    elif ad.ndim == 1 and bd.ndim == 2:
-        if ad.shape[0] != bd.shape[0]:
-            raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
-        out = ad @ bd
-
-        def vjp(g):
-            return (bd @ g, np.outer(ad, g))
-    else:
+    if ad.ndim != 2 or bd.ndim != 2:
         raise ShapeError(f"matmul: unsupported ranks {ad.shape} @ {bd.shape}")
-    return _emit("matmul", out, (a, b), vjp)
+    if ad.shape[1] != bd.shape[0]:
+        raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
+
+    def vjp(g):
+        return (g @ bd.T, ad.T @ g)
+
+    return _emit("matmul", ad @ bd, (a, b), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -485,18 +469,6 @@ def pick(a: Tensor, rows, cols) -> Tensor:
     return _emit("pick", a.data[rows, cols], (a,), vjp)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.data.size:
-        raise ShapeError(f"reshape: {a.data.shape} -> {shape}")
-    old = a.data.shape
-
-    def vjp(g):
-        return (g.reshape(old),)
-
-    return _emit("reshape", a.data.reshape(shape), (a,), vjp)
-
-
 def cumsum(a: Tensor) -> Tensor:
     """Running sum down axis 0."""
     def vjp(g):
@@ -527,15 +499,15 @@ def shifted_prefix_max(a: Tensor) -> Tensor:
         gd = g if g.ndim == 2 else g[:, None]
         z = np.zeros_like(ad)
         if n > 1:
-            best = np.zeros(m, dtype=np.intp)
-            best_val = ad[0].copy()
-            cols = np.arange(m)
-            for j in range(1, n):
-                z[best, cols] += gd[j]
-                if j < n - 1:
-                    better = ad[j] > best_val
-                    best[better] = j
-                    best_val = np.maximum(best_val, ad[j])
+            # the max of rows 0..i is first attained at the last row k <= i
+            # that beat every earlier row strictly, so ties keep the earlier row
+            new_max = np.ones((n - 1, m), dtype=bool)
+            new_max[1:] = ad[1:-1] > run[:-2]
+            first = np.maximum.accumulate(
+                np.where(new_max, np.arange(n - 1)[:, None], 0), axis=0)
+            # out row j reads the max of rows 0..j-1; add.at sums repeated
+            # targets in row order
+            np.add.at(z, (first, np.arange(m)), gd[1:])
         return (z if a.data.ndim == 2 else z[:, 0],)
 
     return _emit("shifted_prefix_max", out, (a,), vjp)
@@ -588,7 +560,7 @@ def decode_arrays(payload: dict) -> dict[str, np.ndarray]:
 
 
 class ParamStore:
-    """Named trainable tensors with deterministic iteration and JSON I/O.
+    """Named trainable tensors with deterministic iteration and a JSON-ready form.
 
     Names are unique within a store and a tensor belongs to exactly one
     store. Iteration is sorted by name so optimizer updates and gradient
@@ -645,15 +617,6 @@ class ParamStore:
         for name, arr in decode_arrays(payload["params"]).items():
             store.add(name, arr)
         return store
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "ParamStore":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

@@ -93,39 +93,6 @@ def hinge_sum(probs: Tensor) -> Tensor:
     return sum_all(relu(sub(shifted_prefix_max(probs), probs)))
 
 
-def _transition_indices(n: int) -> np.ndarray:
-    return np.arange(n - 1, dtype=np.intp)
-
-
-def _nll_terms(fwd: ForwardPass, seq: Ctas, eos_time_term: bool,
-               eos_id: int) -> Tensor:
-    n = len(seq.actions)
-    if n < 2:
-        raise ValueError(f"sequence {seq.id!r} has no transitions")
-    marks = seq.marks()
-    times = seq.times()
-    gaps = np.diff(times)
-    if np.any(gaps <= 0.0):
-        raise NumericError(f"sequence {seq.id!r}: non-positive gap")
-    idx = _transition_indices(n)
-    mark_ll = sum_all(pick(fwd.mark_logprob, idx, marks[1:]))
-    time_idx = idx
-    time_gaps = gaps
-    if not eos_time_term and marks[-1] == eos_id:
-        time_idx = idx[:-1]
-        time_gaps = gaps[:-1]
-    if time_idx.size == 0:
-        return mul(mark_ll, -1.0)
-    mu = take_rows(fwd.mu, time_idx)
-    sigma2 = take_rows(fwd.sigma2, time_idx)
-    log_gap = Tensor(np.log(time_gaps)[:, None])
-    centered = sub(log_gap, mu)
-    quad = div(mul(centered, centered), mul(sigma2, 2.0))
-    half_log = mul(log(mul(sigma2, 2.0 * math.pi)), 0.5)
-    per_step = sub(sub(mul(log_gap, -1.0), half_log), quad)
-    return mul(add(mark_ll, sum_all(per_step)), -1.0)
-
-
 def nll(model: Model, seq: Ctas, eos_time_term: bool = True, *,
         fwd: ForwardPass) -> Tensor:
     """Negative log-likelihood of all transitions of one sequence.
@@ -134,7 +101,28 @@ def nll(model: Model, seq: Ctas, eos_time_term: bool = True, *,
     can be dropped with eos_time_term=False since the terminal gap is a
     synthetic constant.
     """
-    return _nll_terms(fwd, seq, eos_time_term, model.vocab.eos_id)
+    n = len(seq.actions)
+    if n < 2:
+        raise ValueError(f"sequence {seq.id!r} has no transitions")
+    marks = seq.marks()
+    gaps = np.diff(seq.times())
+    if np.any(gaps <= 0.0):
+        raise NumericError(f"sequence {seq.id!r}: non-positive gap")
+    idx = np.arange(n - 1, dtype=np.intp)
+    mark_ll = sum_all(pick(fwd.mark_logprob, idx, marks[1:]))
+    if not eos_time_term and marks[-1] == model.vocab.eos_id:
+        idx = idx[:-1]
+        gaps = gaps[:-1]
+    if idx.size == 0:
+        return mul(mark_ll, -1.0)
+    mu = take_rows(fwd.mu, idx)
+    sigma2 = take_rows(fwd.sigma2, idx)
+    log_gap = Tensor(np.log(gaps)[:, None])
+    centered = sub(log_gap, mu)
+    quad = div(mul(centered, centered), mul(sigma2, 2.0))
+    half_log = mul(log(mul(sigma2, 2.0 * math.pi)), 0.5)
+    per_step = sub(sub(mul(log_gap, -1.0), half_log), quad)
+    return mul(add(mark_ll, sum_all(per_step)), -1.0)
 
 
 def discounted_goal_ce(model: Model, seq: Ctas, gamma: float, *,
@@ -180,24 +168,6 @@ def l2_penalty(store: ParamStore) -> Tensor:
     return acc
 
 
-def sequence_loss(model: Model, seq: Ctas, *, gamma: float,
-                  apply_margin: bool = True,
-                  eos_time_term: bool = True) -> dict[str, Tensor]:
-    """Unweighted per-sequence terms sharing a single forward pass.
-
-    Returns named taped tensors; the caller weights the margins and sums.
-    """
-    fwd = model.forward(seq.marks(), seq.times())
-    terms = {
-        "nll": nll(model, seq, eos_time_term, fwd=fwd),
-        "goal_ce": discounted_goal_ce(model, seq, gamma, fwd=fwd),
-    }
-    if apply_margin:
-        terms["margin_goal"] = margin_goal(model, seq, fwd=fwd)
-        terms["margin_action"] = margin_action(model, seq, fwd=fwd)
-    return terms
-
-
 def total_loss(model: Model, batch: list[Ctas], *, gamma: float,
                margin_weight: float, l2_coeff: float,
                apply_margin: bool = True,
@@ -214,8 +184,14 @@ def total_loss(model: Model, batch: list[Ctas], *, gamma: float,
     sums = {"nll": 0.0, "goal_ce": 0.0, "margin_goal": 0.0, "margin_action": 0.0}
     for seq in batch:
         try:
-            terms = sequence_loss(model, seq, gamma=gamma, apply_margin=apply_margin,
-                                  eos_time_term=eos_time_term)
+            fwd = model.forward(seq.marks(), seq.times())
+            terms = {
+                "nll": nll(model, seq, eos_time_term, fwd=fwd),
+                "goal_ce": discounted_goal_ce(model, seq, gamma, fwd=fwd),
+            }
+            if apply_margin:
+                terms["margin_goal"] = margin_goal(model, seq, fwd=fwd)
+                terms["margin_action"] = margin_action(model, seq, fwd=fwd)
         except NumericError as e:
             raise NumericError(f"sequence {seq.id!r}: {e}") from None
         seq_total = add(terms["nll"], terms["goal_ce"])

@@ -3,7 +3,8 @@
 Training is deterministic for a fixed seed: parameter init, the per-epoch
 shuffle, and the update order all derive from it, and the shuffle rng is
 re-derived per epoch so a resumed run needs no carried rng state. Each epoch
-appends one JSON line of loss components and wall time to the training log.
+writes one JSON line of loss components and wall time to the training log;
+a fresh run starts the log over, a resumed run appends to it.
 Checkpoints bundle parameters, model config, vocabulary, cluster map, and
 optimizer state in one versioned JSON file; reloading one and continuing
 reproduces an uninterrupted run bit for bit.
@@ -16,7 +17,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .data import (
     Vocab,
     append_eos_corpus,
     build_clusters,
+    distinct_durations,
     median_gap,
     observed_marks_by_goal,
     split_by_goal,
@@ -142,10 +144,11 @@ class Adam:
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def checkpoint_payload(model: Model, train_cfg: TrainConfig | None = None,
-                       optimizer: Adam | None = None, epoch: int = 0,
-                       best_total: float | None = None) -> dict:
-    return {
+def save_checkpoint(path, model: Model, train_cfg: TrainConfig | None = None,
+                    optimizer: Adam | None = None, epoch: int = 0,
+                    best_total: float | None = None) -> None:
+    """Write the checkpoint atomically: a crash mid-write leaves the old file."""
+    payload = {
         "version": CHECKPOINT_VERSION,
         "model_config": model.config.to_dict(),
         "vocab": model.vocab.to_dict(),
@@ -156,13 +159,6 @@ def checkpoint_payload(model: Model, train_cfg: TrainConfig | None = None,
         "epoch": epoch,
         "best_total": best_total,
     }
-
-
-def save_checkpoint(path, model: Model, train_cfg: TrainConfig | None = None,
-                    optimizer: Adam | None = None, epoch: int = 0,
-                    best_total: float | None = None) -> None:
-    """Write the checkpoint atomically: a crash mid-write leaves the old file."""
-    payload = checkpoint_payload(model, train_cfg, optimizer, epoch, best_total)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -240,6 +236,7 @@ def train(corpus: list[Ctas], vocab: Vocab, clusters: ClusterMap,
     if ckpt_dir is not None:
         os.makedirs(ckpt_dir, exist_ok=True)
     log_path = None if ckpt_dir is None else os.path.join(ckpt_dir, "train_log.jsonl")
+    log_mode = "w" if resume is None else "a"
     entries: list[dict] = []
     n = len(corpus)
     for epoch in range(start_epoch, train_cfg.epochs + 1):
@@ -281,8 +278,9 @@ def train(corpus: list[Ctas], vocab: Vocab, clusters: ClusterMap,
         log.info("epoch %d: total %.6f (nll %.6f, goal_ce %.6f)",
                  epoch, breakdown.total, breakdown.nll, breakdown.goal_ce)
         if ckpt_dir is not None:
-            with open(log_path, "a", encoding="utf-8") as fh:
+            with open(log_path, log_mode, encoding="utf-8") as fh:
                 fh.write(json.dumps(entry) + "\n")
+            log_mode = "a"
             if breakdown.total < best_total:
                 best_total = breakdown.total
                 save_checkpoint(os.path.join(ckpt_dir, "best.json"), model,
@@ -327,18 +325,26 @@ def prepare(corpus: list[Ctas], vocab: Vocab, model_cfg: ModelConfig,
 
     Clustering and the per-goal action sets come from the raw training side
     only; the terminal gap is the training corpus' median inter-action gap.
+    The cluster count is lowered to the number of distinct per-mark mean
+    gaps when the config asks for more, since the extra clusters would stay
+    empty.
     """
     if do_split:
         train_raw, test_raw = split_by_goal(corpus, train_fraction, seed=train_cfg.seed)
     else:
         train_raw, test_raw = list(corpus), []
-    clusters = build_clusters(train_raw, model_cfg.clusters, seed=train_cfg.seed,
+    distinct = distinct_durations(train_raw)
+    resolved = resolve_max_len(model_cfg, train_raw)
+    if resolved.clusters > distinct:
+        log.info("lowering the cluster count from %d to %d, the number of distinct "
+                 "per-mark mean gaps", resolved.clusters, distinct)
+        resolved = replace(resolved, clusters=distinct)
+    resolved.validate()
+    clusters = build_clusters(train_raw, resolved.clusters, seed=train_cfg.seed,
                               eos_id=vocab.eos_id)
     vocab.goal_marks = observed_marks_by_goal(train_raw)
     gap = median_gap(train_raw)
     train_aug = append_eos_corpus(train_raw, gap, vocab.eos_id)
-    resolved = resolve_max_len(model_cfg, train_raw)
-    resolved.validate()
     return Prepared(train_raw=train_raw, test_raw=test_raw, train_aug=train_aug,
                     vocab=vocab, clusters=clusters, eos_gap=gap, model_config=resolved)
 

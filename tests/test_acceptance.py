@@ -164,14 +164,13 @@ def test_criterion_03_permutation_invariance(announce):
     worst = 0.0
     for trial in range(100):
         model = small_model(variant="plus", seed=trial % 5, d=8, max_len=12)
-        ecfg = model.config.encoder_config()
         length = int(rng.integers(2, 9))
         marks = rng.integers(0, 3, size=length)
         times = np.cumsum(rng.uniform(0.2, 1.5, size=length))
         perm = rng.permutation(length)
-        y = embed_actions(model.store, ecfg, marks, times)
-        x = set_embed(model.store, ecfg, y).data[-1]
-        x_perm = set_embed(model.store, ecfg, Tensor(y.data[perm])).data[-1]
+        y = embed_actions(model.store, marks, times)
+        x = set_embed(model.store, y).data[-1]
+        x_perm = set_embed(model.store, Tensor(y.data[perm])).data[-1]
         worst = max(worst, float(np.max(np.abs(x_perm - x))))
     assert worst < 1e-9
 

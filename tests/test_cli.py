@@ -113,6 +113,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("E_CONFIG:") and "bogus" in err
 
+    @pytest.mark.parametrize("payload", [
+        {"model": 5},
+        {"train": {"epochs": "x"}},
+        {"model": {"d": "8"}},
+        [],
+    ], ids=["model_not_object", "epochs_string", "width_string", "config_not_object"])
+    def test_ill_typed_config_is_config_error(self, workspace, capsys, tmp_path, payload):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["train", "--data", str(workspace["corpus"]),
+                     "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith("E_CONFIG:")
+
     def test_missing_corpus(self, capsys, tmp_path):
         assert main(["train", "--data", str(tmp_path / "none.jsonl"),
                      "--out", str(tmp_path / "x")]) == 1

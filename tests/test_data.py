@@ -363,6 +363,14 @@ class TestClusters:
         with pytest.raises(DataError):
             build_clusters(corpus, 0, seed=0)
 
+    def test_m_above_distinct_mean_gaps_rejected(self):
+        # marks 0 and 1 share a mean gap, and mark 2 falls back to the global
+        # mean, which is the same 2.0
+        corpus = self.make_corpus_with_means([2.0, 2.0])
+        build_clusters(corpus, 1, seed=0)
+        with pytest.raises(DataError, match=r"cluster count 2 outside \[1, 1\]: 3 marks"):
+            build_clusters(corpus, 2, seed=0)
+
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(9)
         corpus = random_corpus(rng, 40, n_marks=6)

@@ -6,7 +6,6 @@ import pytest
 
 from actionflow.encoder import (
     CapacityError,
-    EncoderConfig,
     _attention,
     embed_actions,
     encode,
@@ -15,15 +14,17 @@ from actionflow.encoder import (
     positional_add,
     set_embed,
 )
+from actionflow.model import ModelConfig
 from actionflow.numerics import GradTape, ParamStore, Tensor, sum_all
 
 D = 8
 
 
 def make_cfg(**kw):
-    base = dict(d=D, heads=2, blocks=2, max_len=12, ffn="summed")
+    # max_len 11 gives a 12-row positional table
+    base = dict(d=D, heads=2, blocks=2, max_len=11, ffn="summed")
     base.update(kw)
-    return EncoderConfig(**base)
+    return ModelConfig(**base)
 
 
 def make_store(cfg, n_marks=5, seed=0, with_set=False):
@@ -73,7 +74,7 @@ class TestInit:
                          "ffn.w_in", "ffn.b_in", "ffn.w_out", "ffn.b_out"):
                 assert f"block{b}.{leaf}" in names
         assert store["embed.marks"].data.shape == (5, D)
-        assert store["pos.table"].data.shape == (cfg.max_len, D)
+        assert store["pos.table"].data.shape == (cfg.max_len + 1, D)
         assert store["block0.attn.wq"].data.shape == (D, D)
 
     def test_uniform_bound_and_zero_biases(self):
@@ -103,14 +104,14 @@ class TestEmbedding:
         for name in ("embed.marks", "embed.w_time", "embed.w_gap"):
             store[name].data[:] = 0.0
         store["embed.bias"].data[:] = 3.5
-        y = embed_actions(store, cfg, [0, 1], np.array([0.5, 1.0]))
+        y = embed_actions(store, [0, 1], np.array([0.5, 1.0]))
         np.testing.assert_array_equal(y.data, np.full((2, D), 3.5))
 
     def test_same_mark_different_times_differ(self):
         cfg = make_cfg()
         store = make_store(cfg, seed=3)
-        a = embed_actions(store, cfg, [2], np.array([0.5]))
-        b = embed_actions(store, cfg, [2], np.array([1.5]))
+        a = embed_actions(store, [2], np.array([0.5]))
+        b = embed_actions(store, [2], np.array([1.5]))
         assert np.any(a.data != b.data)
 
     def test_scalar_oracle(self):
@@ -119,7 +120,7 @@ class TestEmbedding:
         marks = [1, 3, 1]
         times = np.array([0.4, 1.1, 2.0])
         gaps = [0.4, 0.7, 0.9]
-        y = embed_actions(store, cfg, marks, times)
+        y = embed_actions(store, marks, times)
         for i in range(3):
             expect = (store["embed.marks"].data[marks[i]]
                       + times[i] * store["embed.w_time"].data[0]
@@ -132,10 +133,10 @@ class TestEmbedding:
         store = make_store(cfg, seed=4)
         marks = [0, 2, 4]
         times = np.array([0.3, 0.9, 2.2])
-        batch = embed_actions(store, cfg, marks, times)
+        batch = embed_actions(store, marks, times)
         prev = 0.0
         for i, (mk, t) in enumerate(zip(marks, times)):
-            prefix = embed_actions(store, cfg, marks[:i + 1], times[:i + 1])
+            prefix = embed_actions(store, marks[:i + 1], times[:i + 1])
             np.testing.assert_array_equal(prefix.data[i], batch.data[i])
             expect = (store["embed.marks"].data[mk]
                       + t * store["embed.w_time"].data[0]
@@ -148,13 +149,13 @@ class TestEmbedding:
         cfg = make_cfg()
         store = make_store(cfg)
         with pytest.raises(Exception):
-            embed_actions(store, cfg, [0, 1], np.array([1.0, 0.5]))
+            embed_actions(store, [0, 1], np.array([1.0, 0.5]))
 
     def test_unknown_mark_rejected(self):
         cfg = make_cfg()
         store = make_store(cfg, n_marks=3)
         with pytest.raises(Exception):
-            embed_actions(store, cfg, [7], np.array([0.5]))
+            embed_actions(store, [7], np.array([0.5]))
 
 
 class TestPositional:
@@ -163,14 +164,14 @@ class TestPositional:
         store = make_store(cfg)
         store["pos.table"].data[:] = 0.0
         y = Tensor(np.random.default_rng(0).normal(size=(4, D)))
-        out = positional_add(store, cfg, y)
+        out = positional_add(store, y)
         np.testing.assert_array_equal(out.data, y.data)
 
     def test_rows_shift_by_table_difference(self):
         cfg = make_cfg()
         store = make_store(cfg, seed=5)
         y = Tensor(np.zeros((3, D)))
-        out = positional_add(store, cfg, y)
+        out = positional_add(store, y)
         table = store["pos.table"].data
         np.testing.assert_allclose(out.data[2] - out.data[1], table[2] - table[1],
                                    atol=1e-12)
@@ -178,9 +179,9 @@ class TestPositional:
     def test_capacity_exceeded(self):
         cfg = make_cfg(max_len=3)
         store = make_store(cfg)
-        y = Tensor(np.zeros((4, D)))
+        y = Tensor(np.zeros((5, D)))
         with pytest.raises(CapacityError):
-            positional_add(store, cfg, y)
+            positional_add(store, y)
 
     def test_gradient_hits_only_occupied_rows(self):
         cfg = make_cfg(blocks=1)
@@ -189,7 +190,7 @@ class TestPositional:
         marks, times = random_sequence(rng, 3)
         store.zero_grads()
         with GradTape() as tape:
-            y = embed_actions(store, cfg, marks, times)
+            y = embed_actions(store, marks, times)
             s = encode(store, cfg, y)
             tape.backward(sum_all(s))
         g = store.grad("pos.table")
@@ -269,7 +270,7 @@ class TestEncode:
         rng = np.random.default_rng(6)
         for k in (1, 2, 5, 12):
             marks, times = random_sequence(rng, k)
-            s = encode(store, cfg, embed_actions(store, cfg, marks, times))
+            s = encode(store, cfg, embed_actions(store, marks, times))
             assert s.data.shape == (k, D)
 
     def test_empty_prefix_rejected(self):
@@ -286,7 +287,7 @@ class TestEncode:
         for trial in range(20):
             k = int(rng.integers(2, 10))
             marks, times = random_sequence(rng, k)
-            y = embed_actions(store, cfg, marks, times)
+            y = embed_actions(store, marks, times)
             s_full = encode(store, cfg, y).data.copy()
             j = int(rng.integers(1, k))  # perturb strictly after index j-1
             y2 = Tensor(y.data.copy())
@@ -301,7 +302,7 @@ class TestEncode:
         store = make_store(cfg, seed=14)
         rng = np.random.default_rng(8)
         marks, times = random_sequence(rng, 6)
-        s = encode(store, cfg, embed_actions(store, cfg, marks, times)).data
+        s = encode(store, cfg, embed_actions(store, marks, times)).data
         assert np.all(np.abs(s.mean(axis=1)) < 1e-10)
         np.testing.assert_allclose(s.var(axis=1), 1.0, atol=1e-6)
 
@@ -312,7 +313,7 @@ class TestEncode:
         for ffn in ("summed", "standard"):
             cfg = make_cfg(ffn=ffn, blocks=1)
             store = make_store(cfg, seed=15)
-            outs[ffn] = encode(store, cfg, embed_actions(store, cfg, marks, times)).data
+            outs[ffn] = encode(store, cfg, embed_actions(store, marks, times)).data
         assert np.any(np.abs(outs["summed"] - outs["standard"]) > 1e-6)
 
     def test_deterministic(self):
@@ -320,8 +321,8 @@ class TestEncode:
         store = make_store(cfg, seed=16)
         rng = np.random.default_rng(10)
         marks, times = random_sequence(rng, 5)
-        a = encode(store, cfg, embed_actions(store, cfg, marks, times)).data
-        b = encode(store, cfg, embed_actions(store, cfg, marks, times)).data
+        a = encode(store, cfg, embed_actions(store, marks, times)).data
+        b = encode(store, cfg, embed_actions(store, marks, times)).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -334,8 +335,8 @@ class TestSetEmbed:
             k = int(rng.integers(2, 9))
             y = rng.normal(size=(k, D))
             perm = rng.permutation(k)
-            x_a = set_embed(store, cfg, Tensor(y)).data
-            x_b = set_embed(store, cfg, Tensor(y[perm])).data
+            x_a = set_embed(store, Tensor(y)).data
+            x_b = set_embed(store, Tensor(y[perm])).data
             # the full-prefix summary sums the same terms in another order
             np.testing.assert_allclose(x_b[-1], x_a[-1], atol=1e-9)
 
@@ -343,7 +344,7 @@ class TestSetEmbed:
         cfg = make_cfg()
         store = make_store(cfg, seed=18, with_set=True)
         y = np.random.default_rng(12).normal(size=(1, D))
-        x = set_embed(store, cfg, Tensor(y)).data
+        x = set_embed(store, Tensor(y)).data
         u = y @ store["set.w_in"].data + store["set.b_in"].data
         h = np.maximum(u @ store["set.w_hidden"].data + store["set.b_hidden"].data, 0.0)
         o = h @ store["set.w_out"].data + store["set.b_out"].data
@@ -353,15 +354,15 @@ class TestSetEmbed:
         cfg = make_cfg()
         store = make_store(cfg, seed=19, with_set=True)
         y = np.random.default_rng(13).normal(size=(3, D))
-        x = set_embed(store, cfg, Tensor(y)).data
-        contrib = set_embed(store, cfg, Tensor(y[2:3])).data[0]
+        x = set_embed(store, Tensor(y)).data
+        contrib = set_embed(store, Tensor(y[2:3])).data[0]
         np.testing.assert_allclose(x[2] - x[1], contrib, atol=1e-12)
 
     def test_shapes_and_nonnegativity(self):
         cfg = make_cfg()
         store = make_store(cfg, seed=20, with_set=True)
         y = np.random.default_rng(14).normal(size=(5, D))
-        x = set_embed(store, cfg, Tensor(y)).data
+        x = set_embed(store, Tensor(y)).data
         assert x.shape == (5, D)
         assert np.all(x >= 0.0)  # sums of relu outputs
         # prefix sums never shrink

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -312,6 +313,15 @@ class TestCheckpoints:
         log_lines = (ckpt_dir / "train_log.jsonl").read_text().splitlines()
         assert [json.loads(line)["epoch"] for line in log_lines] == [1, 2, 3, 4]
 
+    def test_fresh_run_rewrites_log(self, tmp_path):
+        vocab, cm, cfg = tiny_setup()
+        corpus = tiny_corpus(vocab)
+        tcfg = TrainConfig(lr=0.01, epochs=2, seed=0, batch_size=4)
+        for _ in range(2):
+            train(corpus, vocab, cm, cfg, tcfg, ckpt_dir=str(tmp_path))
+        log_lines = (tmp_path / "train_log.jsonl").read_text().splitlines()
+        assert [json.loads(line)["epoch"] for line in log_lines] == [1, 2]
+
     def test_resume_at_target_epoch_is_noop(self, tmp_path):
         vocab, cm, cfg = tiny_setup()
         corpus = tiny_corpus(vocab)
@@ -419,6 +429,39 @@ class TestPrepare:
             seen.update(seq.marks())
         for goal, marks in prep.vocab.goal_marks.items():
             assert set(marks) <= seen
+
+
+    def test_cluster_count_lowered_to_distinct_mean_gaps(self):
+        # shaped like the demos/02 corpus: 8 marks, and the two closing marks
+        # are never followed, so they share the global mean gap
+        spec = SynthSpec(
+            goals=[
+                GoalTemplate(name="g0", template=["a", "b", "c", "d"],
+                             mu=[0.0, 1.1, 0.0, 0.7], sigma=[0.25] * 4,
+                             swap_pairs=[(0, 1)]),
+                GoalTemplate(name="g1", template=["e", "f", "g", "h"],
+                             mu=[0.7, 1.6, 0.0, 0.0], sigma=[0.25] * 4),
+            ],
+            count=40, seed=11, swap_prob=0.2)
+        corpus, vocab = generate(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, prep, _ = run_training(corpus, vocab, ModelConfig(),
+                                          TrainConfig(epochs=1, seed=0))
+        assert prep.model_config.clusters == model.config.clusters == 7
+        used = {prep.clusters.cluster_of(mk) for mk in range(vocab.eos_id)}
+        assert used == set(range(7))
+
+    def test_three_mark_corpus_trains_under_default_config(self):
+        spec = SynthSpec(
+            goals=[GoalTemplate(name="g0", template=["a", "b", "c"],
+                                mu=[0.0, 0.5, 1.0], sigma=[0.3] * 3)],
+            count=10, seed=2)
+        corpus, vocab = generate(spec)
+        model, prep, entries = run_training(corpus, vocab, ModelConfig(),
+                                            TrainConfig(epochs=1, seed=0))
+        assert prep.clusters.m == model.config.clusters == 3
+        assert len(entries) == 1
 
 
 class TestTrainingTrend:
