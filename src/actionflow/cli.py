@@ -23,13 +23,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import (Action, ClusterMap, Ctas, DataError, ParseError, Vocab,
-                   append_eos, delete_random, load_corpus, remap_corpus,
-                   write_corpus)
+                   append_eos, delete_random, load_corpus, read_record,
+                   remap_corpus, write_corpus)
 from .encoder import CapacityError
 from .evaluation import (DEFAULT_PREFIXES, full_report, sensitivity_sweep,
                          write_sweep_csv)
@@ -59,7 +59,12 @@ class CliError(Exception):
 # run configuration
 # ---------------------------------------------------------------------------
 
-_DATA_KEYS = {"corpus", "train_fraction"}
+@dataclass
+class DataSection:
+    """The run config's data section: default corpus path and split fraction."""
+
+    corpus: str | None = None
+    train_fraction: float = 0.8
 
 
 @dataclass
@@ -68,31 +73,11 @@ class RunConfig:
 
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    data: dict = field(default_factory=dict)
+    data: DataSection = field(default_factory=DataSection)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        unknown = set(payload) - {"model", "train", "data"}
-        if unknown:
-            raise ValueError(f"unknown run config section {sorted(unknown)[0]!r}")
-        data = dict(payload.get("data", {}))
-        bad = set(data) - _DATA_KEYS
-        if bad:
-            raise ValueError(f"unknown data key {sorted(bad)[0]!r}")
-        return cls(
-            model=ModelConfig.from_dict(payload.get("model", {})),
-            train=TrainConfig.from_dict(payload.get("train", {})),
-            data=data,
-        )
-
-    @classmethod
-    def load(cls, path) -> "RunConfig":
-        payload = _read_json(path)
-        try:
-            return cls.from_dict(payload)
-        except (TypeError, AttributeError) as e:
-            # a value of the wrong JSON type fails inside dict() or a comparison
-            raise CliError("E_CONFIG", f"{path}: ill-typed value: {e}") from None
+        return read_record(cls, payload, "run config")
 
 
 def _read_json(path) -> dict:
@@ -106,7 +91,7 @@ def _read_json(path) -> dict:
 
 
 def _load_run_config(args) -> RunConfig:
-    cfg = RunConfig.load(args.config) if getattr(args, "config", None) else RunConfig()
+    cfg = RunConfig.from_dict(_read_json(args.config)) if args.config else RunConfig()
     if getattr(args, "seed", None) is not None:
         cfg.train.seed = args.seed
     if getattr(args, "epochs", None) is not None:
@@ -144,12 +129,7 @@ def _load_checkpoint(path) -> Checkpoint:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    try:
-        spec = SynthSpec.load(args.spec)
-    except FileNotFoundError:
-        raise CliError("E_DATA", f"no such file: {args.spec}") from None
-    except json.JSONDecodeError as e:
-        raise CliError("E_PARSE", f"{args.spec}: {e}") from None
+    spec = SynthSpec.from_dict(_read_json(args.spec))
     corpus, vocab = synth_generate(spec)
     write_corpus(corpus, vocab, args.out)
     print(f"wrote {len(corpus)} sequences to {args.out}")
@@ -160,9 +140,8 @@ def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     corpus, vocab = load_corpus(args.data)
     do_split = not args.no_split
-    fraction = float(cfg.data.get("train_fraction", 0.8))
     prep = prepare(corpus, vocab, cfg.model, cfg.train,
-                   do_split=do_split, train_fraction=fraction)
+                   do_split=do_split, train_fraction=cfg.data.train_fraction)
     os.makedirs(args.out, exist_ok=True)
     if do_split:
         test_path = os.path.join(args.out, "test.jsonl")
@@ -245,7 +224,7 @@ def _gradcheck_model(cfg: RunConfig) -> tuple[Model, Ctas]:
     seq = append_eos(seq, eos_gap=1.0, eos_id=vocab.eos_id)
     model_cfg = cfg.model
     if model_cfg.max_len is None:
-        model_cfg = ModelConfig.from_dict({**model_cfg.to_dict(), "max_len": len(seq.actions)})
+        model_cfg = replace(model_cfg, max_len=len(seq.actions))
     model = Model.init(model_cfg, vocab, clusters, seed=cfg.train.seed)
     return model, seq
 
@@ -275,7 +254,7 @@ def cmd_sweep(args) -> int:
     grid = _read_json(args.grid)
     if not isinstance(grid, dict):
         raise CliError("E_CONFIG", "sweep grid must be a JSON object of key -> list")
-    corpus_path = args.data or cfg.data.get("corpus")
+    corpus_path = args.data or cfg.data.corpus
     if not corpus_path:
         raise CliError("E_CONFIG", "no corpus: pass --data or set data.corpus in the config")
     if not os.path.isfile(corpus_path):

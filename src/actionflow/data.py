@@ -13,9 +13,13 @@ sequences so the model can learn termination.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import logging
 import math
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +38,70 @@ class ParseError(ValueError):
 
 class DataError(ValueError):
     """Structurally valid input that violates a sequence or corpus invariant."""
+
+
+# ---------------------------------------------------------------------------
+# settings records
+# ---------------------------------------------------------------------------
+
+# JSON types per scalar annotation; an int stays an int where a float is wanted
+_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _check(tp, value, where: str):
+    """Return ``value`` if it is JSON of annotation ``tp``, else raise ValueError."""
+    if tp in _SCALARS:
+        if isinstance(value, _SCALARS[tp]) and (tp is bool or not isinstance(value, bool)):
+            return value
+    elif dataclasses.is_dataclass(tp):
+        return tp.from_dict(value) if hasattr(tp, "from_dict") else read_record(tp, value, where)
+    elif typing.get_origin(tp) is list:
+        if isinstance(value, list):
+            item = typing.get_args(tp)[0]
+            return [_check(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
+    elif typing.get_origin(tp) is types.UnionType and typing.get_args(tp)[1:] == (type(None),):
+        return None if value is None else _check(typing.get_args(tp)[0], value, where)
+    else:
+        raise TypeError(f"{where}: no reader for annotation {tp!r}")
+    raise ValueError(f"{where} must be {tp.__name__}, got {type(value).__name__}")
+
+
+@functools.cache
+def _schema(cls) -> dict[str, tuple]:
+    """Field name -> (annotation, required), resolved once per record class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is f.default_factory is dataclasses.MISSING)
+            for f in dataclasses.fields(cls)}
+
+
+def read_record(cls, payload, what: str, *, version: int | None = None):
+    """Build the dataclass ``cls`` from a JSON object; its annotations are the schema.
+
+    A non-object payload, an unknown or missing key, or a value of the wrong
+    type raises a ValueError naming the key, e.g. ``train config key
+    'batch_size' must be int, got float``. With a ``version``, an optional
+    "version" key must equal it. The record's own validate(), if it has one,
+    then checks ranges.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(payload).__name__}")
+    schema = _schema(cls)
+    values = {}
+    for key, value in payload.items():
+        if version is not None and key == "version":
+            if value != version:
+                raise ValueError(f"unsupported {what} version {value!r}")
+        elif key not in schema:
+            raise ValueError(f"unknown {what} key {key!r}")
+        else:
+            values[key] = _check(schema[key][0], value, f"{what} key {key!r}")
+    missing = [key for key, (_, required) in schema.items() if required and key not in values]
+    if missing:
+        raise ValueError(f"{what} is missing key {missing[0]!r}")
+    record = cls(**values)
+    if hasattr(record, "validate"):
+        record.validate()
+    return record
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -206,18 +206,7 @@ class EvalReport:
     per_sequence: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "version": REPORT_VERSION,
-            "seed": self.seed,
-            "config": self.config,
-            "apa": self.apa,
-            "mae": self.mae,
-            "transitions": self.transitions,
-            "gpa_at": self.gpa_at,
-            "cl": self.cl,
-            "generation": self.generation,
-            "per_sequence": self.per_sequence,
-        }
+        return {"version": REPORT_VERSION, **asdict(self)}
 
     def json_bytes(self) -> bytes:
         return (json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n").encode("utf-8")

@@ -48,8 +48,8 @@ class GenRequest:
             raise DataError(f"goal id {self.goal} outside vocabulary")
         if not 0 <= self.first_mark < model.vocab.eos_id:
             raise DataError(f"first mark id {self.first_mark} outside vocabulary")
-        if self.first_t < 0.0:
-            raise DataError(f"first time must be non-negative, got {self.first_t}")
+        if not (np.isfinite(self.first_t) and self.first_t >= 0.0):
+            raise DataError(f"first time must be finite and non-negative, got {self.first_t}")
         if self.max_len is not None:
             if self.max_len < 2:
                 raise DataError(f"max_len must be at least 2, got {self.max_len}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import heads
-from .data import ClusterMap, Vocab
+from .data import ClusterMap, Vocab, read_record
 from .numerics import ParamStore, Tensor, exp, log_softmax
 
 VARIANTS = ("base", "plus")
@@ -70,23 +70,11 @@ class ModelConfig:
             raise ValueError(f"feed-forward form must be one of {FFN_FORMS}, got {self.ffn!r}")
 
     def to_dict(self) -> dict:
-        payload = asdict(self)
-        payload["version"] = CONFIG_VERSION
-        return payload
+        return {**asdict(self), "version": CONFIG_VERSION}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelConfig":
-        payload = dict(payload)
-        version = payload.pop("version", CONFIG_VERSION)
-        if version != CONFIG_VERSION:
-            raise ValueError(f"unsupported model config version {version!r}")
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown model config key {sorted(unknown)[0]!r}")
-        cfg = cls(**payload)
-        cfg.validate()
-        return cfg
+        return read_record(cls, payload, "model config", version=CONFIG_VERSION)
 
 
 @dataclass

@@ -74,7 +74,8 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_scalar(other), self)
+        # c - x == (-x) + c exactly in IEEE arithmetic
+        return add(mul(self, -1.0), other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -167,10 +168,6 @@ def _emit(op: str, out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
         tape._records.append((out, inputs, vjp))
         tape._produced.add(id(out))
     return out
-
-
-def _scalar(value) -> Tensor:
-    return Tensor(np.float64(value))
 
 
 def _is_number(x) -> bool:

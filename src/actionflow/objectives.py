@@ -22,7 +22,7 @@ parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -73,14 +73,7 @@ class LossBreakdown:
                    margin_action=margin_action, l2=l2, total=total)
 
     def to_dict(self) -> dict:
-        return {
-            "nll": self.nll,
-            "goal_ce": self.goal_ce,
-            "margin_goal": self.margin_goal,
-            "margin_action": self.margin_action,
-            "l2": self.l2,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def hinge_sum(probs: Tensor) -> Tensor:
@@ -170,7 +163,6 @@ def l2_penalty(store: ParamStore) -> Tensor:
 
 def total_loss(model: Model, batch: list[Ctas], *, gamma: float,
                margin_weight: float, l2_coeff: float,
-               apply_margin: bool = True,
                eos_time_term: bool = True) -> tuple[Tensor, LossBreakdown]:
     """Batch objective: mean of per-sequence totals plus one L2 term.
 
@@ -188,16 +180,13 @@ def total_loss(model: Model, batch: list[Ctas], *, gamma: float,
             terms = {
                 "nll": nll(model, seq, eos_time_term, fwd=fwd),
                 "goal_ce": discounted_goal_ce(model, seq, gamma, fwd=fwd),
+                "margin_goal": margin_goal(model, seq, fwd=fwd),
+                "margin_action": margin_action(model, seq, fwd=fwd),
             }
-            if apply_margin:
-                terms["margin_goal"] = margin_goal(model, seq, fwd=fwd)
-                terms["margin_action"] = margin_action(model, seq, fwd=fwd)
         except NumericError as e:
             raise NumericError(f"sequence {seq.id!r}: {e}") from None
-        seq_total = add(terms["nll"], terms["goal_ce"])
-        if apply_margin:
-            margins = add(terms["margin_goal"], terms["margin_action"])
-            seq_total = add(seq_total, mul(margins, margin_weight))
+        seq_total = add(add(terms["nll"], terms["goal_ce"]),
+                        mul(add(terms["margin_goal"], terms["margin_action"]), margin_weight))
         for name, tensor in terms.items():
             sums[name] += float(tensor.data)
         acc = seq_total if acc is None else add(acc, seq_total)
@@ -205,12 +194,6 @@ def total_loss(model: Model, batch: list[Ctas], *, gamma: float,
     l2 = l2_penalty(model.store)
     total = add(mean, mul(l2, l2_coeff)) if l2_coeff != 0.0 else mean
     breakdown = LossBreakdown.build(
-        nll=sums["nll"] / len(batch),
-        goal_ce=sums["goal_ce"] / len(batch),
-        margin_goal=sums["margin_goal"] / len(batch),
-        margin_action=sums["margin_action"] / len(batch),
-        l2=float(l2.data),
-        margin_weight=margin_weight if apply_margin else 0.0,
-        l2_coeff=l2_coeff,
-    )
+        **{name: value / len(batch) for name, value in sums.items()},
+        l2=float(l2.data), margin_weight=margin_weight, l2_coeff=l2_coeff)
     return total, breakdown

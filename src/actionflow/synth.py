@@ -23,13 +23,12 @@ A generator spec is a JSON object::
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Ctas, Action, Vocab
+from .data import Ctas, Action, Vocab, read_record
 
 SYNTH_VERSION = 1
 
@@ -46,7 +45,7 @@ class GoalTemplate:
     template: list[str]
     mu: list[float]
     sigma: list[float]
-    swap_pairs: list[tuple[int, int]] = field(default_factory=list)
+    swap_pairs: list[list[int]] = field(default_factory=list)
 
     def validate(self) -> None:
         if not self.template:
@@ -112,41 +111,10 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SynthSpec":
-        if not isinstance(payload, dict):
-            raise SynthSpecError("spec must be a JSON object")
-        version = payload.get("version", SYNTH_VERSION)
-        if version != SYNTH_VERSION:
-            raise SynthSpecError(f"unsupported spec version {version!r}")
-        known = {"version", "count", "seed", "swap_prob", "goals"}
-        unknown = set(payload) - known
-        if unknown:
-            raise SynthSpecError(f"unknown spec field {sorted(unknown)[0]!r}")
         try:
-            goals = [
-                GoalTemplate(
-                    name=g["name"],
-                    template=list(g["template"]),
-                    mu=[float(v) for v in g["mu"]],
-                    sigma=[float(v) for v in g["sigma"]],
-                    swap_pairs=[tuple(int(v) for v in p) for p in g.get("swap_pairs", [])],
-                )
-                for g in payload.get("goals", [])
-            ]
-        except (KeyError, TypeError) as e:
-            raise SynthSpecError(f"malformed goal entry: {e}") from None
-        spec = cls(
-            goals=goals,
-            count=int(payload.get("count", 0)),
-            seed=int(payload.get("seed", 0)),
-            swap_prob=float(payload.get("swap_prob", 0.0)),
-        )
-        spec.validate()
-        return spec
-
-    @classmethod
-    def load(cls, path) -> "SynthSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return read_record(cls, payload, "synth spec", version=SYNTH_VERSION)
+        except ValueError as e:
+            raise SynthSpecError(str(e)) from None
 
 
 def build_vocab(spec: SynthSpec) -> Vocab:

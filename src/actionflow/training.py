@@ -30,6 +30,7 @@ from .data import (
     distinct_durations,
     median_gap,
     observed_marks_by_goal,
+    read_record,
     split_by_goal,
 )
 from .model import Model, ModelConfig
@@ -38,7 +39,7 @@ from .objectives import LossBreakdown, total_loss
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class TrainingDiverged(ArithmeticError):
@@ -60,39 +61,32 @@ class TrainConfig:
     l2_coeff: float = 0.001
     gamma: float = 0.9
     eos_time_term: bool = True
-    apply_margin: bool = True
 
     def validate(self) -> None:
         # lr == 0 is allowed: it freezes parameters, which is useful in tests
-        if self.lr < 0.0:
-            raise ValueError(f"learning rate must be non-negative, got {self.lr}")
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError(f"learning rate must be finite and non-negative, got {self.lr}")
         for name in ("beta1", "beta2"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {v}")
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.margin_weight < 0.0 or self.l2_coeff < 0.0:
-            raise ValueError("margin_weight and l2_coeff must be non-negative")
+        if not (0.0 <= self.margin_weight < math.inf and 0.0 <= self.l2_coeff < math.inf):
+            raise ValueError("margin_weight and l2_coeff must be finite and non-negative")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown train config key {sorted(unknown)[0]!r}")
-        cfg = cls(**payload)
-        cfg.validate()
-        return cfg
+        return read_record(cls, payload, "train config")
 
 
 class Adam:
@@ -255,7 +249,6 @@ def train(corpus: list[Ctas], vocab: Vocab, clusters: ClusterMap,
                         gamma=train_cfg.gamma,
                         margin_weight=train_cfg.margin_weight,
                         l2_coeff=train_cfg.l2_coeff,
-                        apply_margin=train_cfg.apply_margin,
                         eos_time_term=train_cfg.eos_time_term,
                     )
                     tape.backward(total)
@@ -266,12 +259,8 @@ def train(corpus: list[Ctas], vocab: Vocab, clusters: ClusterMap,
                 sums[key] += getattr(bd, key) * len(batch)
             last_l2 = bd.l2
         breakdown = LossBreakdown.build(
-            nll=sums["nll"] / n, goal_ce=sums["goal_ce"] / n,
-            margin_goal=sums["margin_goal"] / n, margin_action=sums["margin_action"] / n,
-            l2=last_l2,
-            margin_weight=train_cfg.margin_weight if train_cfg.apply_margin else 0.0,
-            l2_coeff=train_cfg.l2_coeff,
-        )
+            **{key: value / n for key, value in sums.items()}, l2=last_l2,
+            margin_weight=train_cfg.margin_weight, l2_coeff=train_cfg.l2_coeff)
         entry = {"epoch": epoch, **breakdown.to_dict(),
                  "seconds": time.perf_counter() - started}
         entries.append(entry)
@@ -314,8 +303,7 @@ def resolve_max_len(model_cfg: ModelConfig, train_raw: list[Ctas]) -> ModelConfi
     if model_cfg.max_len is not None:
         return model_cfg
     longest = max(len(seq) for seq in train_raw)
-    return ModelConfig.from_dict(
-        {**model_cfg.to_dict(), "max_len": max(2, math.ceil(1.5 * longest))})
+    return replace(model_cfg, max_len=max(2, math.ceil(1.5 * longest)))
 
 
 def prepare(corpus: list[Ctas], vocab: Vocab, model_cfg: ModelConfig,

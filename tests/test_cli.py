@@ -2,14 +2,16 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from actionflow import cli
-from actionflow.cli import main
-from actionflow.training import TrainingDiverged
+from actionflow.cli import RunConfig, main
+from actionflow.training import CHECKPOINT_VERSION, TrainingDiverged
 
 SPEC = {
     "count": 30,
@@ -118,13 +120,30 @@ class TestTrain:
         {"train": {"epochs": "x"}},
         {"model": {"d": "8"}},
         [],
-    ], ids=["model_not_object", "epochs_string", "width_string", "config_not_object"])
+        {"model": {"d": 8.0}},
+        {"train": {"batch_size": 2.5}},
+        {"train": {"epochs": True}},
+        {"train": {"eos_time_term": "no"}},
+        {"data": {"train_fraction": "0.8"}},
+        {"train": {"lr": float("nan")}},
+    ], ids=["model_not_object", "epochs_string", "width_string", "config_not_object",
+            "width_float", "batch_size_float", "epochs_bool", "switch_string",
+            "fraction_string", "lr_nan"])
     def test_ill_typed_config_is_config_error(self, workspace, capsys, tmp_path, payload):
         bad = tmp_path / "cfg.json"
         bad.write_text(json.dumps(payload))
+        out = tmp_path / "x"
         assert main(["train", "--data", str(workspace["corpus"]),
-                     "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+                     "--config", str(bad), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("E_CONFIG:")
+        assert not out.exists()
+
+    def test_readme_run_config_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"\*\*Run config\*\*.*?```json\n(.*?)```", readme, re.S).group(1)
+        cfg = RunConfig.from_dict(json.loads(block))
+        assert cfg.data.corpus == "corpus.jsonl"
+        assert cfg.train.margin_weight == 0.1
 
     def test_missing_corpus(self, capsys, tmp_path):
         assert main(["train", "--data", str(tmp_path / "none.jsonl"),
@@ -220,7 +239,7 @@ def write_unreadable_checkpoint(kind, workspace, tmp_path):
     elif kind == "not_an_object":
         text = "[1, 2, 3]"
     elif kind == "missing_fields":
-        text = json.dumps({"version": 1})
+        text = json.dumps({"version": CHECKPOINT_VERSION})
     else:
         payload = json.loads(good)
         payload["params"] = []  # ill-typed: a list where an object belongs
@@ -247,6 +266,17 @@ class TestUnreadableCheckpoint:
         assert main(["generate", "--ckpt", str(tmp_path), "--goal", "brew",
                      "--first-mark", "grind", "--out", str(tmp_path / "g.jsonl")]) == 1
         assert capsys.readouterr().err.startswith("E_NO_CKPT:")
+
+    def test_version_1_checkpoint_refused(self, workspace, capsys, tmp_path):
+        payload = json.loads((workspace["run"] / "final.json").read_text())
+        payload["version"] = 1
+        payload["train_config"]["apply_margin"] = True
+        (tmp_path / "final.json").write_text(json.dumps(payload))
+        assert main(["eval", "--ckpt", str(tmp_path),
+                     "--data", str(workspace["run"] / "test.jsonl"),
+                     "--report", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E_NO_CKPT:") and "unsupported checkpoint version 1" in err
 
 
 class TestGenerate:

@@ -4,6 +4,7 @@ and the random-deletion transform."""
 import itertools
 import json
 import logging
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from actionflow.data import (
     load_corpus,
     median_gap,
     observed_marks_by_goal,
+    read_record,
     remap_corpus,
     split_by_goal,
     write_corpus,
@@ -57,6 +59,71 @@ VALID_RECORDS = [
         {"mark": "grind", "t": 0.0}, {"mark": "boil", "t": 1.0},
         {"mark": "pour", "t": 1.5}]},
 ]
+
+
+@dataclass
+class Inner:
+    name: str
+    weights: list[float] = field(default_factory=list)
+
+    def validate(self):
+        if len(self.weights) > 2:
+            raise ValueError("too many weights")
+
+
+@dataclass
+class Outer:
+    count: int
+    rate: float = 0.5
+    flag: bool = False
+    label: str | None = None
+    pairs: list[list[int]] = field(default_factory=list)
+    inner: Inner = field(default_factory=lambda: Inner("x"))
+
+
+@dataclass
+class Unsupported:
+    table: dict = field(default_factory=dict)
+
+
+class TestReadRecord:
+    def test_reads_every_annotation_kind(self):
+        rec = read_record(Outer, {"count": 3, "rate": 2, "flag": True, "label": None,
+                                  "pairs": [[0, 1]], "inner": {"name": "a", "weights": [1.5]}},
+                          "outer")
+        assert rec == Outer(3, 2, True, None, [[0, 1]], Inner("a", [1.5]))
+        # an int where a float is wanted stays an int, so echoes round-trip
+        assert type(rec.rate) is int
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"count": 2.5}, "outer key 'count' must be int, got float"),
+        ({"count": True}, "outer key 'count' must be int, got bool"),
+        ({"count": 1, "rate": "0.5"}, "outer key 'rate' must be float, got str"),
+        ({"count": 1, "rate": False}, "outer key 'rate' must be float, got bool"),
+        ({"count": 1, "flag": 1}, "outer key 'flag' must be bool, got int"),
+        ({"count": 1, "label": 7}, "outer key 'label' must be str, got int"),
+        ({"count": 1, "pairs": [[0.5, 1]]}, r"outer key 'pairs'\[0\]\[0\] must be int"),
+        ({"count": 1, "pairs": {}}, "outer key 'pairs' must be list, got dict"),
+        ({"count": 1, "inner": {"name": 3}}, "outer key 'inner' key 'name' must be str"),
+        ({"count": 1, "inner": {"name": "a", "weights": [1, 2, 3]}}, "too many weights"),
+        ({"count": 1, "bogus": 0}, "unknown outer key 'bogus'"),
+        ({"rate": 0.5}, "outer is missing key 'count'"),
+        ([1], "outer must be a JSON object, got list"),
+    ])
+    def test_rejections_name_the_key(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            read_record(Outer, payload, "outer")
+
+    def test_version_key(self):
+        assert read_record(Outer, {"count": 1, "version": 2}, "outer", version=2).count == 1
+        with pytest.raises(ValueError, match="unsupported outer version 3"):
+            read_record(Outer, {"count": 1, "version": 3}, "outer", version=2)
+        with pytest.raises(ValueError, match="unknown outer key 'version'"):
+            read_record(Outer, {"count": 1, "version": 2}, "outer")
+
+    def test_unsupported_annotation_raises(self):
+        with pytest.raises(TypeError, match="no reader"):
+            read_record(Unsupported, {"table": {}}, "unsupported")
 
 
 class TestSequenceInvariants:

@@ -56,8 +56,9 @@ class TestRequestValidation:
 
     def test_negative_first_time_rejected(self):
         model = make_model()
-        with pytest.raises(DataError, match="first time"):
-            GenRequest(goal=0, first_mark=0, first_t=-0.5).validate(model)
+        for first_t in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(DataError, match="first time"):
+                GenRequest(goal=0, first_mark=0, first_t=first_t).validate(model)
 
     def test_short_max_len_rejected(self):
         model = make_model()

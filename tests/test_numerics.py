@@ -153,6 +153,16 @@ class TestBackwardBasics:
         assert store["w"].grad is None
         np.testing.assert_array_equal(store.grad("w"), [0.0, 0.0])
 
+    def test_reflected_sub_matches_numpy(self):
+        store = ParamStore()
+        x = np.random.default_rng(3).normal(size=(2, 3))
+        w = store.add("w", x)
+        with GradTape() as tape:
+            y = 1.5 - w
+            tape.backward(sum_all(mul(y, y)))
+        np.testing.assert_array_equal(y.data, 1.5 - x)
+        np.testing.assert_array_equal(store.grad("w"), -2.0 * (1.5 - x))
+
     def test_tape_determinism_bitwise(self):
         def run():
             store = make_store({"w": (4, 4), "v": (4,)}, seed=11)

@@ -284,8 +284,8 @@ class TestTotalLoss:
     def test_margin_disabled_reduces_to_core_terms(self):
         model = make_model(seed=17)
         batch = self.batch(model)
-        total, bd = total_loss(model, batch, gamma=0.9, margin_weight=0.1,
-                               l2_coeff=0.001, apply_margin=False)
+        total, bd = total_loss(model, batch, gamma=0.9, margin_weight=0.0,
+                               l2_coeff=0.001)
         passes = [(s, fwd_of(model, s)) for s in batch]
         core = np.mean([float(nll(model, s, fwd=fwd).data)
                         + float(discounted_goal_ce(model, s, 0.9, fwd=fwd).data)

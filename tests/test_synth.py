@@ -76,6 +76,26 @@ class TestSpecValidation:
         with pytest.raises(SynthSpecError, match="bogus"):
             SynthSpec.from_dict(payload)
 
+    @pytest.mark.parametrize("where,value", [
+        ("count", 2.5), ("seed", "7"), ("swap_pair", [0.5, 1]), ("mu", "0.0"),
+    ])
+    def test_ill_typed_value_rejected(self, where, value):
+        payload = two_goal_spec().to_dict()
+        if where == "swap_pair":
+            payload["goals"][0]["swap_pairs"] = [value]
+        elif where == "mu":
+            payload["goals"][0]["mu"][1] = value
+        else:
+            payload[where] = value
+        with pytest.raises(SynthSpecError, match="must be"):
+            SynthSpec.from_dict(payload)
+
+    def test_missing_goal_field_rejected(self):
+        payload = two_goal_spec().to_dict()
+        del payload["goals"][1]["sigma"]
+        with pytest.raises(SynthSpecError, match="sigma"):
+            SynthSpec.from_dict(payload)
+
     def test_unsupported_version_rejected(self):
         payload = two_goal_spec().to_dict()
         payload["version"] = 99

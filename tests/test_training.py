@@ -1,6 +1,7 @@
 """Tests for the Adam optimizer, training loop, and checkpoint round trips."""
 
 import json
+import math
 import os
 import warnings
 
@@ -68,6 +69,23 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="bogus"):
             TrainConfig.from_dict({"lr": 0.1, "bogus": 1})
 
+    def test_removed_margin_switch_rejected(self):
+        with pytest.raises(ValueError, match="apply_margin"):
+            TrainConfig.from_dict({"apply_margin": False})
+
+    @pytest.mark.parametrize("key,value,kind", [
+        ("batch_size", 2.5, "int"), ("epochs", True, "int"), ("seed", "1", "int"),
+        ("lr", "0.1", "float"), ("lr", False, "float"), ("eos_time_term", "no", "bool"),
+        ("eos_time_term", 0, "bool"),
+    ])
+    def test_ill_typed_value_rejected(self, key, value, kind):
+        with pytest.raises(ValueError, match=f"train config key '{key}' must be {kind}"):
+            TrainConfig.from_dict({key: value})
+
+    def test_int_for_float_kept_as_int(self):
+        cfg = TrainConfig.from_dict({"lr": 1, "margin_weight": 0})
+        assert type(cfg.lr) is int and cfg.margin_weight == 0
+
     def test_zero_lr_allowed_negative_rejected(self):
         TrainConfig(lr=0.0).validate()
         with pytest.raises(ValueError, match="learning rate"):
@@ -78,6 +96,9 @@ class TestTrainConfig:
         ("eps", 0.0), ("epochs", 0), ("batch_size", 0),
         ("gamma", 1.01), ("gamma", -0.5),
         ("margin_weight", -1.0), ("l2_coeff", -0.001),
+        ("lr", math.nan), ("lr", math.inf), ("eps", math.nan), ("eps", math.inf),
+        ("margin_weight", math.nan), ("margin_weight", math.inf),
+        ("l2_coeff", math.nan), ("l2_coeff", math.inf),
     ])
     def test_out_of_range_rejected(self, field, value):
         cfg = TrainConfig(**{field: value})
