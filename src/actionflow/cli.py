@@ -66,6 +66,10 @@ class DataSection:
     corpus: str | None = None
     train_fraction: float = 0.8
 
+    def validate(self) -> None:
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
+
 
 @dataclass
 class RunConfig:
@@ -91,11 +95,14 @@ def _read_json(path) -> dict:
 
 
 def _load_run_config(args) -> RunConfig:
+    """The run config with the --seed/--epochs flags applied, all validated
+    before any command writes a file."""
     cfg = RunConfig.from_dict(_read_json(args.config)) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.train.seed = args.seed
-    if getattr(args, "epochs", None) is not None:
-        cfg.train.epochs = args.epochs
+    overrides = {name: getattr(args, name) for name in ("seed", "epochs")
+                 if getattr(args, name, None) is not None}
+    if overrides:
+        cfg.train = replace(cfg.train, **overrides)
+        cfg.train.validate()
     return cfg
 
 

@@ -16,6 +16,11 @@ A separate order-free summary runs alongside for the fused model variant:
 each action's pre-positional embedding passes through a small ReLU network
 and the results are summed over the prefix, which is permutation-invariant
 by construction.
+
+Every pass works on packed rows: the actions of a batch of sequences stacked
+in one array, with lens[b] rows for sequence b (lens=None is one sequence).
+Positions, gaps, attention and running sums all restart at each sequence, so
+a sequence's rows come out the same whatever it is packed with.
 """
 
 from __future__ import annotations
@@ -29,26 +34,20 @@ import numpy as np
 from .data import DataError
 from .numerics import (
     ParamStore,
+    Segments,
     Tensor,
     add,
-    concat,
+    causal_attention,
     cumsum,
     layer_norm,
-    masked_fill,
     matmul,
     mul,
     relu,
-    slice_cols,
-    softmax,
     take_rows,
-    transpose,
 )
 
 if TYPE_CHECKING:
     from .model import ModelConfig
-
-MASK_FILL = -1e30
-
 
 class CapacityError(ValueError):
     """A prefix is longer than the positional table supports."""
@@ -128,12 +127,14 @@ def init_set_params(store: ParamStore, cfg: ModelConfig,
 # forward passes
 # ---------------------------------------------------------------------------
 
-def embed_actions(store: ParamStore, marks, times) -> Tensor:
-    """Embed all actions of a sequence: mark row + time and gap features + bias.
+def embed_actions(store: ParamStore, marks, times, lens=None) -> Tensor:
+    """Embed packed actions: mark row + time and gap features + bias.
 
-    The gap feature for the first action measures from time zero. Positional
-    rows are not included here; they are added inside encode so the order-free
-    summary can run on position-free inputs.
+    marks and times hold the actions of consecutive sequences, lens[b] rows
+    each (lens=None: one sequence). The gap feature of each sequence's first
+    action measures from time zero. Positional rows are not included here;
+    they are added inside encode so the order-free summary can run on
+    position-free inputs.
     """
     marks = np.asarray(marks, dtype=np.intp)
     times = np.asarray(times, dtype=np.float64)
@@ -145,6 +146,8 @@ def embed_actions(store: ParamStore, marks, times) -> Tensor:
     if marks.min() < 0 or marks.max() >= n_rows:
         raise DataError(f"mark id outside vocabulary of size {n_rows}")
     gaps = np.diff(times, prepend=0.0)
+    starts = Segments(marks.size, lens).starts
+    gaps[starts] = times[starts]
     if np.any(gaps < 0.0):
         raise DataError("times must be non-decreasing from zero")
     y = take_rows(store["embed.marks"], marks)
@@ -153,74 +156,65 @@ def embed_actions(store: ParamStore, marks, times) -> Tensor:
     return add(y, store["embed.bias"])
 
 
-def positional_add(store: ParamStore, y: Tensor) -> Tensor:
-    """Add the trainable positional rows 0..k-1 to the embedded prefix."""
+def positional_add(store: ParamStore, y: Tensor, lens=None) -> Tensor:
+    """Add the trainable positional rows 0..k-1 to each embedded sequence."""
     table = store["pos.table"]
-    k, capacity = y.data.shape[0], table.data.shape[0]
+    segs = Segments(y.data.shape[0], lens)
+    k, capacity = segs.width, table.data.shape[0]
     if k > capacity:
         raise CapacityError(f"prefix length {k} exceeds positional capacity {capacity}")
-    return add(y, take_rows(table, np.arange(k, dtype=np.intp)))
+    return add(y, take_rows(table, segs.pos))
 
 
 def _attention(store: ParamStore, cfg: ModelConfig, x: Tensor, block: int,
-               mask: np.ndarray) -> Tensor:
+               lens) -> Tensor:
     q = matmul(x, store[f"block{block}.attn.wq"])
     k = matmul(x, store[f"block{block}.attn.wk"])
     v = matmul(x, store[f"block{block}.attn.wv"])
-    dh = cfg.d // cfg.heads
-    scale = 1.0 / math.sqrt(dh)
-    outs = []
-    for h in range(cfg.heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh, kh, vh = slice_cols(q, lo, hi), slice_cols(k, lo, hi), slice_cols(v, lo, hi)
-        scores = mul(matmul(qh, transpose(kh)), scale)
-        weights = softmax(masked_fill(scores, mask, MASK_FILL))
-        outs.append(matmul(weights, vh))
-    merged = outs[0] if cfg.heads == 1 else concat(outs, axis=1)
-    return matmul(merged, store[f"block{block}.attn.wo"])
+    return matmul(causal_attention(q, k, v, lens, cfg.heads), store[f"block{block}.attn.wo"])
 
 
-def _feed_forward(store: ParamStore, cfg: ModelConfig, x: Tensor, block: int) -> Tensor:
+def _feed_forward(store: ParamStore, cfg: ModelConfig, x: Tensor, block: int,
+                  lens) -> Tensor:
     if cfg.ffn == "summed":
         gated = relu(add(mul(x, store[f"block{block}.ffn.w_in"]),
                          store[f"block{block}.ffn.b_in"]))
         per_index = add(mul(gated, store[f"block{block}.ffn.w_out"]),
                         store[f"block{block}.ffn.b_out"])
-        return cumsum(per_index)
+        return cumsum(per_index, lens)
     hidden = relu(add(matmul(x, store[f"block{block}.ffn.w1"]),
                       store[f"block{block}.ffn.b1"]))
     return add(matmul(hidden, store[f"block{block}.ffn.w2"]),
                store[f"block{block}.ffn.b2"])
 
 
-def encode(store: ParamStore, cfg: ModelConfig, y: Tensor) -> Tensor:
-    """History vectors for every prefix index, in one pass.
+def encode(store: ParamStore, cfg: ModelConfig, y: Tensor, lens=None) -> Tensor:
+    """History vectors for every prefix index of every packed sequence.
 
-    Attention is causally masked, so row j of the result depends only on
-    rows 0..j of the input; the summed feed-forward keeps that property via
-    its running sum.
+    Attention is causal and local to each sequence, so row j of a sequence
+    depends only on rows 0..j of that sequence's input; the summed
+    feed-forward keeps that property via its per-sequence running sum.
     """
-    k = y.data.shape[0]
-    if k == 0:
+    if y.data.shape[0] == 0:
         raise ValueError("empty prefix")
-    x = positional_add(store, y)
-    mask = np.triu(np.ones((k, k), dtype=bool), 1)
+    x = positional_add(store, y, lens)
     for b in range(cfg.blocks):
-        attn = _attention(store, cfg, x, b, mask)
+        attn = _attention(store, cfg, x, b, lens)
         x = layer_norm(add(x, attn), store[f"block{b}.ln1.gain"], store[f"block{b}.ln1.bias"])
-        ffn = _feed_forward(store, cfg, x, b)
+        ffn = _feed_forward(store, cfg, x, b, lens)
         x = layer_norm(add(x, ffn), store[f"block{b}.ln2.gain"], store[f"block{b}.ln2.bias"])
     return x
 
 
-def set_embed(store: ParamStore, y: Tensor) -> Tensor:
+def set_embed(store: ParamStore, y: Tensor, lens=None) -> Tensor:
     """Order-free prefix summary: sum of per-action ReLU features.
 
-    Row j is the sum over i <= j of relu(net(W y_i + b)), where net is a
-    one-hidden-layer ReLU network of width d. Feed pre-positional embeddings
-    so that reordering a prefix only reorders the summands.
+    Row j of a sequence is the sum over its rows i <= j of relu(net(W y_i + b)),
+    where net is a one-hidden-layer ReLU network of width d. Feed
+    pre-positional embeddings so that reordering a prefix only reorders the
+    summands.
     """
     u = add(matmul(y, store["set.w_in"]), store["set.b_in"])
     h = relu(add(matmul(u, store["set.w_hidden"]), store["set.b_hidden"]))
     o = add(matmul(h, store["set.w_out"]), store["set.b_out"])
-    return cumsum(relu(o))
+    return cumsum(relu(o), lens)

@@ -5,8 +5,8 @@ Conventions shared by all entry points:
 
 * Test corpora are raw (no terminal marks); every reported transition count
   is the sum of n_i - 1 over raw test sequences.
-* Each test sequence is encoded once (teacher_forced); the next-action and
-  goal scorers both read that one ForwardPass.
+* The test sequences are encoded once, together (teacher_forced); the
+  next-action and goal scorers both read each sequence's slice of that pass.
 * Next-action metrics are teacher-forced micro-averages over all test
   transitions: the predicted mark is the head argmax, the predicted time is
   the previous time plus the lognormal median.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import Ctas, load_corpus
 from .generation import GenRequest, core_actions, generate
-from .model import ForwardPass, Model, ModelConfig
+from .model import ForwardPass, Model, ModelConfig, pack
 from .training import TrainConfig, run_training
 
 log = logging.getLogger(__name__)
@@ -53,9 +53,15 @@ def _fraction_key(f: float) -> str:
 # ---------------------------------------------------------------------------
 
 def teacher_forced(model: Model, corpus: list[Ctas]) -> list[tuple[Ctas, ForwardPass]]:
-    """One forward pass per sequence over its observed actions, in id order."""
-    return [(seq, model.forward(seq.marks(), seq.times()))
-            for seq in sorted(corpus, key=lambda s: s.id)]
+    """Every sequence's pass over its observed actions, in id order.
+
+    The sequences are encoded together in one packed forward pass; each gets
+    the slice of rows that belongs to it.
+    """
+    ordered = sorted(corpus, key=lambda s: s.id)
+    if not ordered:
+        return []
+    return list(zip(ordered, model.forward(*pack(ordered)).split()))
 
 
 def next_action_eval(passes: list[tuple[Ctas, ForwardPass]]) -> dict:

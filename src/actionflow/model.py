@@ -1,10 +1,10 @@
 """Model assembly: configuration, parameter init, and the full forward pass.
 
 A Model binds a configuration, a vocabulary, a duration-cluster map, and a
-parameter store. Its forward pass encodes a sequence once and produces, for
-every prefix index, the next-mark log-probabilities, the goal
-log-probabilities, and the lognormal gap parameters gated by the current
-action's duration cluster. The "plus" variant additionally maintains an
+parameter store. Its forward pass encodes one or more packed sequences at
+once and produces, for every prefix index, the next-mark log-probabilities,
+the goal log-probabilities, and the lognormal gap parameters gated by the
+current action's duration cluster. The "plus" variant additionally maintains an
 order-free prefix summary and offsets the history vectors by a scaled copy
 of it (one scale per head) before the heads run.
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import heads
-from .data import ClusterMap, Vocab, read_record
+from .data import ClusterMap, Ctas, Vocab, read_record
 from .numerics import ParamStore, Tensor, exp, log_softmax
 
 VARIANTS = ("base", "plus")
@@ -79,7 +79,11 @@ class ModelConfig:
 
 @dataclass
 class ForwardPass:
-    """All per-index predictions from one encoding of a sequence."""
+    """All per-index predictions from one encoding of packed sequences.
+
+    Row r of every tensor belongs to the sequence whose rows include r;
+    lens[b] is the row count of sequence b, in packing order.
+    """
 
     mark_logprob: Tensor
     mark_prob: Tensor
@@ -87,6 +91,22 @@ class ForwardPass:
     goal_prob: Tensor
     mu: Tensor
     sigma2: Tensor
+    lens: np.ndarray
+
+    def split(self) -> list["ForwardPass"]:
+        """One forward-only pass per packed sequence, viewing its own rows."""
+        fields = ("mark_logprob", "mark_prob", "goal_logprob", "goal_prob", "mu", "sigma2")
+        ends = np.cumsum(self.lens)
+        return [ForwardPass(**{f: Tensor(getattr(self, f).data[end - n:end]) for f in fields},
+                            lens=np.array([n]))
+                for n, end in zip(self.lens.tolist(), ends.tolist())]
+
+
+def pack(seqs: list[Ctas]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Marks, times and row counts of sequences stacked for one forward pass."""
+    return (np.concatenate([s.marks() for s in seqs]),
+            np.concatenate([s.times() for s in seqs]),
+            np.array([len(s.actions) for s in seqs], dtype=np.intp))
 
 
 class Model:
@@ -118,22 +138,23 @@ class Model:
             enc.init_set_params(model.store, config, rng)
         return model
 
-    def encode(self, marks, times) -> enc.EncoderState:
+    def encode(self, marks, times, lens=None) -> enc.EncoderState:
         """History vectors (and prefix sums for the plus variant)."""
-        y = enc.embed_actions(self.store, marks, times)
-        s = enc.encode(self.store, self.config, y)
-        x = enc.set_embed(self.store, y) if self.config.variant == "plus" else None
+        y = enc.embed_actions(self.store, marks, times, lens)
+        s = enc.encode(self.store, self.config, y, lens)
+        x = enc.set_embed(self.store, y, lens) if self.config.variant == "plus" else None
         return enc.EncoderState(s=s, x=x)
 
-    def forward(self, marks, times) -> ForwardPass:
+    def forward(self, marks, times, lens=None) -> ForwardPass:
         """Encode once and evaluate every head at every prefix index.
 
-        The gap parameters at index i are gated by the duration cluster of
-        the action at index i (the current action when predicting what
-        follows it).
+        marks and times are packed: lens[b] consecutive actions per sequence
+        (lens=None: a single sequence). The gap parameters at index i are
+        gated by the duration cluster of the action at index i (the current
+        action when predicting what follows it).
         """
         marks = np.asarray(marks, dtype=np.intp)
-        state = self.encode(marks, times)
+        state = self.encode(marks, times, lens)
         cfg = self.config
         s_mark = heads.fuse(state.s, state.x, cfg.alpha_mark)
         s_goal = heads.fuse(state.s, state.x, cfg.alpha_goal)
@@ -149,6 +170,7 @@ class Model:
             goal_prob=exp(goal_lp),
             mu=mu,
             sigma2=sigma2,
+            lens=np.array([marks.size] if lens is None else lens, dtype=np.intp),
         )
 
     def time_density_at(self, fwd: ForwardPass, index: int) -> heads.TimeDensity:

@@ -11,6 +11,12 @@ Broadcasting is deliberately narrow: scalars combine with anything, and a
 rank-1 tensor may be added to / multiplied into the rows of a rank-2 tensor
 (the bias case). Everything else is rejected, which keeps the finite-difference
 oracle and the backward rules straightforward.
+
+A minibatch runs as packed rows: the rows of all its sequences stacked in
+one array, with segment lengths saying which rows belong together (see
+Segments). Row-wise primitives need nothing more; the scans (cumsum,
+shifted_prefix_max), segment_sum and causal_attention take the lengths and
+never mix rows of different sequences.
 """
 
 from __future__ import annotations
@@ -192,16 +198,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", ad @ bd, (a, b), vjp)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: need rank 2, got {a.data.shape}")
-
-    def vjp(g):
-        return (g.T,)
-
-    return _emit("transpose", a.data.T, (a,), vjp)
-
-
 def _binary_shapes(op: str, a: Tensor, b) -> str:
     """Classify a binary-op operand pair: 'scalar', 'same', or 'bias'."""
     if _is_number(b):
@@ -279,21 +275,6 @@ def relu(a: Tensor) -> Tensor:
     return _emit("relu", np.where(mask, a.data, 0.0), (a,), vjp)
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by max subtraction."""
-    if a.data.ndim not in (1, 2):
-        raise ShapeError(f"softmax: need rank 1 or 2, got {a.data.shape}")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _emit("softmax", y, (a,), vjp)
-
-
 def log_softmax(a: Tensor) -> Tensor:
     """Log of softmax over the last axis, computed without underflow."""
     if a.data.ndim not in (1, 2):
@@ -361,36 +342,6 @@ def mean_all(a: Tensor) -> Tensor:
     return _emit("mean_all", a.data.mean(), (a,), vjp)
 
 
-def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors of equal rank along the given axis."""
-    if not parts:
-        raise ShapeError("concat: empty input list")
-    ranks = {p.data.ndim for p in parts}
-    if len(ranks) != 1:
-        raise ShapeError(f"concat: mixed ranks {sorted(ranks)}")
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _emit("concat", out, tuple(parts), vjp)
-
-
-def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    """Replace entries where mask is True with a constant; no grad there."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.data.shape:
-        raise ShapeError(f"masked_fill: mask {mask.shape} vs tensor {a.data.shape}")
-    keep = ~mask
-
-    def vjp(g):
-        return (g * keep,)
-
-    return _emit("masked_fill", np.where(mask, value, a.data), (a,), vjp)
-
-
 def take_rows(a: Tensor, idx) -> Tensor:
     """Gather rows of a rank-2 tensor (or entries of a rank-1 tensor)."""
     idx = np.asarray(idx, dtype=np.intp)
@@ -407,42 +358,6 @@ def take_rows(a: Tensor, idx) -> Tensor:
         return (z,)
 
     return _emit("take_rows", a.data[idx], (a,), vjp)
-
-
-def take_cols(a: Tensor, idx) -> Tensor:
-    """Gather columns of a rank-2 tensor by integer index."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"take_cols: need rank 2, got {a.data.shape}")
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"take_cols: index must be rank 1, got {idx.shape}")
-    n = a.data.shape[1]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ShapeError(f"take_cols: index out of range for {a.data.shape}")
-    shape = a.data.shape
-
-    def vjp(g):
-        z = np.zeros(shape)
-        np.add.at(z.T, idx, g.T)
-        return (z,)
-
-    return _emit("take_cols", a.data[:, idx], (a,), vjp)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous column slice of a rank-2 tensor."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"slice_cols: need rank 2, got {a.data.shape}")
-    if not (0 <= start < stop <= a.data.shape[1]):
-        raise ShapeError(f"slice_cols: [{start}:{stop}] outside {a.data.shape}")
-    shape = a.data.shape
-
-    def vjp(g):
-        z = np.zeros(shape)
-        z[:, start:stop] = g
-        return (z,)
-
-    return _emit("slice_cols", a.data[:, start:stop].copy(), (a,), vjp)
 
 
 def pick(a: Tensor, rows, cols) -> Tensor:
@@ -466,48 +381,157 @@ def pick(a: Tensor, rows, cols) -> Tensor:
     return _emit("pick", a.data[rows, cols], (a,), vjp)
 
 
-def cumsum(a: Tensor) -> Tensor:
-    """Running sum down axis 0."""
+class Segments:
+    """Row layout of packed sequences: segment b owns lens[b] consecutive rows.
+
+    ``pad`` lays packed rows out as a zero-padded [segments, longest, ...]
+    block so that per-sequence scans run along axis 1; ``unpad`` reads the
+    packed rows back. Padding sits after each segment's rows, so it never
+    enters a scan of the rows before it. lens=None is one segment over all
+    rows, which pads nothing.
+    """
+
+    def __init__(self, n: int, lens=None):
+        lens = np.array([n] if lens is None else lens, dtype=np.intp)
+        if lens.ndim != 1 or lens.size == 0 or lens.min() < 1 or lens.sum() != n:
+            raise ShapeError(f"segment lengths {lens.tolist()} do not tile {n} rows")
+        self.lens = lens
+        self.count = lens.size
+        self.width = int(lens.max())
+        self.starts = np.cumsum(lens) - lens
+        self.seg = np.repeat(np.arange(self.count), lens)
+        self.pos = np.arange(n) - self.starts[self.seg]
+
+    def pad(self, a: np.ndarray) -> np.ndarray:
+        if self.count == 1:
+            return a[None]
+        out = np.zeros((self.count, self.width) + a.shape[1:])
+        out[self.seg, self.pos] = a
+        return out
+
+    def unpad(self, p: np.ndarray) -> np.ndarray:
+        return p[0] if self.count == 1 else p[self.seg, self.pos]
+
+
+def cumsum(a: Tensor, lens=None) -> Tensor:
+    """Running sum down axis 0, restarting at every segment (see Segments)."""
+    segs = Segments(a.data.shape[0], lens)
+
     def vjp(g):
-        return (np.flip(np.cumsum(np.flip(g, axis=0), axis=0), axis=0),)
+        return (segs.unpad(np.flip(np.cumsum(np.flip(segs.pad(g), axis=1), axis=1), axis=1)),)
 
-    return _emit("cumsum", np.cumsum(a.data, axis=0), (a,), vjp)
+    return _emit("cumsum", segs.unpad(np.cumsum(segs.pad(a.data), axis=1)), (a,), vjp)
 
 
-def shifted_prefix_max(a: Tensor) -> Tensor:
-    """Strictly-previous running max down axis 0, with row 0 set to zero.
+def shifted_prefix_max(a: Tensor, lens=None) -> Tensor:
+    """Strictly-previous running max down axis 0, restarting at every segment.
 
-    out[0] = 0 and out[j] = max(a[0..j-1]) per column. The backward rule routes
-    each output row's gradient to the first attaining entry of its prefix,
-    matching the subgradient convention of numpy's first-occurrence argmax.
+    Within each segment out[0] = 0 and out[j] = max(a[0..j-1]) per column.
+    The backward rule routes each output row's gradient to the first
+    attaining entry of its prefix, matching the subgradient convention of
+    numpy's first-occurrence argmax.
     """
     if a.data.ndim not in (1, 2):
         raise ShapeError(f"shifted_prefix_max: need rank 1 or 2, got {a.data.shape}")
     ad = a.data if a.data.ndim == 2 else a.data[:, None]
-    n, m = ad.shape
-    run = np.maximum.accumulate(ad, axis=0)
-    out = np.zeros_like(ad)
-    if n > 1:
-        out[1:] = run[:-1]
+    segs = Segments(ad.shape[0], lens)
+    p = segs.pad(ad)
+    b, n, m = p.shape
+    run = np.maximum.accumulate(p, axis=1)
+    out = np.zeros_like(p)
+    out[:, 1:] = run[:, :-1]
+    out = segs.unpad(out)
     if a.data.ndim == 1:
         out = out[:, 0]
 
     def vjp(g):
-        gd = g if g.ndim == 2 else g[:, None]
-        z = np.zeros_like(ad)
+        gp = segs.pad(g if g.ndim == 2 else g[:, None])
+        z = np.zeros_like(p)
         if n > 1:
             # the max of rows 0..i is first attained at the last row k <= i
             # that beat every earlier row strictly, so ties keep the earlier row
-            new_max = np.ones((n - 1, m), dtype=bool)
-            new_max[1:] = ad[1:-1] > run[:-2]
+            new_max = np.ones((b, n - 1, m), dtype=bool)
+            new_max[:, 1:] = p[:, 1:-1] > run[:, :-2]
             first = np.maximum.accumulate(
-                np.where(new_max, np.arange(n - 1)[:, None], 0), axis=0)
+                np.where(new_max, np.arange(n - 1)[:, None], 0), axis=1)
             # out row j reads the max of rows 0..j-1; add.at sums repeated
-            # targets in row order
-            np.add.at(z, (first, np.arange(m)), gd[1:])
+            # targets in row order (padding rows carry zero gradient)
+            np.add.at(z, (np.arange(b)[:, None, None], first, np.arange(m)), gp[:, 1:])
+        z = segs.unpad(z)
         return (z if a.data.ndim == 2 else z[:, 0],)
 
     return _emit("shifted_prefix_max", out, (a,), vjp)
+
+
+def segment_sum(a: Tensor, lens) -> Tensor:
+    """Per-segment totals: out[b] sums every entry of segment b's lens[b] rows.
+
+    a has rank 1 or 2; a segment of length zero totals zero. Rows are added
+    in order, one segment at a time.
+    """
+    if a.data.ndim not in (1, 2):
+        raise ShapeError(f"segment_sum: need rank 1 or 2, got {a.data.shape}")
+    lens = np.asarray(lens, dtype=np.intp)
+    n = a.data.shape[0]
+    if lens.ndim != 1 or lens.size == 0 or lens.min() < 0 or lens.sum() != n:
+        raise ShapeError(f"segment_sum: lengths {lens.tolist()} do not tile {n} rows")
+    seg = np.repeat(np.arange(lens.size), lens)
+    rows = a.data if a.data.ndim == 1 else a.data.sum(axis=1)
+    shape = a.data.shape
+
+    def vjp(g):
+        per_row = g[seg]
+        return (per_row if len(shape) == 1 else np.repeat(per_row[:, None], shape[1], axis=1),)
+
+    return _emit("segment_sum", np.bincount(seg, weights=rows, minlength=lens.size), (a,), vjp)
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, lens, heads: int) -> Tensor:
+    """Multi-head causal self-attention over packed sequences, in one record.
+
+    q, k and v are [N, d] projections of N packed rows (see Segments); the d
+    columns split into ``heads`` equal blocks. Row i of a sequence attends
+    to rows 0..i of the same sequence only: the causal upper triangle and
+    the padding keys get exactly zero weight. Returns the [N, d] heads'
+    outputs side by side, before any output projection.
+    """
+    shapes = {q.data.shape, k.data.shape, v.data.shape}
+    if len(shapes) != 1 or q.data.ndim != 2:
+        raise ShapeError(f"causal_attention: q/k/v shapes {sorted(shapes)}")
+    n, d = q.data.shape
+    if heads < 1 or d % heads:
+        raise ShapeError(f"causal_attention: width {d} does not split into {heads} heads")
+    segs = Segments(n, lens)
+    b, width, dh = segs.count, segs.width, d // heads
+
+    def split(x):  # [N, d] -> [segments, heads, width, dh]
+        return segs.pad(x).reshape(b, width, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x):  # inverse of split
+        return segs.unpad(x.transpose(0, 2, 1, 3).reshape(b, width, d))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / np.sqrt(dh)
+    hidden = np.triu(np.ones((width, width), dtype=bool), 1) \
+        | (np.arange(width) >= segs.lens[:, None])[:, None, None, :]
+    # overflowing scores end in a non-finite output, which _emit reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
+        np.copyto(scores, -np.inf, where=hidden)
+        scores -= scores.max(axis=-1, keepdims=True)
+        w = np.exp(scores, out=scores)
+        w /= w.sum(axis=-1, keepdims=True)
+        out = merge(np.matmul(w, vh))
+
+    def vjp(g):
+        gh = split(g)
+        gw = np.matmul(gh, vh.swapaxes(-1, -2))
+        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
+        return (merge(np.matmul(gs, kh)),
+                merge(np.matmul(gs.swapaxes(-1, -2), qh)),
+                merge(np.matmul(w.swapaxes(-1, -2), gh)))
+
+    return _emit("causal_attention", out, (q, k, v), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:

@@ -2,9 +2,9 @@
 
 All loss functions build taped tensor expressions, so calling them inside an
 open GradTape yields gradients; calling them outside just computes numbers.
-Each per-sequence term scores a ForwardPass its caller computed; none runs
-the model itself.
-Per-sequence losses cover:
+Each term scores a whole batch from one packed ForwardPass its caller
+computed (see model.pack) and returns one value per sequence; none runs the
+model itself. The per-sequence values cover:
 
 * nll: negative log-likelihood of every transition, combining the next-mark
   log-probability with the lognormal log-density of the observed gap.
@@ -27,10 +27,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Ctas
-from .model import ForwardPass, Model
+from .model import ForwardPass, Model, pack
 from .numerics import (
     NumericError,
     ParamStore,
+    Segments,
     Tensor,
     add,
     div,
@@ -38,10 +39,10 @@ from .numerics import (
     mul,
     pick,
     relu,
+    segment_sum,
     shifted_prefix_max,
     sub,
     sum_all,
-    take_cols,
     take_rows,
 )
 
@@ -76,78 +77,90 @@ class LossBreakdown:
         return asdict(self)
 
 
-def hinge_sum(probs: Tensor) -> Tensor:
-    """Sum of max(0, running-best - current) down each column.
+def hinge_sum(probs: Tensor, lens=None) -> Tensor:
+    """Per-sequence sum of max(0, running-best - current) down each column.
 
-    The running best is the strictly-previous prefix maximum with the first
-    row pinned to zero, so any column that never decreases contributes
-    exactly zero.
+    probs holds packed rows, lens[b] per sequence (lens=None: one sequence).
+    The running best is the strictly-previous prefix maximum with each
+    sequence's first row pinned to zero, so any column that never decreases
+    contributes exactly zero.
     """
-    return sum_all(relu(sub(shifted_prefix_max(probs), probs)))
+    if lens is None:
+        lens = [probs.data.shape[0]]
+    return segment_sum(relu(sub(shifted_prefix_max(probs, lens), probs)), lens)
 
 
-def nll(model: Model, seq: Ctas, eos_time_term: bool = True, *,
+def _goal_rows(batch: list[Ctas], fwd: ForwardPass) -> np.ndarray:
+    """The goal of the sequence each packed row belongs to."""
+    return np.repeat([seq.goal for seq in batch], fwd.lens)
+
+
+def nll(model: Model, batch: list[Ctas], eos_time_term: bool = True, *,
         fwd: ForwardPass) -> Tensor:
-    """Negative log-likelihood of all transitions of one sequence.
+    """Negative log-likelihood of all transitions, one value per sequence.
 
     The terminal transition's mark term always participates; its time term
     can be dropped with eos_time_term=False since the terminal gap is a
     synthetic constant.
     """
-    n = len(seq.actions)
-    if n < 2:
-        raise ValueError(f"sequence {seq.id!r} has no transitions")
-    marks = seq.marks()
-    gaps = np.diff(seq.times())
+    for seq in batch:
+        if len(seq.actions) < 2:
+            raise ValueError(f"sequence {seq.id!r} has no transitions")
+    marks, times, lens = pack(batch)
+    last = np.cumsum(lens) - 1
+    src = np.delete(np.arange(marks.size), last)  # rows with a successor
+    gaps = times[src + 1] - times[src]
     if np.any(gaps <= 0.0):
-        raise NumericError(f"sequence {seq.id!r}: non-positive gap")
-    idx = np.arange(n - 1, dtype=np.intp)
-    mark_ll = sum_all(pick(fwd.mark_logprob, idx, marks[1:]))
-    if not eos_time_term and marks[-1] == model.vocab.eos_id:
-        idx = idx[:-1]
-        gaps = gaps[:-1]
-    if idx.size == 0:
-        return mul(mark_ll, -1.0)
-    mu = take_rows(fwd.mu, idx)
-    sigma2 = take_rows(fwd.sigma2, idx)
+        raise NumericError("non-positive gap")
+    steps = lens - 1
+    mark_ll = segment_sum(pick(fwd.mark_logprob, src, marks[src + 1]), steps)
+    if not eos_time_term:
+        # drop each terminal-mark sequence's last transition from the time term
+        ends_eos = marks[last] == model.vocab.eos_id
+        timed = np.ones(src.size, dtype=bool)
+        timed[(np.cumsum(steps) - 1)[ends_eos]] = False
+        src, gaps, steps = src[timed], gaps[timed], steps - ends_eos
+    mu = take_rows(fwd.mu, src)
+    sigma2 = take_rows(fwd.sigma2, src)
     log_gap = Tensor(np.log(gaps)[:, None])
     centered = sub(log_gap, mu)
     quad = div(mul(centered, centered), mul(sigma2, 2.0))
     half_log = mul(log(mul(sigma2, 2.0 * math.pi)), 0.5)
     per_step = sub(sub(mul(log_gap, -1.0), half_log), quad)
-    return mul(add(mark_ll, sum_all(per_step)), -1.0)
+    return mul(add(mark_ll, segment_sum(per_step, steps)), -1.0)
 
 
-def discounted_goal_ce(model: Model, seq: Ctas, gamma: float, *,
+def discounted_goal_ce(model: Model, batch: list[Ctas], gamma: float, *,
                        fwd: ForwardPass) -> Tensor:
-    """Sum over indices k=1..n of gamma^k times the goal cross-entropy."""
+    """Per sequence, the sum over indices k=1..n of gamma^k times the goal
+    cross-entropy."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    n = len(seq.actions)
-    idx = np.arange(n, dtype=np.intp)
-    lp = pick(fwd.goal_logprob, idx, np.full(n, seq.goal, dtype=np.intp))
-    weights = gamma ** np.arange(1, n + 1, dtype=np.float64)
-    return mul(sum_all(mul(lp, Tensor(weights))), -1.0)
+    n = int(fwd.lens.sum())
+    lp = pick(fwd.goal_logprob, np.arange(n), _goal_rows(batch, fwd))
+    weights = gamma ** (Segments(n, fwd.lens).pos + 1.0)
+    return mul(segment_sum(mul(lp, Tensor(weights)), fwd.lens), -1.0)
 
 
-def margin_goal(model: Model, seq: Ctas, *, fwd: ForwardPass) -> Tensor:
-    """Hinge penalty for drops in the true goal's probability along the sequence."""
-    n = len(seq.actions)
-    idx = np.arange(n, dtype=np.intp)
-    p = pick(fwd.goal_prob, idx, np.full(n, seq.goal, dtype=np.intp))
-    return hinge_sum(p)
+def margin_goal(model: Model, batch: list[Ctas], *, fwd: ForwardPass) -> Tensor:
+    """Hinge penalty for drops in the true goal's probability along each sequence."""
+    n = int(fwd.lens.sum())
+    p = pick(fwd.goal_prob, np.arange(n), _goal_rows(batch, fwd))
+    return hinge_sum(p, fwd.lens)
 
 
-def margin_action(model: Model, seq: Ctas, *, fwd: ForwardPass) -> Tensor:
-    """Hinge penalty for drops in the probabilities of the goal's action set.
+def margin_action(model: Model, batch: list[Ctas], *, fwd: ForwardPass) -> Tensor:
+    """Hinge penalty for drops in the probabilities of each goal's action set.
 
-    The candidate set is the marks observed with this goal in the training
-    split (terminal mark excluded); each candidate keeps its own running
-    best.
+    A sequence's candidate set is the marks observed with its goal in the
+    training split (terminal mark excluded); each candidate keeps its own
+    running best. Other marks are zeroed out, which makes their hinge zero.
     """
-    candidates = model.vocab.marks_for_goal(seq.goal)
-    p = take_cols(fwd.mark_prob, np.array(candidates, dtype=np.intp))
-    return hinge_sum(p)
+    candidates = np.zeros((model.vocab.n_goals, model.vocab.n_marks))
+    for goal in sorted({seq.goal for seq in batch}):
+        candidates[goal, list(model.vocab.marks_for_goal(goal))] = 1.0
+    keep = Tensor(candidates[_goal_rows(batch, fwd)])
+    return hinge_sum(mul(fwd.mark_prob, keep), fwd.lens)
 
 
 def l2_penalty(store: ParamStore) -> Tensor:
@@ -161,6 +174,19 @@ def l2_penalty(store: ParamStore) -> Tensor:
     return acc
 
 
+def sequence_terms(model: Model, batch: list[Ctas], *, gamma: float,
+                   eos_time_term: bool = True) -> dict[str, Tensor]:
+    """Every loss term of a batch from one packed forward pass; each term
+    holds one value per sequence, in batch order."""
+    fwd = model.forward(*pack(batch))
+    return {
+        "nll": nll(model, batch, eos_time_term, fwd=fwd),
+        "goal_ce": discounted_goal_ce(model, batch, gamma, fwd=fwd),
+        "margin_goal": margin_goal(model, batch, fwd=fwd),
+        "margin_action": margin_action(model, batch, fwd=fwd),
+    }
+
+
 def total_loss(model: Model, batch: list[Ctas], *, gamma: float,
                margin_weight: float, l2_coeff: float,
                eos_time_term: bool = True) -> tuple[Tensor, LossBreakdown]:
@@ -168,32 +194,26 @@ def total_loss(model: Model, batch: list[Ctas], *, gamma: float,
 
     Returns the taped scalar to differentiate and a float breakdown whose
     components are batch means (l2 is the raw squared norm). A non-finite
-    component aborts with the offending sequence id in the error.
+    value aborts with the offending sequence id in the error: the batch is
+    then re-run one sequence at a time to find it.
     """
     if not batch:
         raise ValueError("empty batch")
-    acc: Tensor | None = None
-    sums = {"nll": 0.0, "goal_ce": 0.0, "margin_goal": 0.0, "margin_action": 0.0}
-    for seq in batch:
-        try:
-            fwd = model.forward(seq.marks(), seq.times())
-            terms = {
-                "nll": nll(model, seq, eos_time_term, fwd=fwd),
-                "goal_ce": discounted_goal_ce(model, seq, gamma, fwd=fwd),
-                "margin_goal": margin_goal(model, seq, fwd=fwd),
-                "margin_action": margin_action(model, seq, fwd=fwd),
-            }
-        except NumericError as e:
-            raise NumericError(f"sequence {seq.id!r}: {e}") from None
-        seq_total = add(add(terms["nll"], terms["goal_ce"]),
-                        mul(add(terms["margin_goal"], terms["margin_action"]), margin_weight))
-        for name, tensor in terms.items():
-            sums[name] += float(tensor.data)
-        acc = seq_total if acc is None else add(acc, seq_total)
-    mean = mul(acc, 1.0 / len(batch))
+    try:
+        terms = sequence_terms(model, batch, gamma=gamma, eos_time_term=eos_time_term)
+    except NumericError:
+        for seq in batch:
+            try:
+                sequence_terms(model, [seq], gamma=gamma, eos_time_term=eos_time_term)
+            except NumericError as e:
+                raise NumericError(f"sequence {seq.id!r}: {e}") from None
+        raise
+    per_seq = add(add(terms["nll"], terms["goal_ce"]),
+                  mul(add(terms["margin_goal"], terms["margin_action"]), margin_weight))
+    mean = mul(sum_all(per_seq), 1.0 / len(batch))
     l2 = l2_penalty(model.store)
     total = add(mean, mul(l2, l2_coeff)) if l2_coeff != 0.0 else mean
     breakdown = LossBreakdown.build(
-        **{name: value / len(batch) for name, value in sums.items()},
+        **{name: float(t.data.sum()) / len(batch) for name, t in terms.items()},
         l2=float(l2.data), margin_weight=margin_weight, l2_coeff=l2_coeff)
     return total, breakdown

@@ -228,10 +228,10 @@ def test_criterion_05_loss_identities(announce):
         seq = random_sequence(np.random.default_rng(seed), 3,
                               int(3 + seed % 4), goal=seed % 2)
         fwd = model.forward(seq.marks(), seq.times())
-        discounted = float(discounted_goal_ce(model, seq, 1.0, fwd=fwd).data)
+        discounted = float(discounted_goal_ce(model, [seq], 1.0, fwd=fwd).data[0])
         plain = -float(np.sum(fwd.goal_logprob.data[:, seq.goal]))
         worst_ce = max(worst_ce, abs(discounted - plain))
-        assert float(discounted_goal_ce(model, seq, 0.0, fwd=fwd).data) == 0.0
+        assert float(discounted_goal_ce(model, [seq], 0.0, fwd=fwd).data[0]) == 0.0
     assert worst_ce < 1e-12
 
     rng = np.random.default_rng(55)
@@ -240,7 +240,7 @@ def test_criterion_05_loss_identities(announce):
         rows = int(rng.integers(2, 9))
         cols = int(rng.integers(1, 4))
         monotone = np.sort(rng.uniform(0.0, 1.0, size=(rows, cols)), axis=0)
-        if float(hinge_sum(Tensor(monotone)).data) != 0.0:
+        if float(hinge_sum(Tensor(monotone)).data[0]) != 0.0:
             nonzero += 1
     ok = worst_ce < 1e-12 and nonzero == 0
     announce(5, "loss identities", ok,

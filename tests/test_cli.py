@@ -138,6 +138,30 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("E_CONFIG:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload", [
+        {"data": {"train_fraction": 1.5}},
+        {"data": {"train_fraction": 0.0}},
+        {"train": {"seed": -1}},
+    ], ids=["fraction_above_one", "fraction_zero", "seed_negative"])
+    def test_out_of_range_config_is_config_error(self, workspace, capsys, tmp_path,
+                                                 payload):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "x"
+        assert main(["train", "--data", str(workspace["corpus"]),
+                     "--config", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("E_CONFIG:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--epochs", "0"], ["--seed", "-1"]],
+                             ids=["epochs_zero", "seed_negative"])
+    def test_bad_override_writes_nothing(self, workspace, capsys, tmp_path, flags):
+        out = tmp_path / "f1"
+        assert main(["train", "--data", str(workspace["corpus"]),
+                     "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err.startswith("E_CONFIG:")
+        assert not out.exists()
+
     def test_readme_run_config_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"\*\*Run config\*\*.*?```json\n(.*?)```", readme, re.S).group(1)

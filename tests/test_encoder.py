@@ -15,7 +15,7 @@ from actionflow.encoder import (
     set_embed,
 )
 from actionflow.model import ModelConfig
-from actionflow.numerics import GradTape, ParamStore, Tensor, sum_all
+from actionflow.numerics import GradTape, ParamStore, Tensor, causal_attention, sum_all
 
 D = 8
 
@@ -203,8 +203,7 @@ class TestAttention:
         cfg = make_cfg(blocks=1)
         store = make_store(cfg, seed=8)
         x = Tensor(np.random.default_rng(2).normal(size=(1, D)))
-        mask = np.zeros((1, 1), dtype=bool)
-        out = _attention(store, cfg, x, 0, mask)
+        out = _attention(store, cfg, x, 0, None)
         v = x.data @ store["block0.attn.wv"].data
         expect = v @ store["block0.attn.wo"].data
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
@@ -214,22 +213,24 @@ class TestAttention:
         store = make_store(cfg, seed=9)
         store["block0.attn.wk"].data[:] = 0.0  # all scores collapse to 0
         x = Tensor(np.random.default_rng(3).normal(size=(3, D)))
-        mask = np.triu(np.ones((3, 3), dtype=bool), 1)
-        out = _attention(store, cfg, x, 0, mask)
+        out = _attention(store, cfg, x, 0, None)
         v = x.data @ store["block0.attn.wv"].data
         for j in range(3):
             expect = v[: j + 1].mean(axis=0) @ store["block0.attn.wo"].data
             np.testing.assert_allclose(out.data[j], expect, atol=1e-12)
 
     def test_matches_brute_force_oracle(self):
+        # five sequences of mixed lengths, packed into one call
         cfg = make_cfg(blocks=1, heads=2)
         store = make_store(cfg, seed=10)
         rng = np.random.default_rng(4)
-        for _ in range(5):
-            k = int(rng.integers(1, 7))
-            x = rng.normal(size=(k, D))
-            mask = np.triu(np.ones((k, k), dtype=bool), 1)
-            out = _attention(store, cfg, Tensor(x), 0, mask)
+        lens = rng.integers(1, 7, size=5)
+        lens[0] = 1
+        x_all = rng.normal(size=(int(lens.sum()), D))
+        out_all = _attention(store, cfg, Tensor(x_all), 0, lens).data
+        for n, end in zip(lens, np.cumsum(lens)):
+            k = int(n)
+            x, out = x_all[end - k:end], out_all[end - k:end]
             q = x @ store["block0.attn.wq"].data
             ky = x @ store["block0.attn.wk"].data
             v = x @ store["block0.attn.wv"].data
@@ -245,22 +246,56 @@ class TestAttention:
                     weights[j, : j + 1] = e / e.sum()
                 merged[:, sl] = weights @ v[:, sl]
             expect = merged @ store["block0.attn.wo"].data
-            np.testing.assert_allclose(out.data, expect, atol=1e-12)
+            np.testing.assert_allclose(out, expect, atol=1e-12)
 
     def test_masked_weights_are_exactly_zero(self):
-        cfg = make_cfg(blocks=1, heads=1)
-        store = make_store(cfg, seed=11)
-        x = Tensor(np.random.default_rng(5).normal(size=(4, D)) * 5.0)
-        mask = np.triu(np.ones((4, 4), dtype=bool), 1)
-        # reconstruct the weight matrix the op used
-        q = x.data @ store["block0.attn.wq"].data
-        ky = x.data @ store["block0.attn.wk"].data
-        scores = q @ ky.T / np.sqrt(D)
-        scores[mask] = -1e30
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        weights = np.exp(shifted)
-        weights /= weights.sum(axis=1, keepdims=True)
-        assert np.all(weights[mask] == 0.0)
+        # one-hot values make each output row the row's attention weights;
+        # future rows and rows of the other sequence must get exactly zero
+        lens = [4, 3]
+        rng = np.random.default_rng(5)
+        q = Tensor(rng.normal(size=(7, D)) * 5.0)
+        k = Tensor(rng.normal(size=(7, D)) * 5.0)
+        v = Tensor(np.eye(7, D))
+        weights = causal_attention(q, k, v, lens, 1).data[:, :7]
+        seg = np.repeat([0, 1], lens)
+        pos = np.array([0, 1, 2, 3, 0, 1, 2])
+        visible = (seg[:, None] == seg[None, :]) & (pos[None, :] <= pos[:, None])
+        assert np.all(weights[~visible] == 0.0)
+        assert np.all(weights[visible] > 0.0)
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+class TestPacked:
+    """A sequence's rows are the same alone and packed with others."""
+
+    @pytest.mark.parametrize("ffn", ["summed", "standard"])
+    def test_packed_rows_match_each_sequence_alone(self, ffn):
+        cfg = make_cfg(ffn=ffn)
+        store = make_store(cfg, seed=21, with_set=True)
+        rng = np.random.default_rng(15)
+        seqs = [random_sequence(rng, k) for k in (1, 7, 3, 11)]
+        lens = [len(m) for m, _ in seqs]
+        marks = np.concatenate([m for m, _ in seqs])
+        # every sequence restarts its clock, so packed times are not monotone
+        times = np.concatenate([t for _, t in seqs])
+        y = embed_actions(store, marks, times, lens)
+        s = encode(store, cfg, y, lens).data
+        x = set_embed(store, y, lens).data
+        for (mk, t), end, k in zip(seqs, np.cumsum(lens), lens):
+            y1 = embed_actions(store, mk, t)
+            np.testing.assert_array_equal(y.data[end - k:end], y1.data)
+            np.testing.assert_allclose(s[end - k:end], encode(store, cfg, y1).data,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(x[end - k:end], set_embed(store, y1).data,
+                                       rtol=0, atol=1e-12)
+
+    def test_capacity_applies_per_sequence(self):
+        cfg = make_cfg(max_len=3)  # four positional rows
+        store = make_store(cfg)
+        out = positional_add(store, Tensor(np.zeros((8, D))), [4, 4])
+        np.testing.assert_array_equal(out.data[4:], out.data[:4])
+        with pytest.raises(CapacityError):
+            positional_add(store, Tensor(np.zeros((6, D))), [1, 5])
 
 
 class TestEncode:

@@ -52,13 +52,13 @@ def small_corpus(n=5, seed=0, length=4):
 
 @pytest.fixture
 def forward_calls(monkeypatch):
-    """Sequence lengths of every Model.forward call made while the test runs."""
+    """Row counts of every Model.forward call made while the test runs."""
     calls = []
     original = Model.forward
 
-    def counted(self, marks, times):
+    def counted(self, marks, times, lens=None):
         calls.append(len(marks))
-        return original(self, marks, times)
+        return original(self, marks, times, lens)
 
     monkeypatch.setattr(Model, "forward", counted)
     return calls
@@ -311,7 +311,8 @@ class TestEvalReport:
         model = make_model(seed=4)
         corpus = small_corpus(n=5, seed=11)
         full_report(model, corpus, with_generation=False)
-        assert forward_calls == [len(seq) for seq in corpus]
+        # one packed pass holds every sequence's rows exactly once
+        assert forward_calls == [sum(len(seq) for seq in corpus)]
 
 
 class TestSweep:
@@ -423,7 +424,7 @@ class TestSweep:
         row = sweep_point(path, model, train, {})
         assert row["status"] == "ok"
         assert held_out
-        assert len(forward_calls) == len(held_out)
+        assert forward_calls == [sum(len(seq) for seq in held_out)]
 
     def test_sweep_point_applies_overrides(self, tmp_path):
         path = self.corpus_file(tmp_path)

@@ -1,4 +1,9 @@
-"""Tests for the tensor primitives, the gradient tape, and the FD oracle."""
+"""Tests for the tensor primitives, the gradient tape, and the FD oracle.
+
+The column gathers, transpose, masked softmax and concatenation that the
+per-sequence oracle in reference.py rebuilds from the remaining primitives
+are checked here as well, since the packed batch path is judged against it.
+"""
 
 import json
 
@@ -10,10 +15,11 @@ from actionflow.numerics import (
     GradTape,
     NumericError,
     ParamStore,
+    Segments,
     ShapeError,
     Tensor,
     add,
-    concat,
+    causal_attention,
     cumsum,
     div,
     exp,
@@ -21,22 +27,23 @@ from actionflow.numerics import (
     layer_norm,
     log,
     log_softmax,
-    masked_fill,
     matmul,
     mean_all,
     mul,
     pick,
     relu,
+    segment_sum,
     shifted_prefix_max,
-    slice_cols,
-    softmax,
     softplus,
     sub,
     sum_all,
-    take_cols,
     take_rows,
-    transpose,
 )
+from reference import concat, masked_fill, slice_cols, softmax, take_cols, transpose
+
+# fixed output weights for the attention gradient checks, so that no
+# symmetry of sum_all hides a wrong entry
+ATTN_WEIGHTS = Tensor(np.random.default_rng(77).normal(size=(6, 4)))
 
 
 def make_store(shapes, seed):
@@ -222,6 +229,25 @@ class TestPerPrimitiveGradients:
                        lambda s: sum_all(mul(shifted_prefix_max(s["a"]), s["a"]))),
         "prefix_max_1d": ({"a": (7,)},
                           lambda s: sum_all(mul(shifted_prefix_max(s["a"]), s["a"]))),
+        "cumsum_segments": ({"a": (6, 3)},
+                            lambda s: sum_all(mul(cumsum(s["a"], [2, 1, 3]), s["a"]))),
+        "prefix_max_segments": ({"a": (7, 2)},
+                                lambda s: sum_all(mul(shifted_prefix_max(s["a"], [3, 1, 3]),
+                                                      s["a"]))),
+        "segment_sum": ({"a": (5, 3)},
+                        lambda s: sum_all(mul(segment_sum(s["a"], [2, 0, 3]),
+                                              segment_sum(s["a"], [2, 0, 3])))),
+        "segment_sum_1d": ({"a": (5,)},
+                           lambda s: sum_all(mul(segment_sum(s["a"], [1, 4]),
+                                                 segment_sum(s["a"], [1, 4])))),
+        "causal_attention_1head": (
+            {"q": (6, 4), "k": (6, 4), "v": (6, 4)},
+            lambda s: sum_all(mul(causal_attention(s["q"], s["k"], s["v"], [1, 3, 2], 1),
+                                  ATTN_WEIGHTS))),
+        "causal_attention_2heads": (
+            {"q": (6, 4), "k": (6, 4), "v": (6, 4)},
+            lambda s: sum_all(mul(causal_attention(s["q"], s["k"], s["v"], [4, 1, 1], 2),
+                                  ATTN_WEIGHTS))),
         "layer_norm": ({"x": (4, 6), "g": (6,), "b": (6,)},
                        lambda s: sum_all(mul(layer_norm(s["x"], s["g"], s["b"]),
                                              layer_norm(s["x"], s["g"], s["b"])))),
@@ -257,11 +283,11 @@ class TestPrefixMaxTies:
                     best_val = np.maximum(best_val, a[j])
         return z
 
-    def grad_of(self, a, g):
+    def grad_of(self, a, g, lens=None):
         store = ParamStore()
         w = store.add("w", a)
         with GradTape() as tape:
-            tape.backward(sum_all(mul(shifted_prefix_max(w), Tensor(g))))
+            tape.backward(sum_all(mul(shifted_prefix_max(w, lens), Tensor(g))))
         return store.grad("w")
 
     @pytest.mark.parametrize("rank", [1, 2])
@@ -280,6 +306,79 @@ class TestPrefixMaxTies:
     def test_ties_go_to_first_row(self):
         got = self.grad_of(np.array([1.0, 1.0, 0.0, 1.0, 2.0]), np.ones(5))
         np.testing.assert_array_equal(got, [4.0, 0.0, 0.0, 0.0, 0.0])
+
+    def test_segments_restart_ties_on_tied_integers(self):
+        # each segment routes its own gradient as if it stood alone; a tie
+        # across a boundary must not pull gradient into the earlier segment
+        rng = np.random.default_rng(35)
+        for _ in range(100):
+            lens = rng.integers(1, 6, size=int(rng.integers(1, 5)))
+            a = rng.integers(-2, 3, size=(int(lens.sum()), 2)).astype(np.float64)
+            g = rng.normal(size=a.shape)
+            ends = np.cumsum(lens)
+            want = np.concatenate([self.loop_grad(a[e - n:e], g[e - n:e])
+                                   for n, e in zip(lens, ends)])
+            np.testing.assert_array_equal(self.grad_of(a, g, lens), want)
+
+    def test_segment_ties_go_to_first_row_of_their_segment(self):
+        got = self.grad_of(np.array([1.0, 1.0, 1.0, 1.0, 0.0]), np.ones(5), [2, 3])
+        np.testing.assert_array_equal(got, [1.0, 0.0, 2.0, 0.0, 0.0])
+
+
+class TestSegments:
+    """Segmented scans restart at every boundary and match per-segment runs."""
+
+    LENS = [3, 1, 4, 2]
+
+    def rows(self, seed, cols=3):
+        return np.random.default_rng(seed).normal(size=(sum(self.LENS), cols))
+
+    def per_segment(self, a):
+        ends = np.cumsum(self.LENS)
+        return [a[e - n:e] for n, e in zip(self.LENS, ends)]
+
+    def test_cumsum_restarts_per_segment(self):
+        a = self.rows(40)
+        want = np.concatenate([np.cumsum(part, axis=0) for part in self.per_segment(a)])
+        np.testing.assert_array_equal(cumsum(Tensor(a), self.LENS).data, want)
+
+    def test_prefix_max_restarts_per_segment(self):
+        a = self.rows(41)
+        want = np.concatenate([shifted_prefix_max(Tensor(part)).data
+                               for part in self.per_segment(a)])
+        np.testing.assert_array_equal(shifted_prefix_max(Tensor(a), self.LENS).data, want)
+
+    def test_one_segment_is_the_default(self):
+        a = self.rows(42)
+        np.testing.assert_array_equal(cumsum(Tensor(a), [a.shape[0]]).data,
+                                      cumsum(Tensor(a)).data)
+        np.testing.assert_array_equal(shifted_prefix_max(Tensor(a), [a.shape[0]]).data,
+                                      shifted_prefix_max(Tensor(a)).data)
+
+    def test_segment_sum_against_loop(self):
+        a = self.rows(43)
+        want = [part.sum() for part in self.per_segment(a)]
+        np.testing.assert_allclose(segment_sum(Tensor(a), self.LENS).data, want,
+                                   rtol=0, atol=1e-12)
+
+    def test_empty_segment_sums_to_zero(self):
+        out = segment_sum(Tensor([1.0, 2.0, 3.0]), [0, 2, 0, 1, 0]).data
+        np.testing.assert_array_equal(out, [0.0, 3.0, 0.0, 3.0, 0.0])
+
+    def test_lengths_must_tile_rows(self):
+        with pytest.raises(ShapeError):
+            Segments(5, [2, 2])
+        with pytest.raises(ShapeError):
+            Segments(2, [2, 0])
+        with pytest.raises(ShapeError):
+            segment_sum(Tensor(np.ones(3)), [1, 1])
+        with pytest.raises(ShapeError):
+            cumsum(Tensor(np.ones((4, 2))), [1, 2])
+        x = Tensor(np.ones((3, 4)))
+        with pytest.raises(ShapeError):
+            causal_attention(x, x, x, [1, 1], 2)
+        with pytest.raises(ShapeError):
+            causal_attention(x, x, x, [3], 3)
 
 
 class TestErrorContracts:

@@ -13,6 +13,8 @@ from actionflow.numerics import (
     NumericError,
     Tensor,
     finite_difference_check,
+    mul,
+    sum_all,
 )
 from actionflow.objectives import (
     LossBreakdown,
@@ -22,23 +24,32 @@ from actionflow.objectives import (
     margin_action,
     margin_goal,
     nll,
+    sequence_terms,
     total_loss,
 )
 
+import reference
 
-def make_model(variant="base", seed=0, clusters=2):
+
+def make_model(variant="base", seed=0, clusters=2, ffn="summed", max_len=8, blocks=1):
     vocab = Vocab(["a", "b", "c"], ["g0", "g1"],
                   goal_marks={0: (0, 1), 1: (1, 2)})
     cm = ClusterMap(m=clusters,
                     mark_to_cluster={i: i % clusters for i in range(vocab.n_marks)})
-    cfg = ModelConfig(d=4, heads=2, blocks=1, clusters=clusters, max_len=8,
-                      variant=variant)
+    cfg = ModelConfig(d=4, heads=2, blocks=blocks, clusters=clusters, max_len=max_len,
+                      variant=variant, ffn=ffn)
     return Model.init(cfg, vocab, cm, seed=seed)
 
 
 def make_seq(marks, times, goal=0, sid="s0"):
     return Ctas(id=sid, goal=goal,
                 actions=[Action(m, float(t)) for m, t in zip(marks, times)])
+
+
+def one(t):
+    """The single value of a one-sequence term."""
+    assert t.data.shape == (1,)
+    return float(t.data[0])
 
 
 def fwd_of(model, seq):
@@ -56,7 +67,7 @@ class TestNll:
         model = make_model(seed=1)
         seq = eos_seq(model, [0, 1, 2], [0.5, 1.2, 3.0], goal=0)
         fwd = fwd_of(model, seq)
-        value = float(nll(model, seq, fwd=fwd).data)
+        value = one(nll(model, [seq], fwd=fwd))
         marks = seq.marks()
         gaps = np.diff(seq.times())
         expect = 0.0
@@ -74,20 +85,20 @@ class TestNll:
         td = TimeDensity(mu=float(fwd.mu.data[0, 0]),
                          sigma2=float(fwd.sigma2.data[0, 0]))
         expect = -(fwd.mark_logprob.data[0, 1] + log_density(td, 0.8))
-        assert float(nll(model, seq, fwd=fwd).data) == pytest.approx(expect, abs=1e-12)
+        assert one(nll(model, [seq], fwd=fwd)) == pytest.approx(expect, abs=1e-12)
 
     def test_no_transitions_rejected(self):
         model = make_model()
         seq = make_seq([0], [0.5])
         with pytest.raises(ValueError):
-            nll(model, seq, fwd=fwd_of(model, seq))
+            nll(model, [seq], fwd=fwd_of(model, seq))
 
     def test_eos_time_term_flag_drops_only_terminal_gap(self):
         model = make_model(seed=3)
         seq = eos_seq(model, [0, 1], [0.2, 0.9], goal=1)
         fwd = fwd_of(model, seq)
-        full = float(nll(model, seq, eos_time_term=True, fwd=fwd).data)
-        partial = float(nll(model, seq, eos_time_term=False, fwd=fwd).data)
+        full = one(nll(model, [seq], eos_time_term=True, fwd=fwd))
+        partial = one(nll(model, [seq], eos_time_term=False, fwd=fwd))
         k = len(seq.actions) - 2
         td = TimeDensity(mu=float(fwd.mu.data[k, 0]),
                          sigma2=float(fwd.sigma2.data[k, 0]))
@@ -98,8 +109,8 @@ class TestNll:
         model = make_model(seed=4)
         seq = make_seq([0, 1, 2], [0.2, 0.9, 1.7])
         fwd = fwd_of(model, seq)
-        a = float(nll(model, seq, eos_time_term=True, fwd=fwd).data)
-        b = float(nll(model, seq, eos_time_term=False, fwd=fwd).data)
+        a = one(nll(model, [seq], eos_time_term=True, fwd=fwd))
+        b = one(nll(model, [seq], eos_time_term=False, fwd=fwd))
         assert a == b
 
     def test_nonpositive_gap_propagates_with_id(self):
@@ -114,29 +125,29 @@ class TestDiscountedGoalCe:
         model = make_model(seed=5)
         seq = eos_seq(model, [0, 1, 2], [0.1, 0.9, 2.2], goal=1)
         fwd = fwd_of(model, seq)
-        value = float(discounted_goal_ce(model, seq, 1.0, fwd=fwd).data)
+        value = one(discounted_goal_ce(model, [seq], 1.0, fwd=fwd))
         expect = -float(np.sum(fwd.goal_logprob.data[:, seq.goal]))
         assert value == pytest.approx(expect, abs=1e-12)
 
     def test_gamma_zero_is_exactly_zero(self):
         model = make_model(seed=6)
         seq = make_seq([0, 1], [0.1, 0.9])
-        value = discounted_goal_ce(model, seq, 0.0, fwd=fwd_of(model, seq))
-        assert float(value.data) == 0.0
+        value = discounted_goal_ce(model, [seq], 0.0, fwd=fwd_of(model, seq))
+        assert one(value) == 0.0
 
     def test_two_step_hand_weighting(self):
         model = make_model(seed=7)
         seq = make_seq([0, 2], [0.4, 1.0], goal=0)
         fwd = fwd_of(model, seq)
         ce = -fwd.goal_logprob.data[:, 0]
-        value = float(discounted_goal_ce(model, seq, 0.9, fwd=fwd).data)
+        value = one(discounted_goal_ce(model, [seq], 0.9, fwd=fwd))
         assert value == pytest.approx(0.9 * ce[0] + 0.81 * ce[1], abs=1e-12)
 
     def test_gamma_outside_unit_interval_rejected(self):
         model = make_model()
         seq = make_seq([0, 1], [0.1, 0.9])
         with pytest.raises(ValueError):
-            discounted_goal_ce(model, seq, 1.5, fwd=fwd_of(model, seq))
+            discounted_goal_ce(model, [seq], 1.5, fwd=fwd_of(model, seq))
 
 
 class TestHingeSum:
@@ -144,15 +155,15 @@ class TestHingeSum:
         # 0.7 then 0.5: the second step pays 0.2; the third (0.2 below best
         # 0.7) pays 0.5
         probs = Tensor(np.array([[0.7], [0.5], [0.2]]))
-        assert float(hinge_sum(probs).data) == pytest.approx(0.7, abs=1e-12)
+        assert one(hinge_sum(probs)) == pytest.approx(0.7, abs=1e-12)
 
     def test_first_row_never_penalized(self):
         probs = Tensor(np.array([[0.9], [0.95]]))
-        assert float(hinge_sum(probs).data) == 0.0
+        assert one(hinge_sum(probs)) == 0.0
 
     def test_constant_scores_zero(self):
         probs = Tensor(np.full((5, 2), 0.4))
-        assert float(hinge_sum(probs).data) == 0.0
+        assert one(hinge_sum(probs)) == 0.0
 
     def test_monotone_columns_exactly_zero(self):
         rng = np.random.default_rng(8)
@@ -160,7 +171,7 @@ class TestHingeSum:
             k = int(rng.integers(1, 12))
             cols = int(rng.integers(1, 4))
             probs = np.sort(rng.uniform(size=(k, cols)), axis=0)
-            assert float(hinge_sum(Tensor(probs)).data) == 0.0
+            assert one(hinge_sum(Tensor(probs))) == 0.0
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(9)
@@ -174,7 +185,7 @@ class TestHingeSum:
                 for i in range(k):
                     expect += max(0.0, best - p[i, c])
                     best = max(best, p[i, c])
-            assert float(hinge_sum(Tensor(p)).data) == pytest.approx(expect, abs=1e-12)
+            assert one(hinge_sum(Tensor(p))) == pytest.approx(expect, abs=1e-12)
 
 
 class TestMargins:
@@ -187,7 +198,7 @@ class TestMargins:
         for v in p:
             expect += max(0.0, best - v)
             best = max(best, v)
-        assert float(margin_goal(model, seq, fwd=fwd).data) == pytest.approx(
+        assert one(margin_goal(model, [seq], fwd=fwd)) == pytest.approx(
             expect, abs=1e-12)
 
     def test_margin_action_matches_nested_oracle(self):
@@ -201,7 +212,7 @@ class TestMargins:
                 v = fwd.mark_prob.data[i, c]
                 expect += max(0.0, best - v)
                 best = max(best, v)
-        assert float(margin_action(model, seq, fwd=fwd).data) == pytest.approx(
+        assert one(margin_action(model, [seq], fwd=fwd)) == pytest.approx(
             expect, abs=1e-12)
 
     def test_margin_action_needs_goal_action_sets(self):
@@ -209,7 +220,7 @@ class TestMargins:
         model.vocab.goal_marks = None
         seq = make_seq([0, 1], [0.1, 0.9])
         with pytest.raises(DataError):
-            margin_action(model, seq, fwd=fwd_of(model, seq))
+            margin_action(model, [seq], fwd=fwd_of(model, seq))
 
     def test_margins_nonnegative(self):
         model = make_model(seed=13)
@@ -220,8 +231,8 @@ class TestMargins:
             times = np.cumsum(rng.uniform(0.2, 1.0, size=k))
             seq = make_seq(marks, times, goal=int(rng.integers(0, 2)))
             fwd = fwd_of(model, seq)
-            assert float(margin_goal(model, seq, fwd=fwd).data) >= 0.0
-            assert float(margin_action(model, seq, fwd=fwd).data) >= 0.0
+            assert one(margin_goal(model, [seq], fwd=fwd)) >= 0.0
+            assert one(margin_action(model, [seq], fwd=fwd)) >= 0.0
 
 
 class TestL2AndBreakdown:
@@ -263,10 +274,10 @@ class TestTotalLoss:
         per_seq = []
         for seq in batch:
             fwd = fwd_of(model, seq)
-            v = (float(nll(model, seq, fwd=fwd).data)
-                 + float(discounted_goal_ce(model, seq, 0.9, fwd=fwd).data)
-                 + 0.1 * (float(margin_goal(model, seq, fwd=fwd).data)
-                          + float(margin_action(model, seq, fwd=fwd).data)))
+            v = (one(nll(model, [seq], fwd=fwd))
+                 + one(discounted_goal_ce(model, [seq], 0.9, fwd=fwd))
+                 + 0.1 * (one(margin_goal(model, [seq], fwd=fwd))
+                          + one(margin_action(model, [seq], fwd=fwd))))
             per_seq.append(v)
         l2 = float(l2_penalty(model.store).data)
         assert float(total.data) == pytest.approx(np.mean(per_seq) + 0.001 * l2,
@@ -278,7 +289,7 @@ class TestTotalLoss:
         batch = self.batch(model)
         _, bd = total_loss(model, batch, gamma=0.9, margin_weight=0.1,
                            l2_coeff=0.001)
-        nlls = [float(nll(model, s, fwd=fwd_of(model, s)).data) for s in batch]
+        nlls = [one(nll(model, [s], fwd=fwd_of(model, s))) for s in batch]
         assert bd.nll == pytest.approx(np.mean(nlls), abs=1e-12)
 
     def test_margin_disabled_reduces_to_core_terms(self):
@@ -287,8 +298,8 @@ class TestTotalLoss:
         total, bd = total_loss(model, batch, gamma=0.9, margin_weight=0.0,
                                l2_coeff=0.001)
         passes = [(s, fwd_of(model, s)) for s in batch]
-        core = np.mean([float(nll(model, s, fwd=fwd).data)
-                        + float(discounted_goal_ce(model, s, 0.9, fwd=fwd).data)
+        core = np.mean([one(nll(model, [s], fwd=fwd))
+                        + one(discounted_goal_ce(model, [s], 0.9, fwd=fwd))
                         for s, fwd in passes])
         l2 = float(l2_penalty(model.store).data)
         assert float(total.data) == pytest.approx(core + 0.001 * l2, abs=1e-12)
@@ -327,3 +338,118 @@ class TestTotalLoss:
         for name in ("mark.w", "goal.w_out", "time.w_mu", "time.w_var",
                      "embed.marks", "pos.table"):
             assert np.any(model.store.grad(name) != 0.0), name
+
+
+def random_batch(model, rng, lens, with_eos=True):
+    """Sequences of the given lengths; every other one ends in the terminal mark."""
+    batch = []
+    for i, n in enumerate(lens):
+        times = np.cumsum(rng.uniform(0.2, 1.5, size=n))
+        marks = rng.integers(0, 3, size=n).tolist()
+        if with_eos and i % 2 == 0:
+            marks[-1] = model.vocab.eos_id
+        batch.append(make_seq(marks, times, goal=int(rng.integers(0, 2)), sid=f"s{i}"))
+    return batch
+
+
+def gradients(model, build):
+    model.store.zero_grads()
+    with GradTape() as tape:
+        tape.backward(build())
+    grads = {name: model.store.grad(name).copy() for name in model.store.names()}
+    model.store.zero_grads()
+    return grads
+
+
+LOSS = dict(gamma=0.9, margin_weight=0.1, l2_coeff=0.001)
+
+
+class TestPackedMatchesReference:
+    """The packed batch path against the per-sequence oracle in reference.py."""
+
+    @pytest.mark.parametrize("eos_time_term", [True, False])
+    @pytest.mark.parametrize("ffn", ["summed", "standard"])
+    @pytest.mark.parametrize("variant", ["base", "plus"])
+    def test_terms_total_and_gradients(self, variant, ffn, eos_time_term):
+        model = make_model(variant=variant, seed=31, ffn=ffn, max_len=12, blocks=2)
+        batch = random_batch(model, np.random.default_rng(32), [2, 9, 5, 13, 3, 2])
+        terms = sequence_terms(model, batch, gamma=0.9, eos_time_term=eos_time_term)
+        total, bd = total_loss(model, batch, eos_time_term=eos_time_term, **LOSS)
+        ref_total, ref_terms = reference.total_loss(model, batch,
+                                                    eos_time_term=eos_time_term, **LOSS)
+        for i, ref in enumerate(ref_terms):
+            for name, value in ref.items():
+                assert terms[name].data[i] == pytest.approx(value, abs=1e-12), (i, name)
+        assert float(total.data) == pytest.approx(float(ref_total.data), abs=1e-12)
+        assert bd.nll == pytest.approx(np.mean([r["nll"] for r in ref_terms]), abs=1e-12)
+        got = gradients(model, lambda: total_loss(
+            model, batch, eos_time_term=eos_time_term, **LOSS)[0])
+        want = gradients(model, lambda: reference.total_loss(
+            model, batch, eos_time_term=eos_time_term, **LOSS)[0])
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+
+class TestPadding:
+    """A short sequence packed with a much longer one sees none of it."""
+
+    def test_rows_terms_and_gradients_match_alone(self):
+        model = make_model(variant="plus", seed=33, max_len=40, blocks=2)
+        rng = np.random.default_rng(34)
+        short, long = random_batch(model, rng, [3, 37])
+        fwd_alone = fwd_of(model, short)
+        fwd_packed = model.forward(np.concatenate([short.marks(), long.marks()]),
+                                   np.concatenate([short.times(), long.times()]), [3, 37])
+        for name in ("mark_logprob", "goal_logprob", "mu", "sigma2"):
+            np.testing.assert_allclose(getattr(fwd_packed, name).data[:3],
+                                       getattr(fwd_alone, name).data, rtol=0, atol=1e-12)
+        alone = sequence_terms(model, [short], gamma=0.9)
+        packed = sequence_terms(model, [short, long], gamma=0.9)
+        for name in alone:
+            assert packed[name].data[0] == pytest.approx(one(alone[name]), abs=1e-12)
+
+        def first_total(batch):
+            t = sequence_terms(model, batch, gamma=0.9)
+            per_seq = t["nll"] + t["goal_ce"] + t["margin_goal"] + t["margin_action"]
+            pick_first = np.zeros(len(batch))
+            pick_first[0] = 1.0
+            return sum_all(mul(per_seq, Tensor(pick_first)))
+
+        got = gradients(model, lambda: first_total([short, long]))
+        want = gradients(model, lambda: first_total([short]))
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+
+class TestTapeGrowth:
+    def test_batch_of_32_adds_at_most_a_constant(self):
+        # one packed pass per batch: the tape must not grow with the batch
+        model = make_model(seed=35, max_len=12)
+        rng = np.random.default_rng(36)
+        records = {}
+        for size in (1, 32):
+            batch = random_batch(model, rng, rng.integers(2, 10, size=size))
+            with GradTape() as tape:
+                total_loss(model, batch, **LOSS)
+                records[size] = len(tape)
+        assert records[32] - records[1] <= 4, records
+
+
+class TestDivergentBatch:
+    def test_non_finite_op_names_the_sequence(self):
+        # times near 1e200 overflow the attention scores of that sequence only
+        model = make_model(seed=37, max_len=12)
+        rng = np.random.default_rng(38)
+        batch = random_batch(model, rng, [4, 6, 3])
+        batch.insert(1, make_seq([0, 1, 2], [1e200, 2e200, 3e200], sid="huge"))
+        with pytest.raises(NumericError, match="huge"):
+            total_loss(model, batch, **LOSS)
+
+    def test_bad_gap_names_the_sequence(self):
+        model = make_model(seed=39, max_len=12)
+        batch = random_batch(model, np.random.default_rng(40), [4, 6, 3])
+        batch.append(make_seq([0, 1, 2], [0.5, 0.5, 1.0], sid="tied"))
+        with pytest.raises(NumericError, match="tied"):
+            total_loss(model, batch, **LOSS)

@@ -393,6 +393,16 @@ class TestDivergence:
         with pytest.raises(TrainingDiverged, match="bad-seq"):
             train([bad], vocab, cm, cfg, TrainConfig(lr=0.01, epochs=1))
 
+    def test_divergent_batch_names_offending_sequence(self):
+        # the bad sequence shares one packed batch with healthy ones
+        vocab, cm, cfg = tiny_setup()
+        bad = Ctas(id="bad-seq", goal=0,
+                   actions=[Action(0, 1.0), Action(1, 1.0)])
+        corpus = tiny_corpus(vocab) + [bad]
+        with pytest.raises(TrainingDiverged, match="bad-seq"):
+            train(corpus, vocab, cm, cfg,
+                  TrainConfig(lr=0.01, epochs=1, batch_size=len(corpus)))
+
 
 class TestPrepare:
     def two_goal_corpus(self, count=40, seed=3):
