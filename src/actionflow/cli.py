@@ -191,6 +191,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.count < 1:
+        raise CliError("E_USAGE", f"--count must be at least 1, got {args.count}")
     ckpt = _load_checkpoint(args.ckpt)
     model = ckpt.model
     goal = model.vocab.goal_id(args.goal)
@@ -257,6 +259,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise CliError("E_USAGE", f"--workers must be at least 1, got {args.workers}")
     cfg = _load_run_config(args)
     grid = _read_json(args.grid)
     if not isinstance(grid, dict):

@@ -18,15 +18,15 @@ and the results are summed over the prefix, which is permutation-invariant
 by construction.
 
 Every pass works on packed rows: the actions of a batch of sequences stacked
-in one array, with lens[b] rows for sequence b (lens=None is one sequence).
-Positions, gaps, attention and running sums all restart at each sequence, so
-a sequence's rows come out the same whatever it is packed with.
+in one array, laid out by the one Segments built per forward pass (see
+Model.forward). Positions, gaps, attention and running sums all restart at
+each sequence, so a sequence's rows come out the same whatever it is packed
+with.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,14 +51,6 @@ if TYPE_CHECKING:
 
 class CapacityError(ValueError):
     """A prefix is longer than the positional table supports."""
-
-
-@dataclass
-class EncoderState:
-    """Per-index history vectors, plus order-free prefix sums when present."""
-
-    s: Tensor
-    x: Tensor | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -127,27 +119,27 @@ def init_set_params(store: ParamStore, cfg: ModelConfig,
 # forward passes
 # ---------------------------------------------------------------------------
 
-def embed_actions(store: ParamStore, marks, times, lens=None) -> Tensor:
+def embed_actions(store: ParamStore, marks, times, segs: Segments) -> Tensor:
     """Embed packed actions: mark row + time and gap features + bias.
 
-    marks and times hold the actions of consecutive sequences, lens[b] rows
-    each (lens=None: one sequence). The gap feature of each sequence's first
-    action measures from time zero. Positional rows are not included here;
-    they are added inside encode so the order-free summary can run on
-    position-free inputs.
+    marks and times hold the actions of consecutive sequences, laid out by
+    segs; every sequence needs at least one action. The gap feature of each
+    sequence's first action measures from time zero. Positional rows are not
+    included here; they are added inside encode so the order-free summary
+    can run on position-free inputs.
     """
     marks = np.asarray(marks, dtype=np.intp)
     times = np.asarray(times, dtype=np.float64)
     if marks.ndim != 1 or times.shape != marks.shape:
         raise ValueError(f"marks {marks.shape} and times {times.shape} must be equal-length vectors")
-    if marks.size == 0:
+    segs.check("embed_actions", marks.size)
+    if segs.lens.min() == 0:
         raise ValueError("empty prefix")
     n_rows = store["embed.marks"].data.shape[0]
     if marks.min() < 0 or marks.max() >= n_rows:
         raise DataError(f"mark id outside vocabulary of size {n_rows}")
     gaps = np.diff(times, prepend=0.0)
-    starts = Segments(marks.size, lens).starts
-    gaps[starts] = times[starts]
+    gaps[segs.starts] = times[segs.starts]
     if np.any(gaps < 0.0):
         raise DataError("times must be non-decreasing from zero")
     y = take_rows(store["embed.marks"], marks)
@@ -156,10 +148,10 @@ def embed_actions(store: ParamStore, marks, times, lens=None) -> Tensor:
     return add(y, store["embed.bias"])
 
 
-def positional_add(store: ParamStore, y: Tensor, lens=None) -> Tensor:
+def positional_add(store: ParamStore, y: Tensor, segs: Segments) -> Tensor:
     """Add the trainable positional rows 0..k-1 to each embedded sequence."""
+    segs.check("positional_add", y.data.shape[0])
     table = store["pos.table"]
-    segs = Segments(y.data.shape[0], lens)
     k, capacity = segs.width, table.data.shape[0]
     if k > capacity:
         raise CapacityError(f"prefix length {k} exceeds positional capacity {capacity}")
@@ -167,28 +159,28 @@ def positional_add(store: ParamStore, y: Tensor, lens=None) -> Tensor:
 
 
 def _attention(store: ParamStore, cfg: ModelConfig, x: Tensor, block: int,
-               lens) -> Tensor:
+               segs: Segments) -> Tensor:
     q = matmul(x, store[f"block{block}.attn.wq"])
     k = matmul(x, store[f"block{block}.attn.wk"])
     v = matmul(x, store[f"block{block}.attn.wv"])
-    return matmul(causal_attention(q, k, v, lens, cfg.heads), store[f"block{block}.attn.wo"])
+    return matmul(causal_attention(q, k, v, segs, cfg.heads), store[f"block{block}.attn.wo"])
 
 
 def _feed_forward(store: ParamStore, cfg: ModelConfig, x: Tensor, block: int,
-                  lens) -> Tensor:
+                  segs: Segments) -> Tensor:
     if cfg.ffn == "summed":
         gated = relu(add(mul(x, store[f"block{block}.ffn.w_in"]),
                          store[f"block{block}.ffn.b_in"]))
         per_index = add(mul(gated, store[f"block{block}.ffn.w_out"]),
                         store[f"block{block}.ffn.b_out"])
-        return cumsum(per_index, lens)
+        return cumsum(per_index, segs)
     hidden = relu(add(matmul(x, store[f"block{block}.ffn.w1"]),
                       store[f"block{block}.ffn.b1"]))
     return add(matmul(hidden, store[f"block{block}.ffn.w2"]),
                store[f"block{block}.ffn.b2"])
 
 
-def encode(store: ParamStore, cfg: ModelConfig, y: Tensor, lens=None) -> Tensor:
+def encode(store: ParamStore, cfg: ModelConfig, y: Tensor, segs: Segments) -> Tensor:
     """History vectors for every prefix index of every packed sequence.
 
     Attention is causal and local to each sequence, so row j of a sequence
@@ -197,16 +189,16 @@ def encode(store: ParamStore, cfg: ModelConfig, y: Tensor, lens=None) -> Tensor:
     """
     if y.data.shape[0] == 0:
         raise ValueError("empty prefix")
-    x = positional_add(store, y, lens)
+    x = positional_add(store, y, segs)
     for b in range(cfg.blocks):
-        attn = _attention(store, cfg, x, b, lens)
+        attn = _attention(store, cfg, x, b, segs)
         x = layer_norm(add(x, attn), store[f"block{b}.ln1.gain"], store[f"block{b}.ln1.bias"])
-        ffn = _feed_forward(store, cfg, x, b, lens)
+        ffn = _feed_forward(store, cfg, x, b, segs)
         x = layer_norm(add(x, ffn), store[f"block{b}.ln2.gain"], store[f"block{b}.ln2.bias"])
     return x
 
 
-def set_embed(store: ParamStore, y: Tensor, lens=None) -> Tensor:
+def set_embed(store: ParamStore, y: Tensor, segs: Segments) -> Tensor:
     """Order-free prefix summary: sum of per-action ReLU features.
 
     Row j of a sequence is the sum over its rows i <= j of relu(net(W y_i + b)),
@@ -217,4 +209,4 @@ def set_embed(store: ParamStore, y: Tensor, lens=None) -> Tensor:
     u = add(matmul(y, store["set.w_in"]), store["set.b_in"])
     h = relu(add(matmul(u, store["set.w_hidden"]), store["set.b_hidden"]))
     o = add(matmul(h, store["set.w_out"]), store["set.b_out"])
-    return cumsum(relu(o), lens)
+    return cumsum(relu(o), segs)

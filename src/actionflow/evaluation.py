@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import Ctas, load_corpus
-from .generation import GenRequest, core_actions, generate
+from .generation import TERMINATION_REASONS, GenRequest, core_actions, generate
 from .model import ForwardPass, Model, ModelConfig, pack
 from .training import TrainConfig, run_training
 
@@ -158,7 +158,7 @@ def generation_eval(model: Model, corpus: list[Ctas], seed: int = 0,
     compared = 0
     abs_err = 0.0
     length_hits = 0
-    reasons = {"goal_mismatch": 0, "eos_sampled": 0, "max_len": 0}
+    reasons = dict.fromkeys(TERMINATION_REASONS, 0)
     ordered = sorted(corpus, key=lambda s: s.id)
     for rank, seq in enumerate(ordered):
         rng = np.random.default_rng([seed, rank])

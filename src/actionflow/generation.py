@@ -26,6 +26,7 @@ from .data import Action, Ctas, DataError
 from .encoder import CapacityError
 from .heads import TimeDensity, point_time, sample_time
 from .model import Model
+from .numerics import Segments
 
 TERMINATION_REASONS = ("goal_mismatch", "eos_sampled", "max_len")
 
@@ -87,7 +88,7 @@ def generate(model: Model, request: GenRequest, *,
         rng = np.random.default_rng([request.seed])
     eos = model.vocab.eos_id
     actions = [Action(mark=request.first_mark, t=float(request.first_t))]
-    fwd = model.forward([a.mark for a in actions], [a.t for a in actions])
+    fwd = model.forward([a.mark for a in actions], [a.t for a in actions], Segments(1))
     while True:
         last = len(actions) - 1
         mark = _draw_mark(fwd.mark_prob.data[last], request.mode, rng)
@@ -98,7 +99,8 @@ def generate(model: Model, request: GenRequest, *,
             reason = "eos_sampled"
             break
         actions.append(Action(mark=mark, t=t_next))
-        fwd = model.forward([a.mark for a in actions], [a.t for a in actions])
+        fwd = model.forward([a.mark for a in actions], [a.t for a in actions],
+                            Segments(len(actions)))
         predicted_goal = int(np.argmax(fwd.goal_prob.data[-1]))
         if predicted_goal != request.goal:
             # the candidate revealed the mismatch; it does not survive

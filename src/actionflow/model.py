@@ -19,7 +19,7 @@ import numpy as np
 from . import encoder as enc
 from . import heads
 from .data import ClusterMap, Ctas, Vocab, read_record
-from .numerics import ParamStore, Tensor, exp, log_softmax
+from .numerics import ParamStore, Segments, Tensor, exp, log_softmax
 
 VARIANTS = ("base", "plus")
 
@@ -79,11 +79,8 @@ class ModelConfig:
 
 @dataclass
 class ForwardPass:
-    """All per-index predictions from one encoding of packed sequences.
-
-    Row r of every tensor belongs to the sequence whose rows include r;
-    lens[b] is the row count of sequence b, in packing order.
-    """
+    """All per-index predictions from one encoding of packed sequences, with
+    the marks, times and layout (one segment per sequence) they came from."""
 
     mark_logprob: Tensor
     mark_prob: Tensor
@@ -91,22 +88,24 @@ class ForwardPass:
     goal_prob: Tensor
     mu: Tensor
     sigma2: Tensor
-    lens: np.ndarray
+    marks: np.ndarray
+    times: np.ndarray
+    segs: Segments
 
     def split(self) -> list["ForwardPass"]:
         """One forward-only pass per packed sequence, viewing its own rows."""
         fields = ("mark_logprob", "mark_prob", "goal_logprob", "goal_prob", "mu", "sigma2")
-        ends = np.cumsum(self.lens)
-        return [ForwardPass(**{f: Tensor(getattr(self, f).data[end - n:end]) for f in fields},
-                            lens=np.array([n]))
-                for n, end in zip(self.lens.tolist(), ends.tolist())]
+        alone = {n: Segments(n) for n in set(self.segs.lens.tolist())}  # equal lengths share one
+        return [ForwardPass(**{f: Tensor(getattr(self, f).data[a:b]) for f in fields},
+                            marks=self.marks[a:b], times=self.times[a:b], segs=alone[b - a])
+                for a, b in zip(self.segs.starts.tolist(), (self.segs.last + 1).tolist())]
 
 
-def pack(seqs: list[Ctas]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Marks, times and row counts of sequences stacked for one forward pass."""
-    return (np.concatenate([s.marks() for s in seqs]),
-            np.concatenate([s.times() for s in seqs]),
-            np.array([len(s.actions) for s in seqs], dtype=np.intp))
+def pack(seqs: list[Ctas]) -> tuple[np.ndarray, np.ndarray, Segments]:
+    """Marks, times and row layout of sequences stacked for one forward pass."""
+    marks = np.concatenate([s.marks() for s in seqs])
+    return (marks, np.concatenate([s.times() for s in seqs]),
+            Segments(marks.size, [len(s.actions) for s in seqs]))
 
 
 class Model:
@@ -138,27 +137,23 @@ class Model:
             enc.init_set_params(model.store, config, rng)
         return model
 
-    def encode(self, marks, times, lens=None) -> enc.EncoderState:
-        """History vectors (and prefix sums for the plus variant)."""
-        y = enc.embed_actions(self.store, marks, times, lens)
-        s = enc.encode(self.store, self.config, y, lens)
-        x = enc.set_embed(self.store, y, lens) if self.config.variant == "plus" else None
-        return enc.EncoderState(s=s, x=x)
-
-    def forward(self, marks, times, lens=None) -> ForwardPass:
+    def forward(self, marks, times, segs: Segments) -> ForwardPass:
         """Encode once and evaluate every head at every prefix index.
 
-        marks and times are packed: lens[b] consecutive actions per sequence
-        (lens=None: a single sequence). The gap parameters at index i are
-        gated by the duration cluster of the action at index i (the current
-        action when predicting what follows it).
+        marks and times are packed, one segment of segs per sequence (pack's
+        layout, or Segments(n) for a lone prefix). The gap parameters at index
+        i are gated by the duration cluster of the action at index i (the
+        current action when predicting what follows it).
         """
         marks = np.asarray(marks, dtype=np.intp)
-        state = self.encode(marks, times, lens)
+        times = np.asarray(times, dtype=np.float64)
         cfg = self.config
-        s_mark = heads.fuse(state.s, state.x, cfg.alpha_mark)
-        s_goal = heads.fuse(state.s, state.x, cfg.alpha_goal)
-        s_time = heads.fuse(state.s, state.x, cfg.alpha_time)
+        y = enc.embed_actions(self.store, marks, times, segs)
+        s = enc.encode(self.store, cfg, y, segs)
+        x = enc.set_embed(self.store, y, segs) if cfg.variant == "plus" else None
+        s_mark = heads.fuse(s, x, cfg.alpha_mark)
+        s_goal = heads.fuse(s, x, cfg.alpha_goal)
+        s_time = heads.fuse(s, x, cfg.alpha_time)
         mark_lp = log_softmax(heads.mark_logits(self.store, s_mark))
         goal_lp = log_softmax(heads.goal_logits(self.store, s_goal))
         cluster_ids = self.clusters.clusters_of(marks)
@@ -170,7 +165,7 @@ class Model:
             goal_prob=exp(goal_lp),
             mu=mu,
             sigma2=sigma2,
-            lens=np.array([marks.size] if lens is None else lens, dtype=np.intp),
+            marks=marks, times=times, segs=segs,
         )
 
     def time_density_at(self, fwd: ForwardPass, index: int) -> heads.TimeDensity:

@@ -13,10 +13,10 @@ rank-1 tensor may be added to / multiplied into the rows of a rank-2 tensor
 oracle and the backward rules straightforward.
 
 A minibatch runs as packed rows: the rows of all its sequences stacked in
-one array, with segment lengths saying which rows belong together (see
-Segments). Row-wise primitives need nothing more; the scans (cumsum,
-shifted_prefix_max), segment_sum and causal_attention take the lengths and
-never mix rows of different sequences.
+one array, laid out by one Segments that the caller builds per forward pass
+(model.pack). Row-wise primitives need nothing more; the scans (cumsum,
+shifted_prefix_max), segment_sum and causal_attention take the layout, refuse
+one for another row count, and never mix rows of different sequences.
 """
 
 from __future__ import annotations
@@ -384,23 +384,31 @@ def pick(a: Tensor, rows, cols) -> Tensor:
 class Segments:
     """Row layout of packed sequences: segment b owns lens[b] consecutive rows.
 
-    ``pad`` lays packed rows out as a zero-padded [segments, longest, ...]
-    block so that per-sequence scans run along axis 1; ``unpad`` reads the
-    packed rows back. Padding sits after each segment's rows, so it never
-    enters a scan of the rows before it. lens=None is one segment over all
-    rows, which pads nothing.
+    ``seg``/``pos`` give each row's segment and index in it. ``pad`` lays
+    packed rows out as a zero-padded [segments, longest, ...] block so that
+    per-segment scans run along axis 1; ``unpad`` reads them back. Padding
+    sits after each segment's rows, so it never enters a scan of the rows
+    before it. A segment may own no rows; Segments(n) is one over all n rows.
     """
 
     def __init__(self, n: int, lens=None):
         lens = np.array([n] if lens is None else lens, dtype=np.intp)
-        if lens.ndim != 1 or lens.size == 0 or lens.min() < 1 or lens.sum() != n:
-            raise ShapeError(f"segment lengths {lens.tolist()} do not tile {n} rows")
+        sizes = lens.tolist()
+        if lens.ndim != 1 or not sizes or min(sizes) < 0 or sum(sizes) != n:
+            raise ShapeError(f"segment lengths {sizes} do not tile {n} rows")
+        self.n = n
         self.lens = lens
-        self.count = lens.size
-        self.width = int(lens.max())
+        self.count = len(sizes)
+        self.width = max(sizes)
         self.starts = np.cumsum(lens) - lens
+        self.last = self.starts + lens - 1
         self.seg = np.repeat(np.arange(self.count), lens)
         self.pos = np.arange(n) - self.starts[self.seg]
+
+    def check(self, op: str, rows: int) -> None:
+        """Reject an operand whose row count this layout does not tile."""
+        if rows != self.n:
+            raise ShapeError(f"{op}: layout of {self.n} rows handed {rows} rows")
 
     def pad(self, a: np.ndarray) -> np.ndarray:
         if self.count == 1:
@@ -413,9 +421,9 @@ class Segments:
         return p[0] if self.count == 1 else p[self.seg, self.pos]
 
 
-def cumsum(a: Tensor, lens=None) -> Tensor:
-    """Running sum down axis 0, restarting at every segment (see Segments)."""
-    segs = Segments(a.data.shape[0], lens)
+def cumsum(a: Tensor, segs: Segments) -> Tensor:
+    """Running sum down axis 0, restarting at every segment."""
+    segs.check("cumsum", a.data.shape[0])
 
     def vjp(g):
         return (segs.unpad(np.flip(np.cumsum(np.flip(segs.pad(g), axis=1), axis=1), axis=1)),)
@@ -423,7 +431,7 @@ def cumsum(a: Tensor, lens=None) -> Tensor:
     return _emit("cumsum", segs.unpad(np.cumsum(segs.pad(a.data), axis=1)), (a,), vjp)
 
 
-def shifted_prefix_max(a: Tensor, lens=None) -> Tensor:
+def shifted_prefix_max(a: Tensor, segs: Segments) -> Tensor:
     """Strictly-previous running max down axis 0, restarting at every segment.
 
     Within each segment out[0] = 0 and out[j] = max(a[0..j-1]) per column.
@@ -433,8 +441,8 @@ def shifted_prefix_max(a: Tensor, lens=None) -> Tensor:
     """
     if a.data.ndim not in (1, 2):
         raise ShapeError(f"shifted_prefix_max: need rank 1 or 2, got {a.data.shape}")
+    segs.check("shifted_prefix_max", a.data.shape[0])
     ad = a.data if a.data.ndim == 2 else a.data[:, None]
-    segs = Segments(ad.shape[0], lens)
     p = segs.pad(ad)
     b, n, m = p.shape
     run = np.maximum.accumulate(p, axis=1)
@@ -463,33 +471,30 @@ def shifted_prefix_max(a: Tensor, lens=None) -> Tensor:
     return _emit("shifted_prefix_max", out, (a,), vjp)
 
 
-def segment_sum(a: Tensor, lens) -> Tensor:
-    """Per-segment totals: out[b] sums every entry of segment b's lens[b] rows.
+def segment_sum(a: Tensor, segs: Segments) -> Tensor:
+    """Per-segment totals: out[b] sums every entry of segment b's rows.
 
-    a has rank 1 or 2; a segment of length zero totals zero. Rows are added
-    in order, one segment at a time.
+    a has rank 1 or 2; a segment that owns no rows totals zero. Rows are
+    added in order, one segment at a time.
     """
     if a.data.ndim not in (1, 2):
         raise ShapeError(f"segment_sum: need rank 1 or 2, got {a.data.shape}")
-    lens = np.asarray(lens, dtype=np.intp)
-    n = a.data.shape[0]
-    if lens.ndim != 1 or lens.size == 0 or lens.min() < 0 or lens.sum() != n:
-        raise ShapeError(f"segment_sum: lengths {lens.tolist()} do not tile {n} rows")
-    seg = np.repeat(np.arange(lens.size), lens)
+    segs.check("segment_sum", a.data.shape[0])
     rows = a.data if a.data.ndim == 1 else a.data.sum(axis=1)
     shape = a.data.shape
 
     def vjp(g):
-        per_row = g[seg]
+        per_row = g[segs.seg]
         return (per_row if len(shape) == 1 else np.repeat(per_row[:, None], shape[1], axis=1),)
 
-    return _emit("segment_sum", np.bincount(seg, weights=rows, minlength=lens.size), (a,), vjp)
+    return _emit("segment_sum", np.bincount(segs.seg, weights=rows, minlength=segs.count),
+                 (a,), vjp)
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, lens, heads: int) -> Tensor:
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, segs: Segments, heads: int) -> Tensor:
     """Multi-head causal self-attention over packed sequences, in one record.
 
-    q, k and v are [N, d] projections of N packed rows (see Segments); the d
+    q, k and v are [N, d] projections of the N rows laid out by segs; the d
     columns split into ``heads`` equal blocks. Row i of a sequence attends
     to rows 0..i of the same sequence only: the causal upper triangle and
     the padding keys get exactly zero weight. Returns the [N, d] heads'
@@ -501,7 +506,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, lens, heads: int) -> Tenso
     n, d = q.data.shape
     if heads < 1 or d % heads:
         raise ShapeError(f"causal_attention: width {d} does not split into {heads} heads")
-    segs = Segments(n, lens)
+    segs.check("causal_attention", n)
     b, width, dh = segs.count, segs.width, d // heads
 
     def split(x):  # [N, d] -> [segments, heads, width, dh]

@@ -4,7 +4,8 @@ All loss functions build taped tensor expressions, so calling them inside an
 open GradTape yields gradients; calling them outside just computes numbers.
 Each term scores a whole batch from one packed ForwardPass its caller
 computed (see model.pack) and returns one value per sequence; none runs the
-model itself. The per-sequence values cover:
+model itself or re-derives the packed layout: the pass carries its marks,
+times and Segments. The per-sequence values cover:
 
 * nll: negative log-likelihood of every transition, combining the next-mark
   log-probability with the lognormal log-density of the observed gap.
@@ -16,7 +17,7 @@ model itself. The per-sequence values cover:
   first index is never penalized.
 
 A batch loss is the mean of per-sequence totals plus one L2 term over all
-parameters.
+parameters, recorded on the tape as a single op.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .numerics import (
     ParamStore,
     Segments,
     Tensor,
+    _emit,
     add,
     div,
     log,
@@ -77,22 +79,19 @@ class LossBreakdown:
         return asdict(self)
 
 
-def hinge_sum(probs: Tensor, lens=None) -> Tensor:
+def hinge_sum(probs: Tensor, segs: Segments) -> Tensor:
     """Per-sequence sum of max(0, running-best - current) down each column.
 
-    probs holds packed rows, lens[b] per sequence (lens=None: one sequence).
-    The running best is the strictly-previous prefix maximum with each
-    sequence's first row pinned to zero, so any column that never decreases
-    contributes exactly zero.
+    probs holds packed rows laid out by segs. The running best is the
+    strictly-previous prefix maximum with each sequence's first row pinned
+    to zero, so any column that never decreases contributes exactly zero.
     """
-    if lens is None:
-        lens = [probs.data.shape[0]]
-    return segment_sum(relu(sub(shifted_prefix_max(probs, lens), probs)), lens)
+    return segment_sum(relu(sub(shifted_prefix_max(probs, segs), probs)), segs)
 
 
 def _goal_rows(batch: list[Ctas], fwd: ForwardPass) -> np.ndarray:
     """The goal of the sequence each packed row belongs to."""
-    return np.repeat([seq.goal for seq in batch], fwd.lens)
+    return np.array([seq.goal for seq in batch], dtype=np.intp)[fwd.segs.seg]
 
 
 def nll(model: Model, batch: list[Ctas], eos_time_term: bool = True, *,
@@ -106,20 +105,20 @@ def nll(model: Model, batch: list[Ctas], eos_time_term: bool = True, *,
     for seq in batch:
         if len(seq.actions) < 2:
             raise ValueError(f"sequence {seq.id!r} has no transitions")
-    marks, times, lens = pack(batch)
-    last = np.cumsum(lens) - 1
-    src = np.delete(np.arange(marks.size), last)  # rows with a successor
+    marks, times, segs = fwd.marks, fwd.times, fwd.segs
+    src = np.delete(np.arange(segs.n), segs.last)  # rows with a successor
     gaps = times[src + 1] - times[src]
     if np.any(gaps <= 0.0):
         raise NumericError("non-positive gap")
-    steps = lens - 1
+    steps = Segments(src.size, segs.lens - 1)
     mark_ll = segment_sum(pick(fwd.mark_logprob, src, marks[src + 1]), steps)
     if not eos_time_term:
-        # drop each terminal-mark sequence's last transition from the time term
-        ends_eos = marks[last] == model.vocab.eos_id
+        # drop each terminal-mark sequence's last transition ([a, EOS] keeps none)
+        ends_eos = marks[segs.last] == model.vocab.eos_id
         timed = np.ones(src.size, dtype=bool)
-        timed[(np.cumsum(steps) - 1)[ends_eos]] = False
-        src, gaps, steps = src[timed], gaps[timed], steps - ends_eos
+        timed[steps.last[ends_eos]] = False
+        src, gaps = src[timed], gaps[timed]
+        steps = Segments(src.size, steps.lens - ends_eos)
     mu = take_rows(fwd.mu, src)
     sigma2 = take_rows(fwd.sigma2, src)
     log_gap = Tensor(np.log(gaps)[:, None])
@@ -136,17 +135,15 @@ def discounted_goal_ce(model: Model, batch: list[Ctas], gamma: float, *,
     cross-entropy."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    n = int(fwd.lens.sum())
-    lp = pick(fwd.goal_logprob, np.arange(n), _goal_rows(batch, fwd))
-    weights = gamma ** (Segments(n, fwd.lens).pos + 1.0)
-    return mul(segment_sum(mul(lp, Tensor(weights)), fwd.lens), -1.0)
+    lp = pick(fwd.goal_logprob, np.arange(fwd.segs.n), _goal_rows(batch, fwd))
+    weights = gamma ** (fwd.segs.pos + 1.0)
+    return mul(segment_sum(mul(lp, Tensor(weights)), fwd.segs), -1.0)
 
 
 def margin_goal(model: Model, batch: list[Ctas], *, fwd: ForwardPass) -> Tensor:
     """Hinge penalty for drops in the true goal's probability along each sequence."""
-    n = int(fwd.lens.sum())
-    p = pick(fwd.goal_prob, np.arange(n), _goal_rows(batch, fwd))
-    return hinge_sum(p, fwd.lens)
+    p = pick(fwd.goal_prob, np.arange(fwd.segs.n), _goal_rows(batch, fwd))
+    return hinge_sum(p, fwd.segs)
 
 
 def margin_action(model: Model, batch: list[Ctas], *, fwd: ForwardPass) -> Tensor:
@@ -160,18 +157,15 @@ def margin_action(model: Model, batch: list[Ctas], *, fwd: ForwardPass) -> Tenso
     for goal in sorted({seq.goal for seq in batch}):
         candidates[goal, list(model.vocab.marks_for_goal(goal))] = 1.0
     keep = Tensor(candidates[_goal_rows(batch, fwd)])
-    return hinge_sum(mul(fwd.mark_prob, keep), fwd.lens)
+    return hinge_sum(mul(fwd.mark_prob, keep), fwd.segs)
 
 
 def l2_penalty(store: ParamStore) -> Tensor:
-    """Squared norm of every parameter, accumulated in name order."""
-    acc: Tensor | None = None
-    for _, t in store.items():
-        term = sum_all(mul(t, t))
-        acc = term if acc is None else add(acc, term)
-    if acc is None:
-        return Tensor(0.0)
-    return acc
+    """Squared norm of every parameter, summed in name order, as one tape record."""
+    params = tuple(t for _, t in store.items())
+    with np.errstate(over="ignore"):  # _emit reports an overflow as non-finite
+        total = sum((t.data * t.data).sum() for t in params)
+    return _emit("l2_penalty", total, params, lambda g: tuple(2.0 * g * t.data for t in params))
 
 
 def sequence_terms(model: Model, batch: list[Ctas], *, gamma: float,

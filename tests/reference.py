@@ -19,6 +19,7 @@ from actionflow import encoder as enc
 from actionflow import heads
 from actionflow.model import ForwardPass
 from actionflow.numerics import (
+    Segments,
     ShapeError,
     Tensor,
     add,
@@ -118,12 +119,12 @@ def attention(store, cfg, x: Tensor, block: int) -> Tensor:
     return matmul(merged, store[f"block{block}.attn.wo"])
 
 
-def encode(store, cfg, y: Tensor) -> Tensor:
-    x = enc.positional_add(store, y)
+def encode(store, cfg, y: Tensor, segs: Segments) -> Tensor:
+    x = enc.positional_add(store, y, segs)
     for b in range(cfg.blocks):
         x = layer_norm(add(x, attention(store, cfg, x, b)),
                        store[f"block{b}.ln1.gain"], store[f"block{b}.ln1.bias"])
-        x = layer_norm(add(x, enc._feed_forward(store, cfg, x, b, None)),
+        x = layer_norm(add(x, enc._feed_forward(store, cfg, x, b, segs)),
                        store[f"block{b}.ln2.gain"], store[f"block{b}.ln2.bias"])
     return x
 
@@ -131,17 +132,19 @@ def encode(store, cfg, y: Tensor) -> Tensor:
 def forward(model, marks, times) -> ForwardPass:
     """Model.forward for a single sequence, with the per-head attention chain."""
     marks = np.asarray(marks, dtype=np.intp)
+    times = np.asarray(times, dtype=np.float64)
     store, cfg = model.store, model.config
-    y = enc.embed_actions(store, marks, times)
-    s = encode(store, cfg, y)
-    x = enc.set_embed(store, y) if cfg.variant == "plus" else None
+    segs = Segments(marks.size)
+    y = enc.embed_actions(store, marks, times, segs)
+    s = encode(store, cfg, y, segs)
+    x = enc.set_embed(store, y, segs) if cfg.variant == "plus" else None
     mark_lp = log_softmax(heads.mark_logits(store, heads.fuse(s, x, cfg.alpha_mark)))
     goal_lp = log_softmax(heads.goal_logits(store, heads.fuse(s, x, cfg.alpha_goal)))
     mu, sigma2 = heads.time_params(store, heads.fuse(s, x, cfg.alpha_time),
                                    model.clusters.clusters_of(marks))
     return ForwardPass(mark_logprob=mark_lp, mark_prob=exp(mark_lp),
                        goal_logprob=goal_lp, goal_prob=exp(goal_lp),
-                       mu=mu, sigma2=sigma2, lens=np.array([marks.size]))
+                       mu=mu, sigma2=sigma2, marks=marks, times=times, segs=segs)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +152,8 @@ def forward(model, marks, times) -> ForwardPass:
 # ---------------------------------------------------------------------------
 
 def hinge_sum(probs: Tensor) -> Tensor:
-    return sum_all(relu(sub(shifted_prefix_max(probs), probs)))
+    segs = Segments(probs.data.shape[0])
+    return sum_all(relu(sub(shifted_prefix_max(probs, segs), probs)))
 
 
 def terms(model, seq, *, gamma: float, eos_time_term: bool = True) -> dict[str, Tensor]:

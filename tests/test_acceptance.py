@@ -15,7 +15,7 @@ import pytest
 from scipy import integrate
 
 from actionflow.data import Action, Ctas, ClusterMap, Vocab, delete_random
-from actionflow.encoder import embed_actions, set_embed
+from actionflow.encoder import embed_actions, encode, set_embed
 from actionflow.evaluation import (
     full_report,
     generation_eval,
@@ -26,7 +26,7 @@ from actionflow.evaluation import (
 )
 from actionflow.heads import TimeDensity, log_density, sample_time
 from actionflow.model import Model, ModelConfig
-from actionflow.numerics import Tensor, finite_difference_check
+from actionflow.numerics import Segments, Tensor, finite_difference_check
 from actionflow.objectives import discounted_goal_ce, hinge_sum, total_loss
 from actionflow.synth import GoalTemplate, SynthSpec
 from actionflow.synth import generate as synth_generate
@@ -103,6 +103,17 @@ def small_model(variant="base", seed=0, d=4, heads=2, blocks=1, clusters=2,
     return Model.init(cfg, vocab, cm, seed=seed)
 
 
+def history(model, marks, times):
+    """The encoder's history vectors for one sequence."""
+    segs = Segments(len(marks))
+    return encode(model.store, model.config,
+                  embed_actions(model.store, marks, times, segs), segs)
+
+
+def forward_one(model, seq):
+    return model.forward(seq.marks(), seq.times(), Segments(len(seq.actions)))
+
+
 def random_sequence(rng, n_marks, length, goal=0, sid="s"):
     marks = rng.integers(0, n_marks, size=length)
     times = np.cumsum(rng.uniform(0.2, 1.5, size=length))
@@ -144,12 +155,12 @@ def test_criterion_02_causal_masking(announce):
         future = int(rng.integers(prefix_end + 1, length))
         marks = rng.integers(0, 3, size=length)
         times = np.cumsum(rng.uniform(0.2, 1.5, size=length))
-        base = model.encode(marks, times).s.data.copy()
+        base = history(model, marks, times).data.copy()
         marks2 = marks.copy()
         marks2[future] = (marks2[future] + 1) % 3
         times2 = times.copy()
         times2[future:] += 0.37  # keeps times increasing past the edit
-        changed = model.encode(marks2, times2).s.data
+        changed = history(model, marks2, times2).data
         diff = np.max(np.abs(changed[:prefix_end + 1] - base[:prefix_end + 1]))
         worst = max(worst, diff)
         np.testing.assert_array_equal(changed[:prefix_end + 1],
@@ -168,9 +179,10 @@ def test_criterion_03_permutation_invariance(announce):
         marks = rng.integers(0, 3, size=length)
         times = np.cumsum(rng.uniform(0.2, 1.5, size=length))
         perm = rng.permutation(length)
-        y = embed_actions(model.store, marks, times)
-        x = set_embed(model.store, y).data[-1]
-        x_perm = set_embed(model.store, Tensor(y.data[perm])).data[-1]
+        segs = Segments(length)
+        y = embed_actions(model.store, marks, times, segs)
+        x = set_embed(model.store, y, segs).data[-1]
+        x_perm = set_embed(model.store, Tensor(y.data[perm]), segs).data[-1]
         worst = max(worst, float(np.max(np.abs(x_perm - x))))
     assert worst < 1e-9
 
@@ -180,8 +192,8 @@ def test_criterion_03_permutation_invariance(announce):
         plus = small_model(variant="plus", seed=seed, max_len=8,
                            alpha_mark=0.0, alpha_time=0.0, alpha_goal=0.0)
         seq = random_sequence(np.random.default_rng(seed), 3, 5)
-        fb = base.forward(seq.marks(), seq.times())
-        fp = plus.forward(seq.marks(), seq.times())
+        fb = forward_one(base, seq)
+        fp = forward_one(plus, seq)
         for attr in ("mark_prob", "goal_prob", "mu", "sigma2"):
             if getattr(fb, attr).data.tobytes() != getattr(fp, attr).data.tobytes():
                 identical = False
@@ -227,7 +239,7 @@ def test_criterion_05_loss_identities(announce):
         model = small_model(seed=seed)
         seq = random_sequence(np.random.default_rng(seed), 3,
                               int(3 + seed % 4), goal=seed % 2)
-        fwd = model.forward(seq.marks(), seq.times())
+        fwd = forward_one(model, seq)
         discounted = float(discounted_goal_ce(model, [seq], 1.0, fwd=fwd).data[0])
         plain = -float(np.sum(fwd.goal_logprob.data[:, seq.goal]))
         worst_ce = max(worst_ce, abs(discounted - plain))
@@ -240,7 +252,7 @@ def test_criterion_05_loss_identities(announce):
         rows = int(rng.integers(2, 9))
         cols = int(rng.integers(1, 4))
         monotone = np.sort(rng.uniform(0.0, 1.0, size=(rows, cols)), axis=0)
-        if float(hinge_sum(Tensor(monotone)).data[0]) != 0.0:
+        if float(hinge_sum(Tensor(monotone), Segments(rows)).data[0]) != 0.0:
             nonzero += 1
     ok = worst_ce < 1e-12 and nonzero == 0
     announce(5, "loss identities", ok,
@@ -255,7 +267,7 @@ def test_criterion_06_parameter_recovery(trained, announce):
     per_cluster: dict[int, list[float]] = {r: [] for r in range(prep.clusters.m)}
     for seq in prep.test_raw:
         marks = seq.marks()
-        fwd = model.forward(marks, seq.times())
+        fwd = forward_one(model, seq)
         for k in range(len(marks) - 1):
             cluster = prep.clusters.mark_to_cluster[int(marks[k])]
             per_cluster[cluster].append(float(np.exp(fwd.mu.data[k, 0])))

@@ -349,6 +349,14 @@ class TestGenerate:
         # greedy ignores the rng, so different seeds give the same output
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_is_usage_error(self, workspace, capsys, tmp_path, count):
+        out = tmp_path / "g.jsonl"
+        assert main(["generate", "--ckpt", str(workspace["run"]), "--goal", "brew",
+                     "--first-mark", "grind", "--count", count, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("E_USAGE: --count must be at least 1")
+        assert not out.exists() and not (tmp_path / "g.jsonl.reasons.json").exists()
+
 
 class TestGradcheck:
     def test_passes_on_small_model(self, workspace, capsys):
@@ -390,6 +398,17 @@ class TestSweep:
                      "--out", str(tmp_path / "s.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("E_CONFIG:") and "corpus" in err
+
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, workspace, capsys, tmp_path, workers):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"gamma": [0.5]}))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--grid", str(grid), "--data", str(workspace["corpus"]),
+                     "--out", str(out), "--workers", workers]) == 2
+        assert capsys.readouterr().err.startswith("E_USAGE: --workers must be at least 1")
+        assert not out.exists()
 
 
 class TestAblateDelete:

@@ -15,7 +15,8 @@ from actionflow.encoder import (
     set_embed,
 )
 from actionflow.model import ModelConfig
-from actionflow.numerics import GradTape, ParamStore, Tensor, causal_attention, sum_all
+from actionflow.numerics import (GradTape, ParamStore, Segments, ShapeError, Tensor,
+                                 causal_attention, sum_all)
 
 D = 8
 
@@ -104,14 +105,14 @@ class TestEmbedding:
         for name in ("embed.marks", "embed.w_time", "embed.w_gap"):
             store[name].data[:] = 0.0
         store["embed.bias"].data[:] = 3.5
-        y = embed_actions(store, [0, 1], np.array([0.5, 1.0]))
+        y = embed_actions(store, [0, 1], np.array([0.5, 1.0]), Segments(2))
         np.testing.assert_array_equal(y.data, np.full((2, D), 3.5))
 
     def test_same_mark_different_times_differ(self):
         cfg = make_cfg()
         store = make_store(cfg, seed=3)
-        a = embed_actions(store, [2], np.array([0.5]))
-        b = embed_actions(store, [2], np.array([1.5]))
+        a = embed_actions(store, [2], np.array([0.5]), Segments(1))
+        b = embed_actions(store, [2], np.array([1.5]), Segments(1))
         assert np.any(a.data != b.data)
 
     def test_scalar_oracle(self):
@@ -120,7 +121,7 @@ class TestEmbedding:
         marks = [1, 3, 1]
         times = np.array([0.4, 1.1, 2.0])
         gaps = [0.4, 0.7, 0.9]
-        y = embed_actions(store, marks, times)
+        y = embed_actions(store, marks, times, Segments(3))
         for i in range(3):
             expect = (store["embed.marks"].data[marks[i]]
                       + times[i] * store["embed.w_time"].data[0]
@@ -133,10 +134,10 @@ class TestEmbedding:
         store = make_store(cfg, seed=4)
         marks = [0, 2, 4]
         times = np.array([0.3, 0.9, 2.2])
-        batch = embed_actions(store, marks, times)
+        batch = embed_actions(store, marks, times, Segments(3))
         prev = 0.0
         for i, (mk, t) in enumerate(zip(marks, times)):
-            prefix = embed_actions(store, marks[:i + 1], times[:i + 1])
+            prefix = embed_actions(store, marks[:i + 1], times[:i + 1], Segments(i + 1))
             np.testing.assert_array_equal(prefix.data[i], batch.data[i])
             expect = (store["embed.marks"].data[mk]
                       + t * store["embed.w_time"].data[0]
@@ -149,13 +150,24 @@ class TestEmbedding:
         cfg = make_cfg()
         store = make_store(cfg)
         with pytest.raises(Exception):
-            embed_actions(store, [0, 1], np.array([1.0, 0.5]))
+            embed_actions(store, [0, 1], np.array([1.0, 0.5]), Segments(2))
 
     def test_unknown_mark_rejected(self):
         cfg = make_cfg()
         store = make_store(cfg, n_marks=3)
         with pytest.raises(Exception):
-            embed_actions(store, [7], np.array([0.5]))
+            embed_actions(store, [7], np.array([0.5]), Segments(1))
+
+    def test_layout_must_fit_the_actions(self):
+        cfg = make_cfg()
+        store = make_store(cfg)
+        marks, times = [0, 1, 2], np.array([0.5, 1.0, 1.5])
+        for segs in (Segments(2), Segments(4, [1, 3])):
+            with pytest.raises(ShapeError):
+                embed_actions(store, marks, times, segs)
+        # every packed sequence needs at least one action
+        with pytest.raises(ValueError, match="empty prefix"):
+            embed_actions(store, marks, times, Segments(3, [3, 0]))
 
 
 class TestPositional:
@@ -164,14 +176,14 @@ class TestPositional:
         store = make_store(cfg)
         store["pos.table"].data[:] = 0.0
         y = Tensor(np.random.default_rng(0).normal(size=(4, D)))
-        out = positional_add(store, y)
+        out = positional_add(store, y, Segments(4))
         np.testing.assert_array_equal(out.data, y.data)
 
     def test_rows_shift_by_table_difference(self):
         cfg = make_cfg()
         store = make_store(cfg, seed=5)
         y = Tensor(np.zeros((3, D)))
-        out = positional_add(store, y)
+        out = positional_add(store, y, Segments(3))
         table = store["pos.table"].data
         np.testing.assert_allclose(out.data[2] - out.data[1], table[2] - table[1],
                                    atol=1e-12)
@@ -181,7 +193,7 @@ class TestPositional:
         store = make_store(cfg)
         y = Tensor(np.zeros((5, D)))
         with pytest.raises(CapacityError):
-            positional_add(store, y)
+            positional_add(store, y, Segments(5))
 
     def test_gradient_hits_only_occupied_rows(self):
         cfg = make_cfg(blocks=1)
@@ -189,9 +201,10 @@ class TestPositional:
         rng = np.random.default_rng(1)
         marks, times = random_sequence(rng, 3)
         store.zero_grads()
+        segs = Segments(3)
         with GradTape() as tape:
-            y = embed_actions(store, marks, times)
-            s = encode(store, cfg, y)
+            y = embed_actions(store, marks, times, segs)
+            s = encode(store, cfg, y, segs)
             tape.backward(sum_all(s))
         g = store.grad("pos.table")
         assert np.any(g[:3] != 0.0)
@@ -203,7 +216,7 @@ class TestAttention:
         cfg = make_cfg(blocks=1)
         store = make_store(cfg, seed=8)
         x = Tensor(np.random.default_rng(2).normal(size=(1, D)))
-        out = _attention(store, cfg, x, 0, None)
+        out = _attention(store, cfg, x, 0, Segments(1))
         v = x.data @ store["block0.attn.wv"].data
         expect = v @ store["block0.attn.wo"].data
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
@@ -213,7 +226,7 @@ class TestAttention:
         store = make_store(cfg, seed=9)
         store["block0.attn.wk"].data[:] = 0.0  # all scores collapse to 0
         x = Tensor(np.random.default_rng(3).normal(size=(3, D)))
-        out = _attention(store, cfg, x, 0, None)
+        out = _attention(store, cfg, x, 0, Segments(3))
         v = x.data @ store["block0.attn.wv"].data
         for j in range(3):
             expect = v[: j + 1].mean(axis=0) @ store["block0.attn.wo"].data
@@ -227,7 +240,7 @@ class TestAttention:
         lens = rng.integers(1, 7, size=5)
         lens[0] = 1
         x_all = rng.normal(size=(int(lens.sum()), D))
-        out_all = _attention(store, cfg, Tensor(x_all), 0, lens).data
+        out_all = _attention(store, cfg, Tensor(x_all), 0, Segments(x_all.shape[0], lens)).data
         for n, end in zip(lens, np.cumsum(lens)):
             k = int(n)
             x, out = x_all[end - k:end], out_all[end - k:end]
@@ -256,7 +269,7 @@ class TestAttention:
         q = Tensor(rng.normal(size=(7, D)) * 5.0)
         k = Tensor(rng.normal(size=(7, D)) * 5.0)
         v = Tensor(np.eye(7, D))
-        weights = causal_attention(q, k, v, lens, 1).data[:, :7]
+        weights = causal_attention(q, k, v, Segments(7, lens), 1).data[:, :7]
         seg = np.repeat([0, 1], lens)
         pos = np.array([0, 1, 2, 3, 0, 1, 2])
         visible = (seg[:, None] == seg[None, :]) & (pos[None, :] <= pos[:, None])
@@ -278,24 +291,26 @@ class TestPacked:
         marks = np.concatenate([m for m, _ in seqs])
         # every sequence restarts its clock, so packed times are not monotone
         times = np.concatenate([t for _, t in seqs])
-        y = embed_actions(store, marks, times, lens)
-        s = encode(store, cfg, y, lens).data
-        x = set_embed(store, y, lens).data
+        segs = Segments(marks.size, lens)
+        y = embed_actions(store, marks, times, segs)
+        s = encode(store, cfg, y, segs).data
+        x = set_embed(store, y, segs).data
         for (mk, t), end, k in zip(seqs, np.cumsum(lens), lens):
-            y1 = embed_actions(store, mk, t)
+            one = Segments(k)
+            y1 = embed_actions(store, mk, t, one)
             np.testing.assert_array_equal(y.data[end - k:end], y1.data)
-            np.testing.assert_allclose(s[end - k:end], encode(store, cfg, y1).data,
+            np.testing.assert_allclose(s[end - k:end], encode(store, cfg, y1, one).data,
                                        rtol=0, atol=1e-12)
-            np.testing.assert_allclose(x[end - k:end], set_embed(store, y1).data,
+            np.testing.assert_allclose(x[end - k:end], set_embed(store, y1, one).data,
                                        rtol=0, atol=1e-12)
 
     def test_capacity_applies_per_sequence(self):
         cfg = make_cfg(max_len=3)  # four positional rows
         store = make_store(cfg)
-        out = positional_add(store, Tensor(np.zeros((8, D))), [4, 4])
+        out = positional_add(store, Tensor(np.zeros((8, D))), Segments(8, [4, 4]))
         np.testing.assert_array_equal(out.data[4:], out.data[:4])
         with pytest.raises(CapacityError):
-            positional_add(store, Tensor(np.zeros((6, D))), [1, 5])
+            positional_add(store, Tensor(np.zeros((6, D))), Segments(6, [1, 5]))
 
 
 class TestEncode:
@@ -305,14 +320,15 @@ class TestEncode:
         rng = np.random.default_rng(6)
         for k in (1, 2, 5, 12):
             marks, times = random_sequence(rng, k)
-            s = encode(store, cfg, embed_actions(store, marks, times))
+            segs = Segments(k)
+            s = encode(store, cfg, embed_actions(store, marks, times, segs), segs)
             assert s.data.shape == (k, D)
 
     def test_empty_prefix_rejected(self):
         cfg = make_cfg()
         store = make_store(cfg)
         with pytest.raises(ValueError):
-            encode(store, cfg, Tensor(np.zeros((0, D))))
+            encode(store, cfg, Tensor(np.zeros((0, D))), Segments(0))
 
     @pytest.mark.parametrize("ffn", ["summed", "standard"])
     def test_causality_is_exact(self, ffn):
@@ -322,12 +338,13 @@ class TestEncode:
         for trial in range(20):
             k = int(rng.integers(2, 10))
             marks, times = random_sequence(rng, k)
-            y = embed_actions(store, marks, times)
-            s_full = encode(store, cfg, y).data.copy()
+            segs = Segments(k)
+            y = embed_actions(store, marks, times, segs)
+            s_full = encode(store, cfg, y, segs).data.copy()
             j = int(rng.integers(1, k))  # perturb strictly after index j-1
             y2 = Tensor(y.data.copy())
             y2.data[j:] += rng.normal(size=(k - j, D)) * 10.0
-            s_pert = encode(store, cfg, y2).data
+            s_pert = encode(store, cfg, y2, segs).data
             np.testing.assert_array_equal(s_pert[:j], s_full[:j])
 
     def test_rows_are_normalized_at_init(self):
@@ -337,7 +354,8 @@ class TestEncode:
         store = make_store(cfg, seed=14)
         rng = np.random.default_rng(8)
         marks, times = random_sequence(rng, 6)
-        s = encode(store, cfg, embed_actions(store, marks, times)).data
+        segs = Segments(6)
+        s = encode(store, cfg, embed_actions(store, marks, times, segs), segs).data
         assert np.all(np.abs(s.mean(axis=1)) < 1e-10)
         np.testing.assert_allclose(s.var(axis=1), 1.0, atol=1e-6)
 
@@ -348,7 +366,8 @@ class TestEncode:
         for ffn in ("summed", "standard"):
             cfg = make_cfg(ffn=ffn, blocks=1)
             store = make_store(cfg, seed=15)
-            outs[ffn] = encode(store, cfg, embed_actions(store, marks, times)).data
+            segs = Segments(4)
+            outs[ffn] = encode(store, cfg, embed_actions(store, marks, times, segs), segs).data
         assert np.any(np.abs(outs["summed"] - outs["standard"]) > 1e-6)
 
     def test_deterministic(self):
@@ -356,8 +375,9 @@ class TestEncode:
         store = make_store(cfg, seed=16)
         rng = np.random.default_rng(10)
         marks, times = random_sequence(rng, 5)
-        a = encode(store, cfg, embed_actions(store, marks, times)).data
-        b = encode(store, cfg, embed_actions(store, marks, times)).data
+        segs = Segments(5)
+        a = encode(store, cfg, embed_actions(store, marks, times, segs), segs).data
+        b = encode(store, cfg, embed_actions(store, marks, times, segs), segs).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -370,8 +390,8 @@ class TestSetEmbed:
             k = int(rng.integers(2, 9))
             y = rng.normal(size=(k, D))
             perm = rng.permutation(k)
-            x_a = set_embed(store, Tensor(y)).data
-            x_b = set_embed(store, Tensor(y[perm])).data
+            x_a = set_embed(store, Tensor(y), Segments(k)).data
+            x_b = set_embed(store, Tensor(y[perm]), Segments(k)).data
             # the full-prefix summary sums the same terms in another order
             np.testing.assert_allclose(x_b[-1], x_a[-1], atol=1e-9)
 
@@ -379,7 +399,7 @@ class TestSetEmbed:
         cfg = make_cfg()
         store = make_store(cfg, seed=18, with_set=True)
         y = np.random.default_rng(12).normal(size=(1, D))
-        x = set_embed(store, Tensor(y)).data
+        x = set_embed(store, Tensor(y), Segments(1)).data
         u = y @ store["set.w_in"].data + store["set.b_in"].data
         h = np.maximum(u @ store["set.w_hidden"].data + store["set.b_hidden"].data, 0.0)
         o = h @ store["set.w_out"].data + store["set.b_out"].data
@@ -389,15 +409,15 @@ class TestSetEmbed:
         cfg = make_cfg()
         store = make_store(cfg, seed=19, with_set=True)
         y = np.random.default_rng(13).normal(size=(3, D))
-        x = set_embed(store, Tensor(y)).data
-        contrib = set_embed(store, Tensor(y[2:3])).data[0]
+        x = set_embed(store, Tensor(y), Segments(3)).data
+        contrib = set_embed(store, Tensor(y[2:3]), Segments(1)).data[0]
         np.testing.assert_allclose(x[2] - x[1], contrib, atol=1e-12)
 
     def test_shapes_and_nonnegativity(self):
         cfg = make_cfg()
         store = make_store(cfg, seed=20, with_set=True)
         y = np.random.default_rng(14).normal(size=(5, D))
-        x = set_embed(store, Tensor(y)).data
+        x = set_embed(store, Tensor(y), Segments(5)).data
         assert x.shape == (5, D)
         assert np.all(x >= 0.0)  # sums of relu outputs
         # prefix sums never shrink

@@ -24,6 +24,7 @@ from actionflow.evaluation import (
     write_sweep_csv,
 )
 from actionflow.model import Model, ModelConfig
+from actionflow.numerics import Segments
 from actionflow.synth import GoalTemplate, SynthSpec, generate as synth_generate
 
 
@@ -56,9 +57,9 @@ def forward_calls(monkeypatch):
     calls = []
     original = Model.forward
 
-    def counted(self, marks, times, lens=None):
+    def counted(self, marks, times, segs):
         calls.append(len(marks))
-        return original(self, marks, times, lens)
+        return original(self, marks, times, segs)
 
     monkeypatch.setattr(Model, "forward", counted)
     return calls
@@ -92,7 +93,7 @@ class TestNextActionEval:
         transitions = 0
         err = 0.0
         for seq in corpus:
-            fwd = model.forward(seq.marks(), seq.times())
+            fwd = model.forward(seq.marks(), seq.times(), Segments(len(seq.actions)))
             preds = np.argmax(fwd.mark_prob.data[:-1], axis=1)
             correct += int(np.sum(preds == seq.marks()[1:]))
             t = seq.times()
@@ -192,7 +193,7 @@ class TestGoalEval:
         model = make_model(seed=4)
         seq = small_corpus(n=1, seed=5)[0]
         result = goal_eval(teacher_forced(model, [seq]), prefix_fractions=(1.0,))
-        fwd = model.forward(seq.marks(), seq.times())
+        fwd = model.forward(seq.marks(), seq.times(), Segments(len(seq.actions)))
         expect = int(np.argmax(fwd.goal_prob.data[-1]))
         assert result["per_sequence"][0]["predicted"]["1"] == expect
 
@@ -200,7 +201,7 @@ class TestGoalEval:
         model = make_model(seed=4)
         seq = small_corpus(n=1, seed=6)[0]
         result = goal_eval(teacher_forced(model, [seq]), prefix_fractions=(0.01,))
-        fwd = model.forward(seq.marks(), seq.times())
+        fwd = model.forward(seq.marks(), seq.times(), Segments(len(seq.actions)))
         expect = int(np.argmax(fwd.goal_prob.data[0]))
         assert result["per_sequence"][0]["predicted"]["0.01"] == expect
 

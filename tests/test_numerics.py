@@ -93,7 +93,7 @@ class TestPrimitiveValues:
     def test_shifted_prefix_max_against_loop(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(6, 3))
-        out = shifted_prefix_max(Tensor(a)).data
+        out = shifted_prefix_max(Tensor(a), Segments(6)).data
         for j in range(6):
             for c in range(3):
                 want = 0.0 if j == 0 else a[:j, c].max()
@@ -101,7 +101,7 @@ class TestPrimitiveValues:
 
     def test_cumsum_against_loop(self):
         a = np.arange(12.0).reshape(4, 3)
-        out = cumsum(Tensor(a)).data
+        out = cumsum(Tensor(a), Segments(4)).data
         np.testing.assert_array_equal(out, np.cumsum(a, axis=0))
 
     def test_softplus_stable_at_extremes(self):
@@ -224,29 +224,34 @@ class TestPerPrimitiveGradients:
         "pick": ({"a": (4, 3)},
                  lambda s: sum_all(mul(pick(s["a"], [0, 1, 1], [2, 0, 0]),
                                        pick(s["a"], [0, 1, 1], [2, 0, 0])))),
-        "cumsum": ({"a": (5, 3)}, lambda s: sum_all(mul(cumsum(s["a"]), s["a"]))),
+        "cumsum": ({"a": (5, 3)}, lambda s: sum_all(mul(cumsum(s["a"], Segments(5)), s["a"]))),
         "prefix_max": ({"a": (6, 3)},
-                       lambda s: sum_all(mul(shifted_prefix_max(s["a"]), s["a"]))),
+                       lambda s: sum_all(mul(shifted_prefix_max(s["a"], Segments(6)),
+                                             s["a"]))),
         "prefix_max_1d": ({"a": (7,)},
-                          lambda s: sum_all(mul(shifted_prefix_max(s["a"]), s["a"]))),
+                          lambda s: sum_all(mul(shifted_prefix_max(s["a"], Segments(7)),
+                                                s["a"]))),
         "cumsum_segments": ({"a": (6, 3)},
-                            lambda s: sum_all(mul(cumsum(s["a"], [2, 1, 3]), s["a"]))),
+                            lambda s: sum_all(mul(cumsum(s["a"], Segments(6, [2, 1, 3])),
+                                                  s["a"]))),
         "prefix_max_segments": ({"a": (7, 2)},
-                                lambda s: sum_all(mul(shifted_prefix_max(s["a"], [3, 1, 3]),
-                                                      s["a"]))),
+                                lambda s: sum_all(mul(shifted_prefix_max(
+                                    s["a"], Segments(7, [3, 1, 3])), s["a"]))),
         "segment_sum": ({"a": (5, 3)},
-                        lambda s: sum_all(mul(segment_sum(s["a"], [2, 0, 3]),
-                                              segment_sum(s["a"], [2, 0, 3])))),
+                        lambda s: sum_all(mul(segment_sum(s["a"], Segments(5, [2, 0, 3])),
+                                              segment_sum(s["a"], Segments(5, [2, 0, 3]))))),
         "segment_sum_1d": ({"a": (5,)},
-                           lambda s: sum_all(mul(segment_sum(s["a"], [1, 4]),
-                                                 segment_sum(s["a"], [1, 4])))),
+                           lambda s: sum_all(mul(segment_sum(s["a"], Segments(5, [1, 4])),
+                                                 segment_sum(s["a"], Segments(5, [1, 4]))))),
         "causal_attention_1head": (
             {"q": (6, 4), "k": (6, 4), "v": (6, 4)},
-            lambda s: sum_all(mul(causal_attention(s["q"], s["k"], s["v"], [1, 3, 2], 1),
+            lambda s: sum_all(mul(causal_attention(s["q"], s["k"], s["v"],
+                                                   Segments(6, [1, 3, 2]), 1),
                                   ATTN_WEIGHTS))),
         "causal_attention_2heads": (
             {"q": (6, 4), "k": (6, 4), "v": (6, 4)},
-            lambda s: sum_all(mul(causal_attention(s["q"], s["k"], s["v"], [4, 1, 1], 2),
+            lambda s: sum_all(mul(causal_attention(s["q"], s["k"], s["v"],
+                                                   Segments(6, [4, 1, 1]), 2),
                                   ATTN_WEIGHTS))),
         "layer_norm": ({"x": (4, 6), "g": (6,), "b": (6,)},
                        lambda s: sum_all(mul(layer_norm(s["x"], s["g"], s["b"]),
@@ -286,8 +291,9 @@ class TestPrefixMaxTies:
     def grad_of(self, a, g, lens=None):
         store = ParamStore()
         w = store.add("w", a)
+        segs = Segments(len(a), lens)
         with GradTape() as tape:
-            tape.backward(sum_all(mul(shifted_prefix_max(w, lens), Tensor(g))))
+            tape.backward(sum_all(mul(shifted_prefix_max(w, segs), Tensor(g))))
         return store.grad("w")
 
     @pytest.mark.parametrize("rank", [1, 2])
@@ -329,6 +335,7 @@ class TestSegments:
     """Segmented scans restart at every boundary and match per-segment runs."""
 
     LENS = [3, 1, 4, 2]
+    SEGS = Segments(10, LENS)
 
     def rows(self, seed, cols=3):
         return np.random.default_rng(seed).normal(size=(sum(self.LENS), cols))
@@ -340,45 +347,75 @@ class TestSegments:
     def test_cumsum_restarts_per_segment(self):
         a = self.rows(40)
         want = np.concatenate([np.cumsum(part, axis=0) for part in self.per_segment(a)])
-        np.testing.assert_array_equal(cumsum(Tensor(a), self.LENS).data, want)
+        np.testing.assert_array_equal(cumsum(Tensor(a), self.SEGS).data, want)
 
     def test_prefix_max_restarts_per_segment(self):
         a = self.rows(41)
-        want = np.concatenate([shifted_prefix_max(Tensor(part)).data
+        want = np.concatenate([shifted_prefix_max(Tensor(part), Segments(len(part))).data
                                for part in self.per_segment(a)])
-        np.testing.assert_array_equal(shifted_prefix_max(Tensor(a), self.LENS).data, want)
+        np.testing.assert_array_equal(shifted_prefix_max(Tensor(a), self.SEGS).data, want)
 
     def test_one_segment_is_the_default(self):
         a = self.rows(42)
-        np.testing.assert_array_equal(cumsum(Tensor(a), [a.shape[0]]).data,
-                                      cumsum(Tensor(a)).data)
-        np.testing.assert_array_equal(shifted_prefix_max(Tensor(a), [a.shape[0]]).data,
-                                      shifted_prefix_max(Tensor(a)).data)
+        n = a.shape[0]
+        np.testing.assert_array_equal(cumsum(Tensor(a), Segments(n, [n])).data,
+                                      cumsum(Tensor(a), Segments(n)).data)
+        np.testing.assert_array_equal(shifted_prefix_max(Tensor(a), Segments(n, [n])).data,
+                                      shifted_prefix_max(Tensor(a), Segments(n)).data)
 
     def test_segment_sum_against_loop(self):
         a = self.rows(43)
         want = [part.sum() for part in self.per_segment(a)]
-        np.testing.assert_allclose(segment_sum(Tensor(a), self.LENS).data, want,
+        np.testing.assert_allclose(segment_sum(Tensor(a), self.SEGS).data, want,
                                    rtol=0, atol=1e-12)
 
     def test_empty_segment_sums_to_zero(self):
-        out = segment_sum(Tensor([1.0, 2.0, 3.0]), [0, 2, 0, 1, 0]).data
+        out = segment_sum(Tensor([1.0, 2.0, 3.0]), Segments(3, [0, 2, 0, 1, 0])).data
         np.testing.assert_array_equal(out, [0.0, 3.0, 0.0, 3.0, 0.0])
 
     def test_lengths_must_tile_rows(self):
         with pytest.raises(ShapeError):
             Segments(5, [2, 2])
         with pytest.raises(ShapeError):
-            Segments(2, [2, 0])
+            Segments(2, [3, -1])
         with pytest.raises(ShapeError):
-            segment_sum(Tensor(np.ones(3)), [1, 1])
+            Segments(2, [])
         with pytest.raises(ShapeError):
-            cumsum(Tensor(np.ones((4, 2))), [1, 2])
+            Segments(2, [[2]])
+        with pytest.raises(ShapeError):
+            segment_sum(Tensor(np.ones(3)), Segments(2, [1, 1]))
+        with pytest.raises(ShapeError):
+            cumsum(Tensor(np.ones((4, 2))), Segments(3, [1, 2]))
         x = Tensor(np.ones((3, 4)))
         with pytest.raises(ShapeError):
-            causal_attention(x, x, x, [1, 1], 2)
+            causal_attention(x, x, x, Segments(2, [1, 1]), 2)
         with pytest.raises(ShapeError):
-            causal_attention(x, x, x, [3], 3)
+            causal_attention(x, x, x, Segments(3), 3)
+
+    def test_layout_exposes_rows(self):
+        segs = Segments(7, [3, 0, 4])
+        np.testing.assert_array_equal(segs.seg, [0, 0, 0, 2, 2, 2, 2])
+        np.testing.assert_array_equal(segs.pos, [0, 1, 2, 0, 1, 2, 3])
+        np.testing.assert_array_equal(segs.starts, [0, 3, 3])
+        np.testing.assert_array_equal(segs.last[[0, 2]], [2, 6])
+        assert (segs.n, segs.count, segs.width) == (7, 3, 4)
+
+
+class TestLayoutCheck:
+    """An op handed a layout for another row count refuses it, whether the
+    layout has fewer or more rows, one segment or several."""
+
+    LAYOUTS = [Segments(4), Segments(6), Segments(4, [1, 3]), Segments(6, [2, 2, 2])]
+
+    @pytest.mark.parametrize("segs", LAYOUTS, ids=lambda s: str(s.lens.tolist()))
+    def test_ops_refuse_a_layout_for_other_rows(self, segs):
+        x = Tensor(np.ones((5, 4)))
+        for op in (lambda: cumsum(x, segs),
+                   lambda: shifted_prefix_max(x, segs),
+                   lambda: segment_sum(x, segs),
+                   lambda: causal_attention(x, x, x, segs, 2)):
+            with pytest.raises(ShapeError, match="layout of"):
+                op()
 
 
 class TestErrorContracts:

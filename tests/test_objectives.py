@@ -7,10 +7,12 @@ import pytest
 
 from actionflow.data import Action, ClusterMap, Ctas, DataError, Vocab
 from actionflow.heads import TimeDensity, log_density
-from actionflow.model import Model, ModelConfig
+from actionflow.model import Model, ModelConfig, pack
 from actionflow.numerics import (
     GradTape,
     NumericError,
+    Segments,
+    ShapeError,
     Tensor,
     finite_difference_check,
     mul,
@@ -53,7 +55,7 @@ def one(t):
 
 
 def fwd_of(model, seq):
-    return model.forward(seq.marks(), seq.times())
+    return model.forward(seq.marks(), seq.times(), Segments(len(seq.actions)))
 
 
 def eos_seq(model, marks, times, goal=0, sid="s0"):
@@ -155,15 +157,15 @@ class TestHingeSum:
         # 0.7 then 0.5: the second step pays 0.2; the third (0.2 below best
         # 0.7) pays 0.5
         probs = Tensor(np.array([[0.7], [0.5], [0.2]]))
-        assert one(hinge_sum(probs)) == pytest.approx(0.7, abs=1e-12)
+        assert one(hinge_sum(probs, Segments(probs.shape[0]))) == pytest.approx(0.7, abs=1e-12)
 
     def test_first_row_never_penalized(self):
         probs = Tensor(np.array([[0.9], [0.95]]))
-        assert one(hinge_sum(probs)) == 0.0
+        assert one(hinge_sum(probs, Segments(probs.shape[0]))) == 0.0
 
     def test_constant_scores_zero(self):
         probs = Tensor(np.full((5, 2), 0.4))
-        assert one(hinge_sum(probs)) == 0.0
+        assert one(hinge_sum(probs, Segments(probs.shape[0]))) == 0.0
 
     def test_monotone_columns_exactly_zero(self):
         rng = np.random.default_rng(8)
@@ -171,7 +173,7 @@ class TestHingeSum:
             k = int(rng.integers(1, 12))
             cols = int(rng.integers(1, 4))
             probs = np.sort(rng.uniform(size=(k, cols)), axis=0)
-            assert one(hinge_sum(Tensor(probs))) == 0.0
+            assert one(hinge_sum(Tensor(probs), Segments(k))) == 0.0
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(9)
@@ -185,7 +187,7 @@ class TestHingeSum:
                 for i in range(k):
                     expect += max(0.0, best - p[i, c])
                     best = max(best, p[i, c])
-            assert one(hinge_sum(Tensor(p))) == pytest.approx(expect, abs=1e-12)
+            assert one(hinge_sum(Tensor(p), Segments(k))) == pytest.approx(expect, abs=1e-12)
 
 
 class TestMargins:
@@ -240,6 +242,25 @@ class TestL2AndBreakdown:
         model = make_model(seed=14)
         expect = sum(float(np.sum(t.data ** 2)) for _, t in model.store.items())
         assert float(l2_penalty(model.store).data) == pytest.approx(expect, rel=1e-12)
+
+    def test_l2_is_one_record_matching_the_per_parameter_chain(self):
+        # the op chain the single record replaced: mul, sum_all and add per
+        # parameter, in name order; value and gradients must agree bit for bit
+        model = make_model(variant="plus", seed=15)
+        with GradTape() as tape:
+            l2 = l2_penalty(model.store)
+            assert len(tape) == 1
+        assert float(l2.data) == float(chain_l2(model.store).data)
+        got = gradients(model, lambda: mul(l2_penalty(model.store), 0.37))
+        want = gradients(model, lambda: mul(chain_l2(model.store), 0.37))
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    def test_l2_guard_names_the_op(self):
+        model = make_model(seed=16)
+        model.store["mark.w"].data[0, 0] = 1e200
+        with pytest.raises(NumericError, match="l2_penalty"):
+            l2_penalty(model.store)
 
     def test_breakdown_identity_is_exact(self):
         bd = LossBreakdown.build(nll=1.25, goal_ce=0.5, margin_goal=0.125,
@@ -352,6 +373,14 @@ def random_batch(model, rng, lens, with_eos=True):
     return batch
 
 
+def chain_l2(store):
+    acc = None
+    for _, t in store.items():
+        sq = sum_all(mul(t, t))
+        acc = sq if acc is None else acc + sq
+    return acc
+
+
 def gradients(model, build):
     model.store.zero_grads()
     with GradTape() as tape:
@@ -400,7 +429,8 @@ class TestPadding:
         short, long = random_batch(model, rng, [3, 37])
         fwd_alone = fwd_of(model, short)
         fwd_packed = model.forward(np.concatenate([short.marks(), long.marks()]),
-                                   np.concatenate([short.times(), long.times()]), [3, 37])
+                                   np.concatenate([short.times(), long.times()]),
+                                   Segments(40, [3, 37]))
         for name in ("mark_logprob", "goal_logprob", "mu", "sigma2"):
             np.testing.assert_allclose(getattr(fwd_packed, name).data[:3],
                                        getattr(fwd_alone, name).data, rtol=0, atol=1e-12)
@@ -421,6 +451,28 @@ class TestPadding:
         for name in want:
             np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12,
                                        err_msg=name)
+
+
+class TestForwardLayout:
+    def test_pack_lays_out_each_sequence(self):
+        model = make_model(seed=41, max_len=12)
+        batch = random_batch(model, np.random.default_rng(42), [2, 5, 3])
+        marks, times, segs = pack(batch)
+        np.testing.assert_array_equal(segs.lens, [2, 5, 3])
+        np.testing.assert_array_equal(marks[segs.last], [s.actions[-1].mark for s in batch])
+        fwd = model.forward(marks, times, segs)
+        assert fwd.segs is segs
+        for seq, part in zip(batch, fwd.split()):
+            np.testing.assert_array_equal(part.marks, seq.marks())
+            np.testing.assert_allclose(part.mu.data, fwd_of(model, seq).mu.data,
+                                       rtol=0, atol=1e-12)
+
+    def test_forward_refuses_a_layout_for_other_rows(self):
+        model = make_model(seed=43, max_len=12)
+        marks, times = [0, 1, 2, 0], [0.5, 1.0, 1.5, 2.5]
+        for segs in (Segments(3), Segments(5), Segments(5, [1, 4]), Segments(3, [2, 1])):
+            with pytest.raises(ShapeError):
+                model.forward(marks, times, segs)
 
 
 class TestTapeGrowth:
