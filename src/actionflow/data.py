@@ -242,8 +242,26 @@ class ClusterMap:
             raise DataError(f"mark id {mark} has no duration cluster")
         return self.mark_to_cluster[mark]
 
+    @functools.cached_property
+    def _lookup(self) -> np.ndarray:
+        """Cluster id by mark id; -1 where a mark has no cluster. Mark ids
+        are vocabulary indices, so a negative key names no mark."""
+        table = np.full(max(self.mark_to_cluster, default=0) + 1, -1, dtype=np.intp)
+        for mark, cluster in self.mark_to_cluster.items():
+            if mark >= 0:
+                table[mark] = cluster
+        return table
+
     def clusters_of(self, marks) -> np.ndarray:
-        return np.array([self.cluster_of(int(m)) for m in marks], dtype=np.intp)
+        """cluster_of for every mark id in an array, as one table lookup."""
+        marks = np.asarray(marks, dtype=np.intp)
+        table = self._lookup
+        known = (marks >= 0) & (marks < table.size)
+        ids = table[np.where(known, marks, 0)]
+        missing = ~known | (ids < 0)
+        if missing.any():
+            raise DataError(f"mark id {int(marks[missing][0])} has no duration cluster")
+        return ids
 
     def to_dict(self) -> dict:
         return {

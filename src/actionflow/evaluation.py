@@ -29,12 +29,13 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Ctas, load_corpus
 from .generation import TERMINATION_REASONS, GenRequest, core_actions, generate
-from .model import ForwardPass, Model, ModelConfig, pack
+from .model import Model, ModelConfig, pack
 from .training import TrainConfig, run_training
 
 log = logging.getLogger(__name__)
@@ -52,32 +53,45 @@ def _fraction_key(f: float) -> str:
 # teacher-forced next-action metrics
 # ---------------------------------------------------------------------------
 
-def teacher_forced(model: Model, corpus: list[Ctas]) -> list[tuple[Ctas, ForwardPass]]:
-    """Every sequence's pass over its observed actions, in id order.
+class SeqRows(NamedTuple):
+    """One test sequence's rows of the packed teacher-forced pass, as plain
+    arrays: next-mark and goal probabilities and the lognormal mu."""
+
+    mark_prob: np.ndarray
+    goal_prob: np.ndarray
+    mu: np.ndarray
+
+
+def teacher_forced(model: Model, corpus: list[Ctas]) -> list[tuple[Ctas, SeqRows]]:
+    """Every sequence's predictions over its observed actions, in id order.
 
     The sequences are encoded together in one packed forward pass; each gets
-    the slice of rows that belongs to it.
+    views of the rows that belong to it.
     """
     ordered = sorted(corpus, key=lambda s: s.id)
     if not ordered:
         return []
-    return list(zip(ordered, model.forward(*pack(ordered)).split()))
+    fwd = model.forward(*pack(ordered))
+    mark_prob, goal_prob, mu = fwd.mark_prob.data, fwd.goal_prob.data, fwd.mu.data[:, 0]
+    bounds = zip(fwd.segs.starts.tolist(), (fwd.segs.last + 1).tolist())
+    return [(seq, SeqRows(mark_prob[a:b], goal_prob[a:b], mu[a:b]))
+            for seq, (a, b) in zip(ordered, bounds)]
 
 
-def next_action_eval(passes: list[tuple[Ctas, ForwardPass]]) -> dict:
+def next_action_eval(passes: list[tuple[Ctas, SeqRows]]) -> dict:
     """Micro-averaged mark accuracy and absolute time error over transitions."""
     records = []
     correct = 0
     transitions = 0
     abs_err = 0.0
-    for seq, fwd in passes:
+    for seq, rows in passes:
         n = len(seq.actions)
         if n < 2:
             raise ValueError(f"sequence {seq.id!r} has no transitions to evaluate")
         marks = seq.marks()
         times = seq.times()
-        pred_marks = np.argmax(fwd.mark_prob.data[:-1], axis=1)
-        pred_times = times[:-1] + np.exp(fwd.mu.data[:-1, 0])
+        pred_marks = np.argmax(rows.mark_prob[:-1], axis=1)
+        pred_times = times[:-1] + np.exp(rows.mu[:-1])
         seq_correct = int(np.sum(pred_marks == marks[1:]))
         seq_err = float(np.sum(np.abs(pred_times - times[1:])))
         records.append({"id": seq.id, "transitions": n - 1,
@@ -115,7 +129,7 @@ def majority_mark_baseline(train: list[Ctas], test: list[Ctas]) -> float:
 # goal detection
 # ---------------------------------------------------------------------------
 
-def goal_eval(passes: list[tuple[Ctas, ForwardPass]],
+def goal_eval(passes: list[tuple[Ctas, SeqRows]],
               prefix_fractions=DEFAULT_PREFIXES) -> dict:
     """Goal accuracy when only a leading fraction of each sequence is visible."""
     fractions = tuple(float(f) for f in prefix_fractions)
@@ -124,9 +138,9 @@ def goal_eval(passes: list[tuple[Ctas, ForwardPass]],
             raise ValueError(f"prefix fraction must lie in (0, 1], got {f}")
     hits = {f: 0 for f in fractions}
     records = []
-    for seq, fwd in passes:
+    for seq, rows in passes:
         n = len(seq.actions)
-        goals = np.argmax(fwd.goal_prob.data, axis=1)
+        goals = np.argmax(rows.goal_prob, axis=1)
         row = {"id": seq.id, "goal": seq.goal, "predicted": {}}
         for f in fractions:
             k = max(1, math.ceil(f * n))

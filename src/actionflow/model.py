@@ -92,14 +92,6 @@ class ForwardPass:
     times: np.ndarray
     segs: Segments
 
-    def split(self) -> list["ForwardPass"]:
-        """One forward-only pass per packed sequence, viewing its own rows."""
-        fields = ("mark_logprob", "mark_prob", "goal_logprob", "goal_prob", "mu", "sigma2")
-        alone = {n: Segments(n) for n in set(self.segs.lens.tolist())}  # equal lengths share one
-        return [ForwardPass(**{f: Tensor(getattr(self, f).data[a:b]) for f in fields},
-                            marks=self.marks[a:b], times=self.times[a:b], segs=alone[b - a])
-                for a, b in zip(self.segs.starts.tolist(), (self.segs.last + 1).tolist())]
-
 
 def pack(seqs: list[Ctas]) -> tuple[np.ndarray, np.ndarray, Segments]:
     """Marks, times and row layout of sequences stacked for one forward pass."""

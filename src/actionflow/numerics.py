@@ -16,12 +16,16 @@ A minibatch runs as packed rows: the rows of all its sequences stacked in
 one array, laid out by one Segments that the caller builds per forward pass
 (model.pack). Row-wise primitives need nothing more; the scans (cumsum,
 shifted_prefix_max), segment_sum and causal_attention take the layout, refuse
-one for another row count, and never mix rows of different sequences.
+one for another row count, and never mix rows of different sequences. The
+scans run on one zero-padded [segments, longest, ...] block; causal_attention,
+whose cost grows with the square of the padded width, runs one block per
+group of similar-length segments (Segments.groups), still as one tape record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -166,7 +170,7 @@ def _active_tape() -> GradTape | None:
 
 def _emit(op: str, out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     out_data = np.asarray(out_data, dtype=np.float64)
-    if not np.all(np.isfinite(out_data)):
+    if not np.isfinite(out_data).all():
         raise NumericError(f"{op}: non-finite output")
     out = Tensor(out_data)
     tape = _active_tape()
@@ -381,6 +385,34 @@ def pick(a: Tensor, rows, cols) -> Tensor:
     return _emit("pick", a.data[rows, cols], (a,), vjp)
 
 
+#: Fixed numpy dispatch of one padded attention block, counted in
+#: [width x width] score cells: Segments.groups opens another block only
+#: where the padding it saves outweighs this.
+BLOCK_COST = 4096
+
+
+def _length_cuts(sizes: list[int]) -> list[int]:
+    """Cut points 0 = c[0] < ... < c[-1] = len(sizes) splitting ascending
+    sizes into runs, minimising the sum over runs of
+    len(run) * max(run)**2 + BLOCK_COST (dynamic programme over the run ends).
+    """
+    best, start = [0], [0]
+    for j in range(1, len(sizes) + 1):
+        area, top, at = sizes[j - 1] ** 2, float("inf"), 0
+        for i in range(j - 1, -1, -1):
+            spread = (j - i) * area
+            if spread >= top:  # best[i] >= 0, so no longer run can win
+                break
+            if best[i] + spread < top:
+                top, at = best[i] + spread, i
+        best.append(top + BLOCK_COST)
+        start.append(at)
+    cuts = [len(sizes)]
+    while cuts[-1]:
+        cuts.append(start[cuts[-1]])
+    return cuts[::-1]
+
+
 class Segments:
     """Row layout of packed sequences: segment b owns lens[b] consecutive rows.
 
@@ -389,6 +421,8 @@ class Segments:
     per-segment scans run along axis 1; ``unpad`` reads them back. Padding
     sits after each segment's rows, so it never enters a scan of the rows
     before it. A segment may own no rows; Segments(n) is one over all n rows.
+    ``groups`` splits the segments into runs of similar length for ops whose
+    cost grows with the square of the padded width.
     """
 
     def __init__(self, n: int, lens=None):
@@ -419,6 +453,31 @@ class Segments:
 
     def unpad(self, p: np.ndarray) -> np.ndarray:
         return p[0] if self.count == 1 else p[self.seg, self.pos]
+
+    @cached_property
+    def groups(self) -> tuple[tuple[slice | np.ndarray, "Segments"], ...]:
+        """The segments as blocks of similar length, shortest first.
+
+        Each block is (rows, layout): the indices of this layout's rows that
+        its segments own, and a Segments tiling just those rows, one segment
+        per member, shortest first. The blocks partition the length-sorted
+        segments so that sum(count * width**2) + BLOCK_COST per block is
+        least; a single block is (slice(None), self). Worked out on first
+        use and kept, so every op on this layout shares it.
+        """
+        order = np.argsort(self.lens, kind="stable")
+        sizes = self.lens[order].tolist()
+        # segments that own no rows join the first block, never one of width 0
+        empty = sizes.count(0)
+        cuts = [0, *(empty + c for c in _length_cuts(sizes[empty:])[1:])]
+        if len(cuts) <= 2:
+            return ((slice(None), self),)
+        rank = np.empty(self.count, dtype=np.intp)
+        rank[order] = np.arange(self.count)
+        ranked = np.argsort(rank[self.seg], kind="stable")  # rows, segment by segment
+        ends = np.concatenate(([0], np.cumsum(sizes))).tolist()
+        return tuple((ranked[ends[a]:ends[b]], Segments(ends[b] - ends[a], sizes[a:b]))
+                     for a, b in zip(cuts, cuts[1:]))
 
 
 def cumsum(a: Tensor, segs: Segments) -> Tensor:
@@ -499,6 +558,10 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, segs: Segments, heads: int
     to rows 0..i of the same sequence only: the causal upper triangle and
     the padding keys get exactly zero weight. Returns the [N, d] heads'
     outputs side by side, before any output projection.
+
+    Each of segs.groups runs as one zero-padded [segments, heads, width,
+    width] block as wide as its own longest sequence, so a short sequence
+    pays for the padding of its group, not of the whole batch.
     """
     shapes = {q.data.shape, k.data.shape, v.data.shape}
     if len(shapes) != 1 or q.data.ndim != 2:
@@ -507,34 +570,41 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, segs: Segments, heads: int
     if heads < 1 or d % heads:
         raise ShapeError(f"causal_attention: width {d} does not split into {heads} heads")
     segs.check("causal_attention", n)
-    b, width, dh = segs.count, segs.width, d // heads
+    scale = 1.0 / np.sqrt(d // heads)
 
-    def split(x):  # [N, d] -> [segments, heads, width, dh]
-        return segs.pad(x).reshape(b, width, heads, dh).transpose(0, 2, 1, 3)
+    def split(x, sub):  # [rows, d] -> [segments, heads, width, dh]
+        return sub.pad(x).reshape(sub.count, sub.width, heads, -1).transpose(0, 2, 1, 3)
 
-    def merge(x):  # inverse of split
-        return segs.unpad(x.transpose(0, 2, 1, 3).reshape(b, width, d))
+    def merge(x, sub):  # inverse of split
+        return sub.unpad(x.transpose(0, 2, 1, 3).reshape(sub.count, sub.width, d))
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scale = 1.0 / np.sqrt(dh)
-    hidden = np.triu(np.ones((width, width), dtype=bool), 1) \
-        | (np.arange(width) >= segs.lens[:, None])[:, None, None, :]
+    out = np.empty((n, d))
+    blocks = []
     # overflowing scores end in a non-finite output, which _emit reports
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
-        np.copyto(scores, -np.inf, where=hidden)
-        scores -= scores.max(axis=-1, keepdims=True)
-        w = np.exp(scores, out=scores)
-        w /= w.sum(axis=-1, keepdims=True)
-        out = merge(np.matmul(w, vh))
+        for rows, sub in segs.groups:
+            qh, kh, vh = (split(x.data[rows], sub) for x in (q, k, v))
+            # a real row's padding keys lie above the diagonal too; a padding
+            # row's output is dropped and its gradient is zero
+            cols = np.arange(sub.width)
+            scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
+            np.copyto(scores, -np.inf, where=cols > cols[:, None])
+            scores -= scores.max(axis=-1, keepdims=True)
+            w = np.exp(scores, out=scores)
+            w /= w.sum(axis=-1, keepdims=True)
+            out[rows] = merge(np.matmul(w, vh), sub)
+            blocks.append((rows, sub, qh, kh, vh, w))
 
     def vjp(g):
-        gh = split(g)
-        gw = np.matmul(gh, vh.swapaxes(-1, -2))
-        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
-        return (merge(np.matmul(gs, kh)),
-                merge(np.matmul(gs.swapaxes(-1, -2), qh)),
-                merge(np.matmul(w.swapaxes(-1, -2), gh)))
+        gq, gk, gv = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
+        for rows, sub, qh, kh, vh, w in blocks:
+            gh = split(g[rows], sub)
+            gw = np.matmul(gh, vh.swapaxes(-1, -2))
+            gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
+            gq[rows] = merge(np.matmul(gs, kh), sub)
+            gk[rows] = merge(np.matmul(gs.swapaxes(-1, -2), qh), sub)
+            gv[rows] = merge(np.matmul(w.swapaxes(-1, -2), gh), sub)
+        return gq, gk, gv
 
     return _emit("causal_attention", out, (q, k, v), vjp)
 

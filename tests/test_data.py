@@ -471,6 +471,19 @@ class TestClusters:
         with pytest.raises(DataError):
             cm.cluster_of(3)
 
+    def test_clusters_of_matches_cluster_of(self):
+        cm = ClusterMap(m=3, mark_to_cluster={0: 2, 1: 0, 3: 1, 4: 2})
+        marks = np.array([4, 0, 0, 3, 1, 4])
+        np.testing.assert_array_equal(cm.clusters_of(marks),
+                                      [cm.cluster_of(int(m)) for m in marks])
+        assert cm.clusters_of(marks).dtype == np.intp
+
+    @pytest.mark.parametrize("bad", [2, 5, 17, -1])
+    def test_clusters_of_names_an_unassigned_mark(self, bad):
+        cm = ClusterMap(m=3, mark_to_cluster={0: 2, 1: 0, 3: 1, 4: 2})
+        with pytest.raises(DataError, match=f"mark id {bad} has no duration cluster"):
+            cm.clusters_of([0, 1, bad, 3])
+
 
 class TestDeleteRandom:
     def test_fraction_zero_is_identity(self):

@@ -5,11 +5,13 @@ per-sequence oracle in reference.py rebuilds from the remaining primitives
 are checked here as well, since the packed batch path is judged against it.
 """
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from actionflow import numerics
 from actionflow.numerics import (
     FdReport,
     GradTape,
@@ -405,7 +407,8 @@ class TestLayoutCheck:
     """An op handed a layout for another row count refuses it, whether the
     layout has fewer or more rows, one segment or several."""
 
-    LAYOUTS = [Segments(4), Segments(6), Segments(4, [1, 3]), Segments(6, [2, 2, 2])]
+    LAYOUTS = [Segments(4), Segments(6), Segments(4, [1, 3]), Segments(6, [2, 2, 2]),
+               Segments(136, [1, 2, 9, 60, 64])]
 
     @pytest.mark.parametrize("segs", LAYOUTS, ids=lambda s: str(s.lens.tolist()))
     def test_ops_refuse_a_layout_for_other_rows(self, segs):
@@ -416,6 +419,123 @@ class TestLayoutCheck:
                    lambda: causal_attention(x, x, x, segs, 2)):
             with pytest.raises(ShapeError, match="layout of"):
                 op()
+
+
+def naive_attention(q, k, v, lens, heads):
+    """Causal attention of each sequence on its own, by plain numpy loops."""
+    n, d = q.shape
+    dh = d // heads
+    out = np.zeros((n, d))
+    for start, length in zip(np.cumsum(lens) - lens, lens):
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            for i in range(length):
+                keys = slice(start, start + i + 1)
+                scores = k[keys, cols] @ q[start + i, cols] / np.sqrt(dh)
+                e = np.exp(scores - scores.max())
+                out[start + i, cols] = (e / e.sum()) @ v[keys, cols]
+    return out
+
+
+class TestGroups:
+    """Segments.groups partitions the segments into length-sorted blocks, and
+    causal_attention over them is the per-sequence attention."""
+
+    MIXED = [9, 97, 40, 12, 60, 33, 21, 88, 9, 15, 70, 44, 50, 13, 27, 95]
+
+    @staticmethod
+    def cost(sizes, cuts):
+        return sum((b - a) * sizes[b - 1] ** 2 + numerics.BLOCK_COST
+                   for a, b in zip(cuts, cuts[1:]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_blocks_partition_the_segments_by_length(self, seed):
+        rng = np.random.default_rng(seed)
+        lens = rng.integers(0, 98, size=int(rng.integers(2, 33))).tolist()
+        segs = Segments(sum(lens), lens)
+        rows = []
+        for block_rows, sub in segs.groups:
+            block = np.arange(segs.n)[block_rows]
+            # each row keeps its position, in a segment of its own length
+            np.testing.assert_array_equal(segs.pos[block], sub.pos)
+            np.testing.assert_array_equal(segs.lens[segs.seg[block]], sub.lens[sub.seg])
+            rows.extend(block.tolist())
+        assert sorted(rows) == list(range(segs.n))
+        members = [sub.lens.tolist() for _, sub in segs.groups]
+        assert sorted(x for m in members for x in m) == sorted(lens)
+        assert all(max(a) <= min(b) for a, b in zip(members, members[1:]))
+
+    def test_equal_lengths_and_a_lone_segment_are_one_block(self):
+        for segs in (Segments(7), Segments(12, [4, 4, 4]), Segments(97 * 32, [97] * 32)):
+            assert len(segs.groups) == 1
+            rows, sub = segs.groups[0]
+            assert rows == slice(None) and sub is segs
+
+    def test_mixed_lengths_split_and_are_worked_out_once(self):
+        segs = Segments(sum(self.MIXED), self.MIXED)
+        assert len(segs.groups) >= 2
+        assert segs.groups is segs.groups
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_partition_has_least_cost(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = sorted(rng.integers(0, 100, size=int(rng.integers(1, 9))).tolist())
+        k = len(sizes)
+        least = min(self.cost(sizes, [0, *inner, k]) for r in range(k)
+                    for inner in itertools.combinations(range(1, k), r))
+        assert self.cost(sizes, numerics._length_cuts(sizes)) == least
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_attention_over_blocks_is_per_sequence_attention(self, heads):
+        rng = np.random.default_rng(61 + heads)
+        segs = Segments(sum(self.MIXED), self.MIXED)
+        q, k, v = (rng.normal(size=(segs.n, 8)) for _ in range(3))
+        got = causal_attention(Tensor(q), Tensor(k), Tensor(v), segs, heads).data
+        np.testing.assert_allclose(got, naive_attention(q, k, v, self.MIXED, heads),
+                                   rtol=0, atol=1e-12)
+
+    def test_segments_without_rows_join_a_block(self):
+        # on their own, the two empty segments would be cheaper as a block
+        # of width 0 than padded to 90
+        lens = [0, 97, 90, 0]
+        segs = Segments(187, lens)
+        assert all(sub.width > 0 for _, sub in segs.groups)
+        rng = np.random.default_rng(64)
+        q, k, v = (rng.normal(size=(187, 4)) for _ in range(3))
+        got = causal_attention(Tensor(q), Tensor(k), Tensor(v), segs, 2).data
+        np.testing.assert_allclose(got, naive_attention(q, k, v, lens, 2), rtol=0, atol=1e-12)
+
+    def test_masked_and_padding_weights_are_exactly_zero_in_every_block(self):
+        # one-hot values make each output row the row's attention weights;
+        # future rows, rows of other sequences and padding get exactly zero
+        lens = [1, 2, 9, 60, 64, 5]
+        segs = Segments(sum(lens), lens)
+        assert len(segs.groups) >= 2
+        n = segs.n
+        rng = np.random.default_rng(62)
+        q, k = Tensor(rng.normal(size=(n, n)) * 5.0), Tensor(rng.normal(size=(n, n)) * 5.0)
+        weights = causal_attention(q, k, Tensor(np.eye(n)), segs, 1).data
+        visible = (segs.seg[:, None] == segs.seg[None, :]) \
+            & (segs.pos[None, :] <= segs.pos[:, None])
+        assert np.all(weights[~visible] == 0.0)
+        assert np.all(weights[visible] > 0.0)
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_gradient_across_blocks_matches_central_differences(self, heads, monkeypatch):
+        # a free block cost gives every distinct length its own block
+        monkeypatch.setattr(numerics, "BLOCK_COST", 0)
+        lens = [1, 2, 9, 30, 31]
+        segs = Segments(73, lens)
+        assert len(segs.groups) == 5
+        weights = Tensor(np.random.default_rng(63).normal(size=(73, 4)))
+        for seed in (101, 202):
+            store = make_store({"q": (73, 4), "k": (73, 4), "v": (73, 4)}, seed)
+            report = finite_difference_check(
+                lambda s: sum_all(mul(causal_attention(s["q"], s["k"], s["v"],
+                                                       Segments(73, lens), heads), weights)),
+                store)
+            assert report.max_rel_err < 1e-6, (heads, seed, report.max_rel_err)
 
 
 class TestErrorContracts:

@@ -396,12 +396,9 @@ LOSS = dict(gamma=0.9, margin_weight=0.1, l2_coeff=0.001)
 class TestPackedMatchesReference:
     """The packed batch path against the per-sequence oracle in reference.py."""
 
-    @pytest.mark.parametrize("eos_time_term", [True, False])
-    @pytest.mark.parametrize("ffn", ["summed", "standard"])
-    @pytest.mark.parametrize("variant", ["base", "plus"])
-    def test_terms_total_and_gradients(self, variant, ffn, eos_time_term):
-        model = make_model(variant=variant, seed=31, ffn=ffn, max_len=12, blocks=2)
-        batch = random_batch(model, np.random.default_rng(32), [2, 9, 5, 13, 3, 2])
+    @staticmethod
+    def check(model, batch, eos_time_term=True):
+        """Every term, the total and every gradient match the oracle to 1e-12."""
         terms = sequence_terms(model, batch, gamma=0.9, eos_time_term=eos_time_term)
         total, bd = total_loss(model, batch, eos_time_term=eos_time_term, **LOSS)
         ref_total, ref_terms = reference.total_loss(model, batch,
@@ -418,6 +415,25 @@ class TestPackedMatchesReference:
         for name in want:
             np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12,
                                        err_msg=name)
+
+    @pytest.mark.parametrize("eos_time_term", [True, False])
+    @pytest.mark.parametrize("ffn", ["summed", "standard"])
+    @pytest.mark.parametrize("variant", ["base", "plus"])
+    def test_terms_total_and_gradients(self, variant, ffn, eos_time_term):
+        model = make_model(variant=variant, seed=31, ffn=ffn, max_len=12, blocks=2)
+        batch = random_batch(model, np.random.default_rng(32), [2, 9, 5, 13, 3, 2])
+        self.check(model, batch, eos_time_term)
+
+    @pytest.mark.parametrize("ffn", ["summed", "standard"])
+    @pytest.mark.parametrize("variant", ["base", "plus"])
+    def test_mixed_lengths_across_attention_blocks(self, variant, ffn):
+        # lengths 9 to 97, as in a train_mixed batch: attention runs in
+        # several length-grouped blocks
+        model = make_model(variant=variant, seed=37, ffn=ffn, max_len=100, blocks=2)
+        rng = np.random.default_rng(38)
+        batch = random_batch(model, rng, [9, 97, *rng.integers(9, 98, size=6).tolist()])
+        assert len(pack(batch)[2].groups) >= 2
+        self.check(model, batch)
 
 
 class TestPadding:
@@ -462,9 +478,9 @@ class TestForwardLayout:
         np.testing.assert_array_equal(marks[segs.last], [s.actions[-1].mark for s in batch])
         fwd = model.forward(marks, times, segs)
         assert fwd.segs is segs
-        for seq, part in zip(batch, fwd.split()):
-            np.testing.assert_array_equal(part.marks, seq.marks())
-            np.testing.assert_allclose(part.mu.data, fwd_of(model, seq).mu.data,
+        for seq, a, b in zip(batch, segs.starts, segs.last + 1):
+            np.testing.assert_array_equal(fwd.marks[a:b], seq.marks())
+            np.testing.assert_allclose(fwd.mu.data[a:b], fwd_of(model, seq).mu.data,
                                        rtol=0, atol=1e-12)
 
     def test_forward_refuses_a_layout_for_other_rows(self):
@@ -487,6 +503,21 @@ class TestTapeGrowth:
                 total_loss(model, batch, **LOSS)
                 records[size] = len(tape)
         assert records[32] - records[1] <= 4, records
+
+    def test_length_grouped_attention_adds_no_record(self):
+        # attention stays one record per encoder block however many length
+        # groups it runs
+        model = make_model(seed=39, max_len=100, blocks=2)
+        rng = np.random.default_rng(40)
+        records, blocks = {}, {}
+        for name, lens in (("equal", [20] * 8), ("mixed", [9, 97, 12, 60, 33, 88, 15, 44])):
+            batch = random_batch(model, rng, lens)
+            blocks[name] = len(pack(batch)[2].groups)
+            with GradTape() as tape:
+                total_loss(model, batch, **LOSS)
+                records[name] = len(tape)
+        assert blocks["equal"] == 1 and blocks["mixed"] >= 2, blocks
+        assert records["mixed"] == records["equal"], records
 
 
 class TestDivergentBatch:
