@@ -155,10 +155,13 @@ def save_checkpoint(path, model: Model, train_cfg: TrainConfig | None = None,
         "epoch": epoch,
         "best_total": best_total,
     }
+    # one string from the C encoder, one write: json.dump would run the
+    # pure-Python encoder and write it chunk by chunk, at twice the cost
+    text = json.dumps(payload)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

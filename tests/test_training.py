@@ -298,11 +298,23 @@ class TestCheckpoints:
         save_checkpoint(path, self.make_model(seed=1), epoch=1)
         before = path.read_bytes()
 
-        def dump_partway(obj, fh):
-            fh.write(json.dumps(obj)[:100])
-            raise OSError("disk full")
+        class FullDisk:
+            """A text file that takes 100 characters, then reports a full disk."""
 
-        monkeypatch.setattr(training.json, "dump", dump_partway)
+            def __init__(self, *args, **kwargs):
+                self.fh = open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:100])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(training, "open", FullDisk, raising=False)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, self.make_model(seed=2), epoch=2)
         monkeypatch.undo()
