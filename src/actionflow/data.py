@@ -237,11 +237,6 @@ class ClusterMap:
     mark_to_cluster: dict[int, int]
     mark_means: dict[int, float] = field(default_factory=dict)
 
-    def cluster_of(self, mark: int) -> int:
-        if mark not in self.mark_to_cluster:
-            raise DataError(f"mark id {mark} has no duration cluster")
-        return self.mark_to_cluster[mark]
-
     @functools.cached_property
     def _lookup(self) -> np.ndarray:
         """Cluster id by mark id; -1 where a mark has no cluster. Mark ids
@@ -253,7 +248,8 @@ class ClusterMap:
         return table
 
     def clusters_of(self, marks) -> np.ndarray:
-        """cluster_of for every mark id in an array, as one table lookup."""
+        """The cluster of every mark id in an array, as one table lookup;
+        a mark with no cluster raises DataError."""
         marks = np.asarray(marks, dtype=np.intp)
         table = self._lookup
         known = (marks >= 0) & (marks < table.size)

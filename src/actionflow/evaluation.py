@@ -298,17 +298,10 @@ def sweep_point(corpus_path: str, model_dict: dict, train_dict: dict,
         model_cfg = ModelConfig.from_dict(model_dict)
         train_cfg = TrainConfig.from_dict(train_dict)
         model, prep, _ = run_training(corpus, vocab, model_cfg, train_cfg)
-        passes = teacher_forced(model, prep.test_raw)
-        nxt = next_action_eval(passes)
-        gpa = goal_eval(passes, DEFAULT_PREFIXES)["gpa_at"]
-        row.update({
-            "status": "ok",
-            "apa": nxt["apa"],
-            "mae": nxt["mae"],
-            "error": "",
-        })
+        report = full_report(model, prep.test_raw, with_generation=False)
+        row.update({"status": "ok", "apa": report.apa, "mae": report.mae, "error": ""})
         for f in DEFAULT_PREFIXES:
-            row[f"gpa_{_fraction_key(f)}"] = gpa[_fraction_key(f)]
+            row[f"gpa_{_fraction_key(f)}"] = report.gpa_at[_fraction_key(f)]
     except Exception as e:  # a failed point must not sink the sweep
         log.warning("sweep point %s failed: %s", point, e)
         row.update({"status": "error", "apa": "", "mae": "", "error": str(e)})

@@ -3,14 +3,17 @@
 Everything else in this package does its math through the primitives in this
 module. Each primitive evaluates eagerly with numpy, records itself on the
 active gradient tape (if one is open), and raises a structured error when
-shapes disagree or a non-finite value shows up. Gradients accumulate on
-parameter tensors across backward passes until explicitly zeroed, so a loss
-summed over many sequences costs no extra bookkeeping.
+shapes disagree or a non-finite value shows up. Every tensor has one gradient
+slot. ``requires_grad`` marks the parameters, whose gradients accumulate
+across backward passes until explicitly zeroed, so a loss summed over many
+sequences costs no extra bookkeeping; a product carries a gradient only
+during its own tape's backward.
 
 Broadcasting is deliberately narrow: scalars combine with anything, and a
-rank-1 tensor may be added to / multiplied into the rows of a rank-2 tensor
-(the bias case). Everything else is rejected, which keeps the finite-difference
-oracle and the backward rules straightforward.
+rank-1 tensor may be added to, subtracted from or multiplied into the rows
+of a rank-2 tensor (the bias case), whose gradient is then summed over the
+rows. Everything else is rejected, which keeps the finite-difference oracle
+and the backward rules straightforward.
 
 A minibatch runs as packed rows: the rows of all its sequences stacked in
 one array, laid out by one Segments that the caller builds per forward pass
@@ -24,6 +27,7 @@ group of similar-length segments (Segments.groups), still as one tape record.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,21 +48,25 @@ class NumericError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 class Tensor:
-    """A float64 array plus an optional accumulated gradient.
+    """A float64 array plus a gradient slot.
 
-    Tensors are created either as constants (inputs, masks, targets) or as
-    named parameters inside a ParamStore; only the latter set
-    ``requires_grad`` and receive gradients from ``GradTape.backward``.
+    Tensors are constants (inputs, masks, targets), named parameters inside
+    a ParamStore, or the products of primitives. ``requires_grad`` marks the
+    parameters: their ``grad`` accumulates across ``GradTape.backward``
+    calls until zeroed. A product carries the serial number of the tape that
+    recorded it, and holds a ``grad`` only while that tape's backward runs.
+    A ``grad`` array may be shared with another tensor's, so it is replaced,
+    never written into.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "requires_grad", "grad", "name", "_tape")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self.name = name
+        self._tape = 0  # serial of the tape that recorded this tensor; 0 if none
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -104,6 +112,7 @@ class Tensor:
 
 
 _TAPE_STACK: list["GradTape"] = []
+_TAPE_SERIALS = itertools.count(1)
 
 
 class GradTape:
@@ -115,13 +124,17 @@ class GradTape:
             loss = ...          # ops record themselves here
             tape.backward(loss) # gradients land on parameter tensors
 
-    With no tape open, the same ops run as plain forward arithmetic.
+    With no tape open, the same ops run as plain forward arithmetic. Every
+    tensor a tape records carries the tape's serial number, so backward
+    treats the products of any other tape (an outer one, or one already
+    finished) as constants. Tensors hold the number, not the tape, so a
+    dropped tape is freed at once even while its loss lives on.
     """
 
     def __init__(self):
         # each record: (output tensor, input tuple, vjp callable)
         self._records: list[tuple[Tensor, tuple, object]] = []
-        self._produced: set[int] = set()
+        self._serial = next(_TAPE_SERIALS)
 
     def __enter__(self) -> "GradTape":
         _TAPE_STACK.append(self)
@@ -138,30 +151,28 @@ class GradTape:
         """Accumulate d(loss)/d(param) into every reachable parameter's .grad.
 
         The loss must be a scalar produced by ops recorded on this tape.
-        Parameters not reachable from the loss are left untouched (their
-        gradient reads as zero).
+        Gradients travel on the tensors: replaying a record reads and clears
+        its output's .grad and adds into the .grad of each input that is a
+        parameter or a product of this tape, so no product keeps one
+        afterwards. Parameters not reachable from the loss are left
+        untouched (their gradient reads as zero).
         """
         if not isinstance(loss, Tensor):
             raise TypeError("backward expects a Tensor loss")
         if loss.data.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-        if id(loss) not in self._produced:
+        serial = self._serial
+        if loss._tape != serial:
             raise ValueError("loss was not produced by ops recorded on this tape")
-        flowing: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
+        loss.grad = np.ones((), dtype=np.float64)
         for out, inputs, vjp in reversed(self._records):
-            g = flowing.pop(id(out), None)
+            g, out.grad = out.grad, None
             if g is None:
                 continue
             for tensor, gin in zip(inputs, vjp(g)):
-                if gin is None or not isinstance(tensor, Tensor):
-                    continue
-                if tensor.requires_grad:
-                    if tensor.grad is None:
-                        tensor.grad = np.zeros_like(tensor.data)
-                    tensor.grad += gin
-                if id(tensor) in self._produced:
-                    prev = flowing.get(id(tensor))
-                    flowing[id(tensor)] = gin if prev is None else prev + gin
+                if tensor.requires_grad or tensor._tape == serial:
+                    # out of place: a vjp may hand one array to several inputs
+                    tensor.grad = gin if tensor.grad is None else tensor.grad + gin
 
 
 def _active_tape() -> GradTape | None:
@@ -169,19 +180,14 @@ def _active_tape() -> GradTape | None:
 
 
 def _emit(op: str, out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
-    out_data = np.asarray(out_data, dtype=np.float64)
-    if not np.isfinite(out_data).all():
-        raise NumericError(f"{op}: non-finite output")
     out = Tensor(out_data)
+    if not np.isfinite(out.data).all():
+        raise NumericError(f"{op}: non-finite output")
     tape = _active_tape()
     if tape is not None:
         tape._records.append((out, inputs, vjp))
-        tape._produced.add(id(out))
+        out._tape = tape._serial
     return out
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float, np.integer, np.floating))
 
 
 # ---------------------------------------------------------------------------
@@ -202,72 +208,57 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", ad @ bd, (a, b), vjp)
 
 
-def _binary_shapes(op: str, a: Tensor, b) -> str:
-    """Classify a binary-op operand pair: 'scalar', 'same', or 'bias'."""
-    if _is_number(b):
-        return "scalar"
+def _operand(op: str, a: Tensor, b) -> np.ndarray | float:
+    """b's value as the second operand of an elementwise op on a: a number,
+    a tensor of a's shape, or a rank-1 tensor broadcast over a's rows."""
+    if isinstance(b, (int, float, np.integer, np.floating)):
+        return float(b)
     if not isinstance(b, Tensor):
         raise TypeError(f"{op}: operand must be Tensor or number, got {type(b).__name__}")
-    if a.data.shape == b.data.shape:
-        return "same"
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
-        return "bias"
-    raise ShapeError(f"{op}: {a.data.shape} vs {b.data.shape}")
+    ash, bsh = a.data.shape, b.data.shape
+    if bsh == ash or (len(ash) == 2 and len(bsh) == 1 and ash[1] == bsh[0]):
+        return b.data
+    raise ShapeError(f"{op}: {ash} vs {bsh}")
+
+
+def _binary(op: str, out: np.ndarray, a: Tensor, b, grad_a, grad_b) -> Tensor:
+    """Record an elementwise op on a and b (checked by _operand).
+
+    grad_a and grad_b map the output gradient to each operand's; b's is
+    summed over the rows b was broadcast to, and a number b takes none.
+    """
+    if not isinstance(b, Tensor):
+        return _emit(op, out, (a,), lambda g: (grad_a(g),))
+    rows = b.data.shape != a.data.shape
+    return _emit(op, out, (a, b),
+                 lambda g: (grad_a(g), grad_b(g).sum(axis=0) if rows else grad_b(g)))
 
 
 def add(a: Tensor, b) -> Tensor:
-    """a + b; b may be a scalar or a rank-1 bias broadcast over a's rows."""
-    kind = _binary_shapes("add", a, b)
-    if kind == "scalar":
-        c = float(b)
-        return _emit("add", a.data + c, (a,), lambda g: (g,))
-    if kind == "same":
-        return _emit("add", a.data + b.data, (a, b), lambda g: (g, g))
-    return _emit("add", a.data + b.data[None, :], (a, b), lambda g: (g, g.sum(axis=0)))
+    """a + b; b may be a number, a tensor of a's shape or a rank-1 row bias."""
+    return _binary("add", a.data + _operand("add", a, b), a, b, lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b) -> Tensor:
     """a - b; same operand rules as add."""
-    kind = _binary_shapes("sub", a, b)
-    if kind == "scalar":
-        c = float(b)
-        return _emit("sub", a.data - c, (a,), lambda g: (g,))
-    if kind == "same":
-        return _emit("sub", a.data - b.data, (a, b), lambda g: (g, -g))
-    return _emit("sub", a.data - b.data[None, :], (a, b), lambda g: (g, -g.sum(axis=0)))
+    return _binary("sub", a.data - _operand("sub", a, b), a, b, lambda g: g, lambda g: -g)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    """Elementwise a * b; b may be a scalar or a rank-1 row-wise factor."""
-    kind = _binary_shapes("mul", a, b)
-    if kind == "scalar":
-        c = float(b)
-        return _emit("mul", a.data * c, (a,), lambda g: (g * c,))
-    if kind == "same":
-        ad, bd = a.data, b.data
-        return _emit("mul", ad * bd, (a, b), lambda g: (g * bd, g * ad))
-    ad, bd = a.data, b.data
-    return _emit(
-        "mul", ad * bd[None, :], (a, b),
-        lambda g: (g * bd[None, :], (g * ad).sum(axis=0)),
-    )
+    """Elementwise a * b; same operand rules as add."""
+    ad, bd = a.data, _operand("mul", a, b)
+    return _binary("mul", ad * bd, a, b, lambda g: g * bd, lambda g: g * ad)
 
 
 def div(a: Tensor, b) -> Tensor:
-    """Elementwise a / b for same-shape tensors or a scalar divisor."""
-    kind = _binary_shapes("div", a, b)
-    if kind == "scalar":
-        c = float(b)
-        if c == 0.0:
-            raise NumericError("div: zero scalar divisor")
-        return _emit("div", a.data / c, (a,), lambda g: (g / c,))
-    if kind == "bias":
-        raise ShapeError(f"div: row broadcast not supported ({a.data.shape} / {b.data.shape})")
-    ad, bd = a.data, b.data
+    """Elementwise a / b for a nonzero number or a same-shape tensor b."""
+    ad, bd = a.data, _operand("div", a, b)
+    if isinstance(b, Tensor) and bd.shape != ad.shape:
+        raise ShapeError(f"div: row broadcast not supported ({ad.shape} / {bd.shape})")
     if np.any(bd == 0.0):
-        raise NumericError("div: zero divisor element")
-    out = ad / bd
-    return _emit("div", out, (a, b), lambda g: (g / bd, -g * ad / (bd * bd)))
+        raise NumericError("div: zero divisor element" if isinstance(b, Tensor)
+                           else "div: zero scalar divisor")
+    return _binary("div", ad / bd, a, b, lambda g: g / bd, lambda g: -g * ad / (bd * bd))
 
 
 def relu(a: Tensor) -> Tensor:

@@ -375,7 +375,7 @@ class TestClusters:
     def test_singleton_clusters_when_m_equals_marks(self):
         corpus = self.make_corpus_with_means([1.0, 5.0, 25.0])
         cm = build_clusters(corpus, 4, seed=0)
-        labels = [cm.cluster_of(mk) for mk in range(4)]
+        labels = cm.clusters_of(range(4))
         assert sorted(labels) == [0, 1, 2, 3]
 
     def test_two_well_separated_pairs(self):
@@ -384,9 +384,10 @@ class TestClusters:
         means = [1.0, 1.1, 9.0, 9.2]
         corpus = self.make_corpus_with_means(means)
         cm = build_clusters(corpus, 2, seed=0)
-        assert cm.cluster_of(0) == cm.cluster_of(1)
-        assert cm.cluster_of(2) == cm.cluster_of(3)
-        assert cm.cluster_of(0) != cm.cluster_of(2)
+        c0, c1, c2, c3 = cm.clusters_of([0, 1, 2, 3])
+        assert c0 == c1
+        assert c2 == c3
+        assert c0 != c2
 
     def test_partition_oracle_matches_kmeans_on_random_means(self):
         best = None
@@ -450,13 +451,15 @@ class TestClusters:
         # mark 0 occurs 8 times, mark 1 and 2 occur 4 each
         corpus = [seq(i, 0, [0, 1, 0, 2], [0.0, 1.0, 2.0, 10.0]) for i in range(4)]
         cm = build_clusters(corpus, 2, seed=0, eos_id=3)
-        assert cm.cluster_of(3) == cm.cluster_of(0)
+        terminal, mark0 = cm.clusters_of([3, 0])
+        assert terminal == mark0
 
     def test_terminal_tie_breaks_to_lowest_id(self):
         corpus = [seq(0, 0, [1, 0], [0.0, 1.0]),
                   seq(1, 0, [0, 1], [0.0, 8.0])]
         cm = build_clusters(corpus, 2, seed=0, eos_id=2)
-        assert cm.cluster_of(2) == cm.cluster_of(0)
+        terminal, mark0 = cm.clusters_of([2, 0])
+        assert terminal == mark0
 
     def test_dict_round_trip(self):
         cm = ClusterMap(m=2, mark_to_cluster={0: 0, 1: 1, 2: 1},
@@ -468,14 +471,14 @@ class TestClusters:
 
     def test_unassigned_mark_raises(self):
         cm = ClusterMap(m=1, mark_to_cluster={0: 0})
-        with pytest.raises(DataError):
-            cm.cluster_of(3)
+        with pytest.raises(DataError, match="mark id 3 has no duration cluster"):
+            cm.clusters_of([3])
 
     def test_clusters_of_matches_cluster_of(self):
         cm = ClusterMap(m=3, mark_to_cluster={0: 2, 1: 0, 3: 1, 4: 2})
         marks = np.array([4, 0, 0, 3, 1, 4])
         np.testing.assert_array_equal(cm.clusters_of(marks),
-                                      [cm.cluster_of(int(m)) for m in marks])
+                                      [cm.mark_to_cluster[int(m)] for m in marks])
         assert cm.clusters_of(marks).dtype == np.intp
 
     @pytest.mark.parametrize("bad", [2, 5, 17, -1])

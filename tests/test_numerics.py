@@ -5,8 +5,10 @@ per-sequence oracle in reference.py rebuilds from the remaining primitives
 are checked here as well, since the packed batch path is judged against it.
 """
 
+import gc
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -183,6 +185,55 @@ class TestBackwardBasics:
 
         s_const = Tensor(np.random.default_rng(12).normal(size=(3, 4)))
         assert run() == run()
+
+    def test_shared_vjp_array_is_not_accumulated_in_place(self):
+        # add's vjp hands one array to both inputs: an in-place sum into w's
+        # gradient would also change the gradient flowing on to exp(v)
+        store = ParamStore()
+        w = store.add("w", [0.5, -1.0])
+        v = store.add("v", [0.3, 1.2])
+        with GradTape() as tape:
+            t = exp(v)
+            u = mul(w, 2.0)
+            tape.backward(sum_all(add(add(w, t), u)))
+        np.testing.assert_array_equal(store.grad("w"), [3.0, 3.0])
+        np.testing.assert_array_equal(store.grad("v"), np.exp(v.data))
+
+    def test_inner_tape_leaves_outer_products_alone(self):
+        store = ParamStore()
+        w = store.add("w", [1.0, -2.0])
+        with GradTape() as outer:
+            t = mul(w, 2.0)
+            with GradTape() as inner:
+                inner.backward(sum_all(mul(t, 3.0)))
+            assert store["w"].grad is None and t.grad is None
+            outer.backward(sum_all(t))
+        np.testing.assert_array_equal(store.grad("w"), [2.0, 2.0])
+
+    def test_no_product_holds_a_gradient_after_backward(self):
+        store = ParamStore()
+        w = store.add("w", np.arange(6.0).reshape(2, 3))
+        b = store.add("b", [0.1, 0.2, 0.3])
+        with GradTape() as tape:
+            loss = sum_all(mul(relu(add(w, b)), sub(w, 1.0)))
+            tape.backward(loss)
+        assert all(out.grad is None for out, _, _ in tape._records)
+        assert store["w"].grad is not None and store["b"].grad is not None
+
+    def test_dropped_tape_is_freed_while_its_loss_lives(self):
+        store = ParamStore()
+        w = store.add("w", [1.0, 2.0])
+        gc.disable()
+        try:
+            with GradTape() as tape:
+                loss = sum_all(mul(w, w))
+                tape.backward(loss)
+            ref = weakref.ref(tape)
+            del tape
+            assert ref() is None
+            assert loss.item() == 5.0
+        finally:
+            gc.enable()
 
 
 class TestPerPrimitiveGradients:

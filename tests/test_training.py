@@ -492,7 +492,7 @@ class TestPrepare:
             model, prep, _ = run_training(corpus, vocab, ModelConfig(),
                                           TrainConfig(epochs=1, seed=0))
         assert prep.model_config.clusters == model.config.clusters == 7
-        used = {prep.clusters.cluster_of(mk) for mk in range(vocab.eos_id)}
+        used = set(prep.clusters.clusters_of(range(vocab.eos_id)).tolist())
         assert used == set(range(7))
 
     def test_three_mark_corpus_trains_under_default_config(self):
