@@ -23,11 +23,18 @@ one for another row count, and never mix rows of different sequences. The
 scans run on one zero-padded [segments, longest, ...] block; causal_attention,
 whose cost grows with the square of the padded width, runs one block per
 group of similar-length segments (Segments.groups), still as one tape record.
+The index ops (take_rows, pick, shifted_prefix_max) scatter their gradients
+with one bincount each, adding repeated targets in input order.
+
+A ParamStore keeps its parameters in one contiguous vector with each named
+tensor a view into it, so whole-store passes (the L2 term, an Adam step) are
+single vectorized operations.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -337,6 +344,13 @@ def mean_all(a: Tensor) -> Tensor:
     return _emit("mean_all", a.data.mean(), (a,), vjp)
 
 
+def _scatter_add(index: np.ndarray, values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Zeros of ``shape`` with each value added at its flat index, in input
+    order from 0.0: np.add.at on zeros, bit for bit, in one bincount."""
+    out = np.bincount(index, weights=values.ravel(), minlength=math.prod(shape))
+    return out.astype(np.float64, copy=False).reshape(shape)  # integer zeros if no values
+
+
 def take_rows(a: Tensor, idx) -> Tensor:
     """Gather rows of a rank-2 tensor (or entries of a rank-1 tensor)."""
     idx = np.asarray(idx, dtype=np.intp)
@@ -346,11 +360,10 @@ def take_rows(a: Tensor, idx) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ShapeError(f"take_rows: index out of range for {a.data.shape}")
     shape = a.data.shape
+    cols = math.prod(shape[1:])
 
     def vjp(g):
-        z = np.zeros(shape)
-        np.add.at(z, idx, g)
-        return (z,)
+        return (_scatter_add((idx[:, None] * cols + np.arange(cols)).ravel(), g, shape),)
 
     return _emit("take_rows", a.data[idx], (a,), vjp)
 
@@ -369,9 +382,7 @@ def pick(a: Tensor, rows, cols) -> Tensor:
     shape = a.data.shape
 
     def vjp(g):
-        z = np.zeros(shape)
-        np.add.at(z, (rows, cols), g)
-        return (z,)
+        return (_scatter_add(rows * nc + cols, g, shape),)
 
     return _emit("pick", a.data[rows, cols], (a,), vjp)
 
@@ -456,6 +467,10 @@ class Segments:
         least; a single block is (slice(None), self). Worked out on first
         use and kept, so every op on this layout shares it.
         """
+        # two or more blocks cost at least sum(lens**2) + 2 * BLOCK_COST, so
+        # when one block costs less the search cannot split it
+        if self.count * self.width ** 2 < int(self.lens @ self.lens) + BLOCK_COST:
+            return ((slice(None), self),)
         order = np.argsort(self.lens, kind="stable")
         sizes = self.lens[order].tolist()
         # segments that own no rows join the first block, never one of width 0
@@ -504,17 +519,19 @@ def shifted_prefix_max(a: Tensor, segs: Segments) -> Tensor:
 
     def vjp(g):
         gp = segs.pad(g if g.ndim == 2 else g[:, None])
-        z = np.zeros_like(p)
-        if n > 1:
+        if n < 2:
+            z = np.zeros_like(p)
+        else:
             # the max of rows 0..i is first attained at the last row k <= i
             # that beat every earlier row strictly, so ties keep the earlier row
             new_max = np.ones((b, n - 1, m), dtype=bool)
             new_max[:, 1:] = p[:, 1:-1] > run[:, :-2]
             first = np.maximum.accumulate(
                 np.where(new_max, np.arange(n - 1)[:, None], 0), axis=1)
-            # out row j reads the max of rows 0..j-1; add.at sums repeated
-            # targets in row order (padding rows carry zero gradient)
-            np.add.at(z, (np.arange(b)[:, None, None], first, np.arange(m)), gp[:, 1:])
+            # out row j reads the max of rows 0..j-1; repeated targets sum in
+            # row order (padding rows carry zero gradient)
+            target = (np.arange(b)[:, None, None] * n + first) * m + np.arange(m)
+            z = _scatter_add(target.ravel(), gp[:, 1:], p.shape)
         z = segs.unpad(z)
         return (z if a.data.ndim == 2 else z[:, 0],)
 
@@ -646,22 +663,56 @@ def decode_arrays(payload: dict) -> dict[str, np.ndarray]:
             for name, entry in payload.items()}
 
 
+class Layout:
+    """Where each named array sits in one flat float64 vector, in name order."""
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        self.entries: list[tuple[str, tuple[int, ...], slice]] = []
+        offset = 0
+        for name in sorted(shapes):
+            size = math.prod(shapes[name])
+            self.entries.append((name, tuple(shapes[name]), slice(offset, offset + size)))
+            offset += size
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views into flat, one per name in name order, each in its own shape."""
+        return [flat[at].reshape(shape) for _, shape, at in self.entries]
+
+    def named(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: part for (name, _, _), part in zip(self.entries, self.split(flat))}
+
+    def join(self, arrays: dict[str, np.ndarray]) -> np.ndarray:
+        """One flat vector of the named arrays; zeros where a name is missing."""
+        parts = [arrays[name] if name in arrays else np.zeros(at.stop - at.start)
+                 for name, _, at in self.entries]
+        return np.concatenate(parts, axis=None) if parts else np.zeros(0)
+
+
 class ParamStore:
     """Named trainable tensors with deterministic iteration and a JSON-ready form.
 
     Names are unique within a store and a tensor belongs to exactly one
     store. Iteration is sorted by name so optimizer updates and gradient
-    reductions happen in a fixed order.
+    reductions happen in a fixed order. For whole-store passes (L2, Adam)
+    the store keeps every value in one contiguous vector, ``flat``, laid out
+    by ``layout``: it is built on first use, and again after an ``add``, and
+    from then on each parameter's ``.data`` is a view into it, so a write
+    through either shows in the other. A store that only runs forward passes
+    never builds it.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self._flat: np.ndarray | None = None
+        self._layout = Layout({})
+        self._tensors: tuple[Tensor, ...] = ()
 
     def add(self, name: str, values) -> Tensor:
         if name in self._params:
             raise ValueError(f"parameter {name!r} already present")
         t = Tensor(np.array(values, dtype=np.float64), requires_grad=True, name=name)
         self._params[name] = t
+        self._flat = None
         return t
 
     def __contains__(self, name: str) -> bool:
@@ -679,10 +730,43 @@ class ParamStore:
     def items(self) -> list[tuple[str, Tensor]]:
         return [(n, self._params[n]) for n in self.names()]
 
+    def _lay_out(self) -> None:
+        self._layout = Layout({name: t.data.shape for name, t in self._params.items()})
+        self._tensors = tuple(self._params[name] for name, _, _ in self._layout.entries)
+        self._flat = self._layout.join({name: t.data for name, t in self._params.items()})
+        for t, view in zip(self._tensors, self._layout.split(self._flat)):
+            t.data = view
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Every parameter value in one vector, in name order."""
+        if self._flat is None:
+            self._lay_out()
+        return self._flat
+
+    @property
+    def layout(self) -> Layout:
+        """Where each parameter sits in ``flat``; a new object after each re-layout."""
+        if self._flat is None:
+            self._lay_out()
+        return self._layout
+
+    @property
+    def tensors(self) -> tuple[Tensor, ...]:
+        """The parameters in ``flat`` order."""
+        if self._flat is None:
+            self._lay_out()
+        return self._tensors
+
     def grad(self, name: str) -> np.ndarray:
         """Accumulated gradient for a parameter; zeros if never reached."""
         t = self._params[name]
         return np.zeros_like(t.data) if t.grad is None else t.grad
+
+    def flat_grad(self) -> np.ndarray:
+        """Every accumulated gradient in ``flat`` order; zeros where never reached."""
+        return np.concatenate([np.zeros(t.data.shape) if t.grad is None else t.grad
+                               for t in self.tensors] or [np.zeros(0)], axis=None)
 
     def zero_grads(self) -> None:
         for t in self._params.values():

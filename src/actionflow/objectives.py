@@ -17,7 +17,8 @@ times and Segments. The per-sequence values cover:
   first index is never penalized.
 
 A batch loss is the mean of per-sequence totals plus one L2 term over all
-parameters, recorded on the tape as a single op.
+parameters, recorded on the tape as a single op over the store's flat
+parameter vector.
 """
 
 from __future__ import annotations
@@ -161,11 +162,16 @@ def margin_action(model: Model, batch: list[Ctas], *, fwd: ForwardPass) -> Tenso
 
 
 def l2_penalty(store: ParamStore) -> Tensor:
-    """Squared norm of every parameter, summed in name order, as one tape record."""
-    params = tuple(t for _, t in store.items())
+    """Squared norm of every parameter, as one tape record.
+
+    The flat parameter vector is squared once; the value is the name-order
+    sum of each parameter's own total (so it equals a per-parameter chain
+    bit for bit), and the gradient is 2 * flat split back into parameters.
+    """
+    flat, layout = store.flat, store.layout
     with np.errstate(over="ignore"):  # _emit reports an overflow as non-finite
-        total = sum((t.data * t.data).sum() for t in params)
-    return _emit("l2_penalty", total, params, lambda g: tuple(2.0 * g * t.data for t in params))
+        total = sum(part.sum() for part in layout.split(flat * flat))
+    return _emit("l2_penalty", total, store.tensors, lambda g: layout.split(2.0 * g * flat))
 
 
 def sequence_terms(model: Model, batch: list[Ctas], *, gamma: float,

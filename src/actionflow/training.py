@@ -3,8 +3,10 @@
 Training is deterministic for a fixed seed: parameter init, the per-epoch
 shuffle, and the update order all derive from it, and the shuffle rng is
 re-derived per epoch so a resumed run needs no carried rng state. Each epoch
-writes one JSON line of loss components and wall time to the training log;
-a fresh run starts the log over, a resumed run appends to it.
+writes one JSON line to the training log: loss components, the health of the
+epoch's last step (global gradient norm and update-to-parameter ratio) and
+wall time; a fresh run starts the log over, a resumed run appends to it.
+Adam steps the store's one flat parameter vector in one vectorized pass.
 Checkpoints bundle parameters, model config, vocabulary, cluster map, and
 optimizer state in one versioned JSON file; reloading one and continuing
 reproduces an uninterrupted run bit for bit.
@@ -34,7 +36,7 @@ from .data import (
     split_by_goal,
 )
 from .model import Model, ModelConfig
-from .numerics import GradTape, NumericError, ParamStore, decode_arrays, encode_arrays
+from .numerics import GradTape, Layout, NumericError, ParamStore, decode_arrays, encode_arrays
 from .objectives import LossBreakdown, total_loss
 
 log = logging.getLogger(__name__)
@@ -92,7 +94,15 @@ class TrainConfig:
 
 
 class Adam:
-    """Bias-corrected Adam over a ParamStore, iterating in name order."""
+    """Bias-corrected Adam over a ParamStore's flat parameter vector.
+
+    The moments m and v are two flat vectors laid out like the store's
+    (``store.layout``), so a step is one vectorized pass; each element goes
+    through the same float operations as a per-parameter loop would. Their
+    saved form is per parameter name, and a state loaded from it, or made
+    for a store that has since grown, is laid out again by name on the next
+    step (zeros for a new parameter).
+    """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -101,39 +111,44 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.layout = Layout({})
+        self.m = self.v = np.zeros(0)  # replaced on every step, never written into
 
     @classmethod
     def from_config(cls, cfg: TrainConfig) -> "Adam":
         return cls(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
 
-    def update(self, store: ParamStore) -> None:
-        """Apply one step using the gradients currently on the store."""
+    def update(self, store: ParamStore) -> tuple[float, float]:
+        """Apply one step using the gradients currently on the store.
+
+        Returns the step's health: the global L2 norm of the gradient, and
+        the update ratio ||delta|| / ||params|| (params before the step).
+        """
+        flat = store.flat
+        if self.layout is not store.layout:
+            self.m, self.v = (store.layout.join(self.layout.named(x)) for x in (self.m, self.v))
+            self.layout = store.layout
+        g = store.flat_grad()
         self.step += 1
         bc1 = 1.0 - self.beta1 ** self.step
         bc2 = 1.0 - self.beta2 ** self.step
-        for name, p in store.items():
-            g = store.grad(name)
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            else:
-                v = self.v[name]
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            self.m[name] = m
-            self.v[name] = v
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * (g * g)
+        delta = self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        size2 = float(flat @ flat)
+        flat -= delta
+        ratio = math.sqrt(float(delta @ delta) / size2) if size2 > 0.0 else math.inf
+        return math.sqrt(float(g @ g)), ratio
 
     def state_dict(self) -> dict:
-        return {"step": self.step, "m": encode_arrays(self.m), "v": encode_arrays(self.v)}
+        return {"step": self.step, "m": encode_arrays(self.layout.named(self.m)),
+                "v": encode_arrays(self.layout.named(self.v))}
 
     def load_state_dict(self, payload: dict) -> None:
         self.step = int(payload["step"])
-        self.m = decode_arrays(payload["m"])
-        self.v = decode_arrays(payload["v"])
+        m, v = decode_arrays(payload["m"]), decode_arrays(payload["v"])
+        self.layout = Layout({name: a.shape for name, a in m.items()})
+        self.m, self.v = self.layout.join(m), self.layout.join(v)
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +274,16 @@ def train(corpus: list[Ctas], vocab: Vocab, clusters: ClusterMap,
                     tape.backward(total)
             except NumericError as e:
                 raise TrainingDiverged(f"epoch {epoch}: {e}") from None
-            optimizer.update(model.store)
+            health = optimizer.update(model.store)
             for key in sums:
                 sums[key] += getattr(bd, key) * len(batch)
             last_l2 = bd.l2
         breakdown = LossBreakdown.build(
             **{key: value / n for key, value in sums.items()}, l2=last_l2,
             margin_weight=train_cfg.margin_weight, l2_coeff=train_cfg.l2_coeff)
-        entry = {"epoch": epoch, **breakdown.to_dict(),
-                 "seconds": time.perf_counter() - started}
+        grad_norm, update_ratio = health
+        entry = {"epoch": epoch, **breakdown.to_dict(), "grad_norm": grad_norm,
+                 "update_ratio": update_ratio, "seconds": time.perf_counter() - started}
         entries.append(entry)
         log.info("epoch %d: total %.6f (nll %.6f, goal_ce %.6f)",
                  epoch, breakdown.total, breakdown.nll, breakdown.goal_ce)

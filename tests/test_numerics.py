@@ -384,6 +384,78 @@ class TestPrefixMaxTies:
         np.testing.assert_array_equal(got, [1.0, 0.0, 2.0, 0.0, 0.0])
 
 
+def grad_of(op, data, g):
+    """a.grad after backward of sum(op(a) * g): op's vjp applied to g as is."""
+    a = Tensor(data, requires_grad=True)
+    with GradTape() as tape:
+        tape.backward(sum_all(mul(op(a), Tensor(g))))
+    return a.grad
+
+
+def awkward(rng, shape):
+    """Values whose sums depend on their order, with some -0.0 entries."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    x[rng.random(shape) < 0.2] = -0.0
+    return x
+
+
+def add_at_prefix_max_grad(a, segs, g):
+    """The np.add.at backward rule of shifted_prefix_max, kept as the reference."""
+    ad = a if a.ndim == 2 else a[:, None]
+    p = segs.pad(ad)
+    b, n, m = p.shape
+    run = np.maximum.accumulate(p, axis=1)
+    gp = segs.pad(g if g.ndim == 2 else g[:, None])
+    z = np.zeros_like(p)
+    if n > 1:
+        new_max = np.ones((b, n - 1, m), dtype=bool)
+        new_max[:, 1:] = p[:, 1:-1] > run[:, :-2]
+        first = np.maximum.accumulate(np.where(new_max, np.arange(n - 1)[:, None], 0), axis=1)
+        np.add.at(z, (np.arange(b)[:, None, None], first, np.arange(m)), gp[:, 1:])
+    z = segs.unpad(z)
+    return z if a.ndim == 2 else z[:, 0]
+
+
+class TestScatterBackward:
+    """The index ops scatter their gradients with one bincount; each must
+    equal np.add.at on zeros bit for bit, sign of zero included."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_take_rows_equals_add_at(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        for shape in ((7,), (7, 5)):
+            idx = rng.integers(0, 7, size=int(rng.integers(0, 40)))
+            g = awkward(rng, (idx.size,) + shape[1:])
+            want = np.zeros(shape)
+            np.add.at(want, idx, g)
+            got = grad_of(lambda a: take_rows(a, idx), rng.normal(size=shape), g)
+            assert got.dtype == np.float64 and got.shape == shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pick_equals_add_at(self, seed):
+        rng = np.random.default_rng(310 + seed)
+        count = int(rng.integers(0, 60))
+        rows, cols = rng.integers(0, 4, size=count), rng.integers(0, 3, size=count)
+        g = awkward(rng, (count,))
+        want = np.zeros((4, 3))
+        np.add.at(want, (rows, cols), g)
+        got = grad_of(lambda a: pick(a, rows, cols), rng.normal(size=(4, 3)), g)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_shifted_prefix_max_equals_add_at(self, seed, rank):
+        rng = np.random.default_rng(320 + seed)
+        lens = rng.integers(0, 9, size=int(rng.integers(1, 6))).tolist()
+        segs = Segments(sum(lens), lens)
+        shape = (segs.n,) if rank == 1 else (segs.n, 3)
+        a = rng.integers(0, 3, size=shape).astype(float)  # plenty of ties
+        g = awkward(rng, shape)
+        got = grad_of(lambda t: shifted_prefix_max(t, segs), a, g)
+        assert got.tobytes() == add_at_prefix_max_grad(a, segs, g).tobytes()
+
+
 class TestSegments:
     """Segmented scans restart at every boundary and match per-segment runs."""
 
@@ -535,6 +607,30 @@ class TestGroups:
         least = min(self.cost(sizes, [0, *inner, k]) for r in range(k)
                     for inner in itertools.combinations(range(1, k), r))
         assert self.cost(sizes, numerics._length_cuts(sizes)) == least
+
+    def test_one_block_shortcut_agrees_with_the_search(self):
+        # groups skips the search when one block costs less than any split
+        # could; on either side of that bound its blocks are the search's
+        rng = np.random.default_rng(67)
+        shortcut = 0
+        for _ in range(200):
+            count = int(rng.integers(1, 40))
+            top = int(rng.integers(1, 100))
+            lo = top - int(rng.integers(0, top + 1))
+            lens = rng.integers(lo, top + 1, size=count)
+            lens[rng.random(count) < 0.1] = 0
+            lens = lens.tolist()
+            sizes = sorted(lens)
+            empty = sizes.count(0)
+            cuts = [0, *(empty + c for c in numerics._length_cuts(sizes[empty:])[1:])]
+            want = [sizes] if len(cuts) <= 2 else [sizes[a:b] for a, b in zip(cuts, cuts[1:])]
+            segs = Segments(sum(lens), lens)
+            got = [sorted(sub.lens.tolist()) for _, sub in segs.groups]
+            assert got == want, lens
+            if count * max(lens) ** 2 < sum(x * x for x in lens) + numerics.BLOCK_COST:
+                shortcut += 1
+                assert len(want) == 1 and segs.groups[0][1] is segs
+        assert 40 <= shortcut <= 160
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_attention_over_blocks_is_per_sequence_attention(self, heads):
@@ -690,6 +786,38 @@ class TestParamStore:
         with pytest.raises(ValueError):
             ParamStore.from_dict({"version": 99, "params": {}})
 
+    def test_flat_vector_is_shared_both_ways(self):
+        store = make_store({"w": (3, 4), "b": (4,), "scalar": ()}, seed=8)
+        before = np.concatenate([t.data.ravel() for _, t in store.items()])
+        flat = store.flat
+        assert flat.tobytes() == before.tobytes()
+        for (name, t), (lname, shape, at) in zip(store.items(), store.layout.entries):
+            assert name == lname and t.data.shape == shape
+            assert t.data.base is flat
+        flat[store.layout.entries[2][2]][5] = 7.25  # "w" is last in name order
+        assert store["w"].data[1, 1] == 7.25
+        store["b"].data[2] = -3.5
+        assert flat[2] == -3.5
+        assert store.flat is flat and store.tensors == tuple(t for _, t in store.items())
+
+    def test_add_after_the_flat_vector_lays_it_out_again(self):
+        store = make_store({"w": (2, 2)}, seed=9)
+        layout, w = store.layout, store["w"].data.copy()
+        store.add("a", [1.5, 2.5])
+        assert store.layout is not layout
+        np.testing.assert_array_equal(store.flat, np.concatenate([[1.5, 2.5], w.ravel()]))
+        assert np.shares_memory(store["w"].data, store.flat)
+
+    def test_loading_does_not_build_the_flat_vector(self):
+        store = ParamStore.from_dict(make_store({"w": (2, 3)}, seed=10).to_dict())
+        assert store._flat is None
+
+    def test_flat_grad_reads_zeros_for_unreached_parameters(self):
+        store = make_store({"u": (2,), "w": (2, 2)}, seed=11)
+        with GradTape() as tape:
+            tape.backward(sum_all(mul(store["w"], 3.0)))
+        np.testing.assert_array_equal(store.flat_grad(), [0.0, 0.0, 3.0, 3.0, 3.0, 3.0])
+
 
 class TestFiniteDifferenceCheck:
     def test_quadratic_is_exact_to_roundoff(self):
@@ -701,6 +829,17 @@ class TestFiniteDifferenceCheck:
         report = finite_difference_check(f, store)
         assert report.max_rel_err < 1e-8
         assert set(report.per_param) == {"w", "v"}
+
+    def test_passes_through_the_flat_vector_views(self):
+        store = make_store({"w": (4,), "v": (2, 3)}, seed=12)
+        flat = store.flat
+
+        def f(s):
+            return add(sum_all(exp(s["w"])), sum_all(mul(s["v"], s["v"])))
+
+        report = finite_difference_check(f, store)
+        assert report.max_rel_err < 1e-7
+        assert store.flat is flat and np.shares_memory(store["v"].data, flat)
 
     def test_empty_store_gives_empty_report(self):
         report = finite_difference_check(lambda s: sum_all(Tensor([1.0, 2.0])), ParamStore())

@@ -10,7 +10,17 @@ import pytest
 
 from actionflow.data import Action, ClusterMap, Ctas, Vocab, append_eos
 from actionflow.model import Model, ModelConfig
-from actionflow.numerics import GradTape, ParamStore, Tensor, mul, sub, sum_all
+from actionflow.numerics import (
+    GradTape,
+    ParamStore,
+    Tensor,
+    add,
+    encode_arrays,
+    exp,
+    mul,
+    sub,
+    sum_all,
+)
 from actionflow.synth import GoalTemplate, SynthSpec, generate
 from actionflow import training
 from actionflow.training import (
@@ -115,7 +125,106 @@ class TestTrainConfig:
         assert (opt.lr, opt.beta1, opt.beta2, opt.eps) == (0.07, 0.8, 0.95, 1e-6)
 
 
+class LoopAdam:
+    """The per-parameter Adam that the flat pass replaced, kept as the
+    reference the flat pass must equal bit for bit."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step, self.m, self.v = 0, {}, {}
+
+    def update(self, store):
+        self.step += 1
+        bc1 = 1.0 - self.beta1 ** self.step
+        bc2 = 1.0 - self.beta2 ** self.step
+        for name, p in store.items():
+            g = store.grad(name)
+            m = self.m.get(name)
+            if m is None:
+                m = np.zeros_like(p.data)
+                v = np.zeros_like(p.data)
+            else:
+                v = self.v[name]
+            m = self.beta1 * m + (1.0 - self.beta1) * g
+            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
+            self.m[name] = m
+            self.v[name] = v
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
 class TestAdam:
+    @staticmethod
+    def three_params(seed=4):
+        rng = np.random.default_rng(seed)
+        store = ParamStore()
+        for name, shape in (("w", (2, 3)), ("unreached", (3,)), ("b", (4,))):
+            store.add(name, rng.normal(size=shape))
+        return store
+
+    @staticmethod
+    def nonlinear_step(store, opt):
+        # "unreached" never enters the loss, so its gradient reads as zero
+        store.zero_grads()
+        with GradTape() as tape:
+            loss = add(sum_all(mul(exp(store["w"]), 0.3)),
+                       sum_all(mul(store["b"], store["b"])))
+            tape.backward(loss)
+        return opt.update(store)
+
+    def test_flat_pass_equals_the_per_parameter_loop(self):
+        flat_store, loop_store = self.three_params(), self.three_params()
+        flat_opt, loop_opt = Adam(lr=0.05), LoopAdam(lr=0.05)
+        for _ in range(6):
+            self.nonlinear_step(flat_store, flat_opt)
+            self.nonlinear_step(loop_store, loop_opt)
+            assert param_bytes(flat_store) == param_bytes(loop_store)
+        state = flat_opt.state_dict()
+        assert state["m"] == encode_arrays(loop_opt.m)
+        assert state["v"] == encode_arrays(loop_opt.v)
+
+    def test_resume_from_per_name_state_equals_the_loop(self):
+        loop_store = self.three_params()
+        loop_opt = LoopAdam(lr=0.05)
+        for _ in range(4):
+            self.nonlinear_step(loop_store, loop_opt)
+        # a per-name state as the per-parameter optimizer wrote it
+        state = json.loads(json.dumps({"step": loop_opt.step, "m": encode_arrays(loop_opt.m),
+                                       "v": encode_arrays(loop_opt.v)}))
+        resumed = ParamStore.from_dict(loop_store.to_dict())
+        opt = Adam(lr=0.05)
+        opt.load_state_dict(state)
+        assert opt.state_dict() == state
+        for _ in range(3):
+            self.nonlinear_step(loop_store, loop_opt)
+            self.nonlinear_step(resumed, opt)
+            assert param_bytes(resumed) == param_bytes(loop_store)
+        assert opt.state_dict()["m"] == encode_arrays(loop_opt.m)
+
+    def test_a_parameter_added_later_starts_with_zero_moments(self):
+        flat_store, loop_store = self.three_params(), self.three_params()
+        flat_opt, loop_opt = Adam(lr=0.05), LoopAdam(lr=0.05)
+        self.nonlinear_step(flat_store, flat_opt)
+        self.nonlinear_step(loop_store, loop_opt)
+        for store in (flat_store, loop_store):
+            store.add("c", [0.5, -0.5])
+        for _ in range(2):
+            self.nonlinear_step(flat_store, flat_opt)
+            self.nonlinear_step(loop_store, loop_opt)
+        assert param_bytes(flat_store) == param_bytes(loop_store)
+        assert flat_opt.state_dict()["v"] == encode_arrays(loop_opt.v)
+
+    def test_update_reports_gradient_norm_and_update_ratio(self):
+        store = self.three_params()
+        before = store.flat.copy()
+        store.zero_grads()
+        with GradTape() as tape:
+            tape.backward(sum_all(mul(store["b"], store["b"])))
+        grad = store.flat_grad()
+        grad_norm, ratio = Adam(lr=0.05).update(store)
+        assert grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-12)
+        delta = before - store.flat
+        assert ratio == pytest.approx(np.linalg.norm(delta) / np.linalg.norm(before), rel=1e-9)
+
     def quadratic_step(self, store, w, opt, target=3.0):
         store.zero_grads()
         with GradTape() as tape:
@@ -226,9 +335,18 @@ class TestTrainLoop:
         assert [e["epoch"] for e in entries] == [1, 2, 3]
         for e in entries:
             for key in ("nll", "goal_ce", "margin_goal", "margin_action",
-                        "l2", "total", "seconds"):
+                        "l2", "total", "grad_norm", "update_ratio", "seconds"):
                 assert key in e and np.isfinite(e[key])
             assert e["seconds"] >= 0.0
+            assert e["grad_norm"] > 0.0 and 0.0 < e["update_ratio"] < 1.0
+
+    def test_log_lines_carry_step_health(self, tmp_path):
+        _, entries = self.run_once(epochs=2, ckpt_dir=str(tmp_path))
+        lines = [json.loads(line) for line in
+                 (tmp_path / "train_log.jsonl").read_text().splitlines()]
+        assert lines == entries
+        assert all(math.isfinite(e["grad_norm"]) and math.isfinite(e["update_ratio"])
+                   for e in lines)
 
     def test_entry_total_combines_components(self):
         vocab, cm, cfg = tiny_setup()
@@ -281,7 +399,7 @@ class TestCheckpoints:
         ckpt = load_checkpoint(tmp_path / "final.json")
         assert ckpt.optimizer is not None
         assert ckpt.optimizer.step > 0
-        assert set(ckpt.optimizer.m) == set(ckpt.model.store.names())
+        assert set(ckpt.optimizer.state_dict()["m"]) == set(ckpt.model.store.names())
 
     def test_bad_version_rejected(self, tmp_path):
         model = self.make_model()
