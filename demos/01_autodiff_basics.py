@@ -22,11 +22,11 @@ from actionflow.numerics import (
 
 
 def build_params(rng):
-    store = ParamStore()
-    store.add("w1", rng.normal(scale=0.5, size=(3, 4)))
-    store.add("b1", np.zeros(4))
-    store.add("w2", rng.normal(scale=0.5, size=(4, 1)))
-    return store
+    return ParamStore({
+        "w1": rng.normal(scale=0.5, size=(3, 4)),
+        "b1": np.zeros(4),
+        "w2": rng.normal(scale=0.5, size=(4, 1)),
+    })
 
 
 def loss_fn(store, x, target):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -239,6 +240,8 @@ def _gradcheck_model(cfg: RunConfig) -> tuple[Model, Ctas]:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0.0 < args.tol < math.inf:  # a nan tolerance would pass every error
+        raise CliError("E_USAGE", f"--tol must be finite and positive, got {args.tol}")
     cfg = _load_run_config(args)
     model, seq = _gradcheck_model(cfg)
 

@@ -57,9 +57,9 @@ class CapacityError(ValueError):
 # parameter initialization
 # ---------------------------------------------------------------------------
 
-def init_encoder_params(store: ParamStore, cfg: ModelConfig, n_marks: int,
-                        rng: np.random.Generator) -> None:
-    """Create all encoder parameters; consumption order of rng is fixed.
+def init_encoder_params(cfg: ModelConfig, n_marks: int,
+                        rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
+    """All encoder parameters, in the fixed order they consume rng.
 
     max_len must be resolved; the positional table gets max_len + 1 rows so
     a terminal mark always fits.
@@ -71,35 +71,37 @@ def init_encoder_params(store: ParamStore, cfg: ModelConfig, n_marks: int,
     def uniform(shape):
         return rng.uniform(-bound, bound, size=shape)
 
-    store.add("embed.marks", uniform((n_marks, d)))
-    store.add("embed.w_time", uniform((1, d)))
-    store.add("embed.w_gap", uniform((1, d)))
-    store.add("embed.bias", np.zeros(d))
-    store.add("pos.table", rng.normal(0.0, 0.02, size=(cfg.max_len + 1, d)))
+    params = [
+        ("embed.marks", uniform((n_marks, d))),
+        ("embed.w_time", uniform((1, d))),
+        ("embed.w_gap", uniform((1, d))),
+        ("embed.bias", np.zeros(d)),
+        ("pos.table", rng.normal(0.0, 0.02, size=(cfg.max_len + 1, d))),
+    ]
     for b in range(cfg.blocks):
-        for proj in ("wq", "wk", "wv", "wo"):
-            store.add(f"block{b}.attn.{proj}", uniform((d, d)))
-        store.add(f"block{b}.ln1.gain", np.ones(d))
-        store.add(f"block{b}.ln1.bias", np.zeros(d))
+        params += [(f"block{b}.attn.{proj}", uniform((d, d))) for proj in ("wq", "wk", "wv", "wo")]
+        params += [(f"block{b}.ln1.gain", np.ones(d)), (f"block{b}.ln1.bias", np.zeros(d))]
         if cfg.ffn == "summed":
-            store.add(f"block{b}.ffn.w_in", uniform((d,)))
-            store.add(f"block{b}.ffn.b_in", np.zeros(d))
-            store.add(f"block{b}.ffn.w_out", uniform((d,)))
-            store.add(f"block{b}.ffn.b_out", np.zeros(d))
+            params += [
+                (f"block{b}.ffn.w_in", uniform((d,))),
+                (f"block{b}.ffn.b_in", np.zeros(d)),
+                (f"block{b}.ffn.w_out", uniform((d,))),
+                (f"block{b}.ffn.b_out", np.zeros(d)),
+            ]
         else:
             inner = 4 * d
-            store.add(f"block{b}.ffn.w1", uniform((d, inner)))
-            store.add(f"block{b}.ffn.b1", np.zeros(inner))
-            store.add(f"block{b}.ffn.w2",
-                      rng.uniform(-1.0 / math.sqrt(inner), 1.0 / math.sqrt(inner),
-                                  size=(inner, d)))
-            store.add(f"block{b}.ffn.b2", np.zeros(d))
-        store.add(f"block{b}.ln2.gain", np.ones(d))
-        store.add(f"block{b}.ln2.bias", np.zeros(d))
+            params += [
+                (f"block{b}.ffn.w1", uniform((d, inner))),
+                (f"block{b}.ffn.b1", np.zeros(inner)),
+                (f"block{b}.ffn.w2", rng.uniform(-1.0 / math.sqrt(inner), 1.0 / math.sqrt(inner),
+                                                 size=(inner, d))),
+                (f"block{b}.ffn.b2", np.zeros(d)),
+            ]
+        params += [(f"block{b}.ln2.gain", np.ones(d)), (f"block{b}.ln2.bias", np.zeros(d))]
+    return params
 
 
-def init_set_params(store: ParamStore, cfg: ModelConfig,
-                    rng: np.random.Generator) -> None:
+def init_set_params(cfg: ModelConfig, rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
     """Parameters of the order-free prefix summary (fused variant only)."""
     d = cfg.d
     bound = 1.0 / math.sqrt(d)
@@ -107,12 +109,14 @@ def init_set_params(store: ParamStore, cfg: ModelConfig,
     def uniform(shape):
         return rng.uniform(-bound, bound, size=shape)
 
-    store.add("set.w_in", uniform((d, d)))
-    store.add("set.b_in", np.zeros(d))
-    store.add("set.w_hidden", uniform((d, d)))
-    store.add("set.b_hidden", np.zeros(d))
-    store.add("set.w_out", uniform((d, d)))
-    store.add("set.b_out", np.zeros(d))
+    return [
+        ("set.w_in", uniform((d, d))),
+        ("set.b_in", np.zeros(d)),
+        ("set.w_hidden", uniform((d, d))),
+        ("set.b_hidden", np.zeros(d)),
+        ("set.w_out", uniform((d, d))),
+        ("set.b_out", np.zeros(d)),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -131,8 +131,11 @@ def majority_mark_baseline(train: list[Ctas], test: list[Ctas]) -> float:
 
 def goal_eval(passes: list[tuple[Ctas, SeqRows]],
               prefix_fractions=DEFAULT_PREFIXES) -> dict:
-    """Goal accuracy when only a leading fraction of each sequence is visible."""
-    fractions = tuple(float(f) for f in prefix_fractions)
+    """Goal accuracy when only a leading fraction of each sequence is visible.
+
+    A fraction listed twice is scored once, at its first position.
+    """
+    fractions = tuple(dict.fromkeys(float(f) for f in prefix_fractions))
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise ValueError(f"prefix fraction must lie in (0, 1], got {f}")

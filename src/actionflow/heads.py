@@ -38,25 +38,28 @@ class TimeDensity:
     sigma2: float
 
 
-def init_head_params(store: ParamStore, d: int, m: int, n_marks: int,
-                     n_goals: int, rng: np.random.Generator) -> None:
-    """Create all head parameters; m is the duration-cluster count."""
+def init_head_params(d: int, m: int, n_marks: int, n_goals: int,
+                     rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
+    """All head parameters, in the fixed order they consume rng; m is the
+    duration-cluster count."""
     bound = 1.0 / math.sqrt(d)
 
     def uniform(shape):
         return rng.uniform(-bound, bound, size=shape)
 
-    store.add("mark.w", uniform((d, n_marks)))
-    store.add("mark.bias", np.zeros(n_marks))
-    store.add("goal.w_hidden", uniform((d, d)))
-    store.add("goal.b_hidden", np.zeros(d))
-    store.add("goal.w_out", uniform((d, n_goals)))
-    store.add("goal.b_out", np.zeros(n_goals))
-    store.add("time.clusters", uniform((m, d)))
-    store.add("time.w_mu", uniform((d, 1)))
-    store.add("time.b_mu", np.zeros(1))
-    store.add("time.w_var", uniform((d, 1)))
-    store.add("time.b_var", np.zeros(1))
+    return [
+        ("mark.w", uniform((d, n_marks))),
+        ("mark.bias", np.zeros(n_marks)),
+        ("goal.w_hidden", uniform((d, d))),
+        ("goal.b_hidden", np.zeros(d)),
+        ("goal.w_out", uniform((d, n_goals))),
+        ("goal.b_out", np.zeros(n_goals)),
+        ("time.clusters", uniform((m, d))),
+        ("time.w_mu", uniform((d, 1))),
+        ("time.b_mu", np.zeros(1)),
+        ("time.w_var", uniform((d, 1))),
+        ("time.b_var", np.zeros(1)),
+    ]
 
 
 def fuse(s: Tensor, x: Tensor | None, alpha: float) -> Tensor:

@@ -100,17 +100,21 @@ def pack(seqs: list[Ctas]) -> tuple[np.ndarray, np.ndarray, Segments]:
             Segments(marks.size, [len(s.actions) for s in seqs]))
 
 
+def _check(config: ModelConfig, clusters: ClusterMap) -> None:
+    config.validate()
+    if config.max_len is None:
+        raise ValueError("model needs a concrete max_len; resolve it from the corpus first")
+    if clusters.m != config.clusters:
+        raise ValueError(
+            f"cluster map has {clusters.m} clusters but config expects {config.clusters}")
+
+
 class Model:
     """Configuration + vocabulary + cluster map + parameters, ready to run."""
 
     def __init__(self, config: ModelConfig, vocab: Vocab, clusters: ClusterMap,
                  store: ParamStore):
-        config.validate()
-        if config.max_len is None:
-            raise ValueError("model needs a concrete max_len; resolve it from the corpus first")
-        if clusters.m != config.clusters:
-            raise ValueError(
-                f"cluster map has {clusters.m} clusters but config expects {config.clusters}")
+        _check(config, clusters)
         self.config = config
         self.vocab = vocab
         self.clusters = clusters
@@ -120,14 +124,14 @@ class Model:
     def init(cls, config: ModelConfig, vocab: Vocab, clusters: ClusterMap,
              seed: int = 0) -> "Model":
         """Fresh parameters; rng consumption order is fixed by construction."""
-        model = cls(config, vocab, clusters, ParamStore())
+        _check(config, clusters)  # before any draw: init_encoder_params needs max_len
         rng = np.random.default_rng([seed, 0])
-        enc.init_encoder_params(model.store, config, vocab.n_marks, rng)
-        heads.init_head_params(model.store, config.d, config.clusters,
-                               vocab.n_marks, vocab.n_goals, rng)
+        params = enc.init_encoder_params(config, vocab.n_marks, rng)
+        params += heads.init_head_params(config.d, config.clusters, vocab.n_marks,
+                                         vocab.n_goals, rng)
         if config.variant == "plus":
-            enc.init_set_params(model.store, config, rng)
-        return model
+            params += enc.init_set_params(config, rng)
+        return cls(config, vocab, clusters, ParamStore(params))
 
     def forward(self, marks, times, segs: Segments) -> ForwardPass:
         """Encode once and evaluate every head at every prefix index.

@@ -26,15 +26,17 @@ group of similar-length segments (Segments.groups), still as one tape record.
 The index ops (take_rows, pick, shifted_prefix_max) scatter their gradients
 with one bincount each, adding repeated targets in input order.
 
-A ParamStore keeps its parameters in one contiguous vector with each named
-tensor a view into it, so whole-store passes (the L2 term, an Adam step) are
-single vectorized operations.
+A ParamStore is built once from all its named arrays and keeps them in one
+contiguous vector, laid out in name order, with each named tensor a view into
+it; that layout never changes, so whole-store passes (the L2 term, an Adam
+step) are single vectorized operations.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -625,9 +627,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(
             f"layer_norm: gain {gain.data.shape} / bias {bias.data.shape} vs width {d}")
-    mu = x.data.mean(axis=1, keepdims=True)
+    # row means as sum / d: the same arithmetic as ndarray.mean, without
+    # its Python-level wrapper
+    mu = x.data.sum(axis=1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = (xc * xc).sum(axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data[None, :] + bias.data[None, :]
@@ -636,8 +640,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
         gxhat = g * gain.data[None, :]
         gx = inv * (
             gxhat
-            - gxhat.mean(axis=1, keepdims=True)
-            - xhat * (gxhat * xhat).mean(axis=1, keepdims=True)
+            - gxhat.sum(axis=1, keepdims=True) / d
+            - xhat * ((gxhat * xhat).sum(axis=1, keepdims=True) / d)
         )
         return (gx, (g * xhat).sum(axis=0), g.sum(axis=0))
 
@@ -663,57 +667,31 @@ def decode_arrays(payload: dict) -> dict[str, np.ndarray]:
             for name, entry in payload.items()}
 
 
-class Layout:
-    """Where each named array sits in one flat float64 vector, in name order."""
-
-    def __init__(self, shapes: dict[str, tuple[int, ...]]):
-        self.entries: list[tuple[str, tuple[int, ...], slice]] = []
-        offset = 0
-        for name in sorted(shapes):
-            size = math.prod(shapes[name])
-            self.entries.append((name, tuple(shapes[name]), slice(offset, offset + size)))
-            offset += size
-
-    def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Views into flat, one per name in name order, each in its own shape."""
-        return [flat[at].reshape(shape) for _, shape, at in self.entries]
-
-    def named(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: part for (name, _, _), part in zip(self.entries, self.split(flat))}
-
-    def join(self, arrays: dict[str, np.ndarray]) -> np.ndarray:
-        """One flat vector of the named arrays; zeros where a name is missing."""
-        parts = [arrays[name] if name in arrays else np.zeros(at.stop - at.start)
-                 for name, _, at in self.entries]
-        return np.concatenate(parts, axis=None) if parts else np.zeros(0)
-
-
 class ParamStore:
-    """Named trainable tensors with deterministic iteration and a JSON-ready form.
+    """Named trainable tensors in one contiguous vector, with a JSON-ready form.
 
-    Names are unique within a store and a tensor belongs to exactly one
-    store. Iteration is sorted by name so optimizer updates and gradient
-    reductions happen in a fixed order. For whole-store passes (L2, Adam)
-    the store keeps every value in one contiguous vector, ``flat``, laid out
-    by ``layout``: it is built on first use, and again after an ``add``, and
-    from then on each parameter's ``.data`` is a view into it, so a write
-    through either shows in the other. A store that only runs forward passes
-    never builds it.
+    A store is built once, from all its named arrays. Names are unique within
+    a store and sorted, so iteration, optimizer updates and gradient
+    reductions happen in a fixed order. The values are copied, in name order,
+    into one float64 vector, ``flat``; each parameter's ``.data`` is a view
+    of its slice of it (``slices``, in ``tensors`` order), so a write through
+    either shows in the other and whole-store passes (L2, Adam) are single
+    vectorized operations.
     """
 
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-        self._flat: np.ndarray | None = None
-        self._layout = Layout({})
-        self._tensors: tuple[Tensor, ...] = ()
-
-    def add(self, name: str, values) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"parameter {name!r} already present")
-        t = Tensor(np.array(values, dtype=np.float64), requires_grad=True, name=name)
-        self._params[name] = t
-        self._flat = None
-        return t
+    def __init__(self, arrays: Mapping[str, object] | Iterable[tuple[str, object]] = ()):
+        named: dict[str, np.ndarray] = {}
+        for name, values in (arrays.items() if isinstance(arrays, Mapping) else arrays):
+            if name in named:
+                raise ValueError(f"parameter {name!r} already present")
+            named[name] = np.asarray(values, dtype=np.float64)
+        names = sorted(named)
+        self.flat = np.concatenate([named[n] for n in names] or [np.zeros(0)], axis=None)
+        ends = itertools.accumulate(named[n].size for n in names)
+        self.slices = tuple(slice(end - named[n].size, end) for n, end in zip(names, ends))
+        self.tensors = tuple(Tensor(self.flat[at].reshape(named[n].shape), requires_grad=True, name=n)
+                             for n, at in zip(names, self.slices))
+        self._params = {t.name: t for t in self.tensors}
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
@@ -725,38 +703,24 @@ class ParamStore:
         return len(self._params)
 
     def names(self) -> list[str]:
-        return sorted(self._params)
+        return list(self._params)
 
     def items(self) -> list[tuple[str, Tensor]]:
-        return [(n, self._params[n]) for n in self.names()]
+        return list(self._params.items())
 
-    def _lay_out(self) -> None:
-        self._layout = Layout({name: t.data.shape for name, t in self._params.items()})
-        self._tensors = tuple(self._params[name] for name, _, _ in self._layout.entries)
-        self._flat = self._layout.join({name: t.data for name, t in self._params.items()})
-        for t, view in zip(self._tensors, self._layout.split(self._flat)):
-            t.data = view
+    def split(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views into a vector laid out like ``flat``, one per parameter in its shape."""
+        return [vector[at].reshape(t.data.shape) for t, at in zip(self.tensors, self.slices)]
 
-    @property
-    def flat(self) -> np.ndarray:
-        """Every parameter value in one vector, in name order."""
-        if self._flat is None:
-            self._lay_out()
-        return self._flat
-
-    @property
-    def layout(self) -> Layout:
-        """Where each parameter sits in ``flat``; a new object after each re-layout."""
-        if self._flat is None:
-            self._lay_out()
-        return self._layout
-
-    @property
-    def tensors(self) -> tuple[Tensor, ...]:
-        """The parameters in ``flat`` order."""
-        if self._flat is None:
-            self._lay_out()
-        return self._tensors
+    def join(self, arrays: dict[str, np.ndarray]) -> np.ndarray:
+        """One vector laid out like ``flat`` from per-name arrays, which must
+        have exactly the parameters' names and shapes."""
+        got = {name: a.shape for name, a in arrays.items()}
+        want = {t.name: t.data.shape for t in self.tensors}
+        if got != want:
+            bad = sorted(n for n in got.keys() | want.keys() if got.get(n) != want.get(n))
+            raise ValueError(f"arrays do not match the parameters' names and shapes at {bad}")
+        return np.concatenate([arrays[t.name] for t in self.tensors] or [np.zeros(0)], axis=None)
 
     def grad(self, name: str) -> np.ndarray:
         """Accumulated gradient for a parameter; zeros if never reached."""
@@ -784,10 +748,7 @@ class ParamStore:
     def from_dict(cls, payload: dict) -> "ParamStore":
         if payload.get("version") != SERIALIZATION_VERSION:
             raise ValueError(f"unsupported ParamStore version {payload.get('version')!r}")
-        store = cls()
-        for name, arr in decode_arrays(payload["params"]).items():
-            store.add(name, arr)
-        return store
+        return cls(decode_arrays(payload["params"]))
 
 
 # ---------------------------------------------------------------------------

@@ -168,10 +168,10 @@ def l2_penalty(store: ParamStore) -> Tensor:
     sum of each parameter's own total (so it equals a per-parameter chain
     bit for bit), and the gradient is 2 * flat split back into parameters.
     """
-    flat, layout = store.flat, store.layout
+    flat = store.flat
     with np.errstate(over="ignore"):  # _emit reports an overflow as non-finite
-        total = sum(part.sum() for part in layout.split(flat * flat))
-    return _emit("l2_penalty", total, store.tensors, lambda g: layout.split(2.0 * g * flat))
+        total = sum(part.sum() for part in store.split(flat * flat))
+    return _emit("l2_penalty", total, store.tensors, lambda g: store.split(2.0 * g * flat))
 
 
 def sequence_terms(model: Model, batch: list[Ctas], *, gamma: float,

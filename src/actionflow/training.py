@@ -6,7 +6,8 @@ re-derived per epoch so a resumed run needs no carried rng state. Each epoch
 writes one JSON line to the training log: loss components, the health of the
 epoch's last step (global gradient norm and update-to-parameter ratio) and
 wall time; a fresh run starts the log over, a resumed run appends to it.
-Adam steps the store's one flat parameter vector in one vectorized pass.
+Adam is built for the model's store and steps its one flat parameter vector
+in one vectorized pass.
 Checkpoints bundle parameters, model config, vocabulary, cluster map, and
 optimizer state in one versioned JSON file; reloading one and continuing
 reproduces an uninterrupted run bit for bit.
@@ -36,7 +37,7 @@ from .data import (
     split_by_goal,
 )
 from .model import Model, ModelConfig
-from .numerics import GradTape, Layout, NumericError, ParamStore, decode_arrays, encode_arrays
+from .numerics import GradTape, NumericError, ParamStore, decode_arrays, encode_arrays
 from .objectives import LossBreakdown, total_loss
 
 log = logging.getLogger(__name__)
@@ -94,41 +95,37 @@ class TrainConfig:
 
 
 class Adam:
-    """Bias-corrected Adam over a ParamStore's flat parameter vector.
+    """Bias-corrected Adam over one ParamStore's flat parameter vector.
 
-    The moments m and v are two flat vectors laid out like the store's
-    (``store.layout``), so a step is one vectorized pass; each element goes
-    through the same float operations as a per-parameter loop would. Their
-    saved form is per parameter name, and a state loaded from it, or made
-    for a store that has since grown, is laid out again by name on the next
-    step (zeros for a new parameter).
+    The optimizer is built for one store. The moments m and v are two
+    vectors laid out like ``store.flat``, so a step is one vectorized pass;
+    each element goes through the same float operations as a per-parameter
+    loop would. Their saved form is per parameter name, and loading one
+    that names other parameters, or other shapes, is an error.
     """
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        self.store = store
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step = 0
-        self.layout = Layout({})
-        self.m = self.v = np.zeros(0)  # replaced on every step, never written into
+        self.m = self.v = np.zeros(store.flat.size)  # replaced on every step, never written into
 
     @classmethod
-    def from_config(cls, cfg: TrainConfig) -> "Adam":
-        return cls(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    def from_config(cls, store: ParamStore, cfg: TrainConfig) -> "Adam":
+        return cls(store, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
 
-    def update(self, store: ParamStore) -> tuple[float, float]:
+    def update(self) -> tuple[float, float]:
         """Apply one step using the gradients currently on the store.
 
         Returns the step's health: the global L2 norm of the gradient, and
         the update ratio ||delta|| / ||params|| (params before the step).
         """
-        flat = store.flat
-        if self.layout is not store.layout:
-            self.m, self.v = (store.layout.join(self.layout.named(x)) for x in (self.m, self.v))
-            self.layout = store.layout
-        g = store.flat_grad()
+        flat = self.store.flat
+        g = self.store.flat_grad()
         self.step += 1
         bc1 = 1.0 - self.beta1 ** self.step
         bc2 = 1.0 - self.beta2 ** self.step
@@ -141,14 +138,13 @@ class Adam:
         return math.sqrt(float(g @ g)), ratio
 
     def state_dict(self) -> dict:
-        return {"step": self.step, "m": encode_arrays(self.layout.named(self.m)),
-                "v": encode_arrays(self.layout.named(self.v))}
+        names = self.store.names()
+        m, v = (encode_arrays(dict(zip(names, self.store.split(x)))) for x in (self.m, self.v))
+        return {"step": self.step, "m": m, "v": v}
 
     def load_state_dict(self, payload: dict) -> None:
-        self.step = int(payload["step"])
-        m, v = decode_arrays(payload["m"]), decode_arrays(payload["v"])
-        self.layout = Layout({name: a.shape for name, a in m.items()})
-        self.m, self.v = self.layout.join(m), self.layout.join(v)
+        m, v = (self.store.join(decode_arrays(payload[key])) for key in ("m", "v"))
+        self.step, self.m, self.v = int(payload["step"]), m, v
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +208,7 @@ def load_checkpoint(path) -> Checkpoint:
         train_cfg = TrainConfig.from_dict(payload["train_config"])
     optimizer = None
     if payload.get("optimizer") is not None:
-        optimizer = Adam() if train_cfg is None else Adam.from_config(train_cfg)
+        optimizer = Adam(store) if train_cfg is None else Adam.from_config(store, train_cfg)
         optimizer.load_state_dict(payload["optimizer"])
     return Checkpoint(model=model, train_config=train_cfg, optimizer=optimizer,
                       epoch=int(payload.get("epoch", 0)),
@@ -239,12 +235,12 @@ def train(corpus: list[Ctas], vocab: Vocab, clusters: ClusterMap,
         raise ValueError("empty training corpus")
     if resume is not None:
         model = resume.model
-        optimizer = resume.optimizer or Adam.from_config(train_cfg)
+        optimizer = resume.optimizer or Adam.from_config(model.store, train_cfg)
         start_epoch = resume.epoch + 1
         best_total = resume.best_total if resume.best_total is not None else math.inf
     else:
         model = Model.init(model_cfg, vocab, clusters, seed=train_cfg.seed)
-        optimizer = Adam.from_config(train_cfg)
+        optimizer = Adam.from_config(model.store, train_cfg)
         start_epoch = 1
         best_total = math.inf
     if ckpt_dir is not None:
@@ -274,7 +270,7 @@ def train(corpus: list[Ctas], vocab: Vocab, clusters: ClusterMap,
                     tape.backward(total)
             except NumericError as e:
                 raise TrainingDiverged(f"epoch {epoch}: {e}") from None
-            health = optimizer.update(model.store)
+            health = optimizer.update()
             for key in sums:
                 sums[key] += getattr(bd, key) * len(batch)
             last_l2 = bd.l2

@@ -233,6 +233,17 @@ class TestEval:
         payload = json.loads(report.read_text())
         assert set(payload["gpa_at"]) == {"0.5", "1"}
 
+    def test_repeated_prefix_counts_once(self, workspace, capsys, tmp_path):
+        args = ["eval", "--ckpt", str(workspace["run"]),
+                "--data", str(workspace["run"] / "test.jsonl"), "--skip-generation"]
+        once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+        assert main(args + ["--report", str(once), "--prefixes", "0.5"]) == 0
+        assert main(args + ["--report", str(twice), "--prefixes", "0.5,0.5"]) == 0
+        assert json.loads(once.read_text())["gpa_at"]["0.5"] > 0.0
+        assert twice.read_bytes() == once.read_bytes()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].replace("once", "twice") == lines[1]
+
     def test_bad_prefixes_is_usage_error(self, workspace, capsys, tmp_path):
         assert main(["eval", "--ckpt", str(workspace["run"]),
                      "--data", str(workspace["run"] / "test.jsonl"),
@@ -266,7 +277,12 @@ def write_unreadable_checkpoint(kind, workspace, tmp_path):
         text = json.dumps({"version": CHECKPOINT_VERSION})
     else:
         payload = json.loads(good)
-        payload["params"] = []  # ill-typed: a list where an object belongs
+        if kind == "ill_typed_field":
+            payload["params"] = []  # a list where an object belongs
+        elif kind == "optimizer_missing_name":
+            del payload["optimizer"]["m"][min(payload["optimizer"]["m"])]
+        else:  # optimizer_extra_name: a moment for no parameter
+            payload["optimizer"]["v"]["bogus"] = {"shape": [1], "values": [0.0]}
         text = json.dumps(payload)
     ckpt = tmp_path / "final.json"
     ckpt.write_text(text)
@@ -274,7 +290,8 @@ def write_unreadable_checkpoint(kind, workspace, tmp_path):
 
 
 class TestUnreadableCheckpoint:
-    KINDS = ("truncated", "not_an_object", "missing_fields", "ill_typed_field")
+    KINDS = ("truncated", "not_an_object", "missing_fields", "ill_typed_field",
+             "optimizer_missing_name", "optimizer_extra_name")
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_eval(self, workspace, capsys, tmp_path, kind):
@@ -363,6 +380,13 @@ class TestGradcheck:
         assert main(["gradcheck", "--config", str(workspace["config"])]) == 0
         out = capsys.readouterr().out
         assert out.startswith("gradcheck ok: max relative error")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, workspace, capsys, tol):
+        assert main(["gradcheck", "--config", str(workspace["config"]), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("E_USAGE: --tol must be finite and positive")
+        assert "gradcheck ok" not in captured.out
 
     def test_impossible_tolerance_fails(self, workspace, capsys):
         assert main(["gradcheck", "--config", str(workspace["config"]),

@@ -29,12 +29,11 @@ def make_cfg(**kw):
 
 
 def make_store(cfg, n_marks=5, seed=0, with_set=False):
-    store = ParamStore()
     rng = np.random.default_rng(seed)
-    init_encoder_params(store, cfg, n_marks, rng)
+    params = init_encoder_params(cfg, n_marks, rng)
     if with_set:
-        init_set_params(store, cfg, rng)
-    return store
+        params += init_set_params(cfg, rng)
+    return ParamStore(params)
 
 
 def random_sequence(rng, k, n_marks=5):

@@ -173,6 +173,15 @@ class TestGoalEval:
                            prefix_fractions=(0.25, 0.5, 1.0))
         assert set(result["gpa_at"]) == {"0.25", "0.5", "1"}
 
+    def test_repeated_fraction_counts_once(self):
+        model = make_model(seed=0)
+        force_goal(model, 1)
+        corpus = [make_seq([0, 1, 2], [0, 1, 2], goal=g, sid=f"s{i}")
+                  for i, g in enumerate([1, 1, 1, 0])]
+        result = goal_eval(teacher_forced(model, corpus), prefix_fractions=(0.5, 1.0, 0.5))
+        assert list(result["gpa_at"].items()) == [("0.5", 0.75), ("1", 0.75)]
+        assert list(result["per_sequence"][0]["predicted"]) == ["0.5", "1"]
+
     def test_invalid_fractions_rejected(self):
         model = make_model()
         corpus = small_corpus(n=2)

@@ -23,9 +23,7 @@ D = 6
 
 
 def make_store(m=3, n_marks=4, n_goals=2, seed=0):
-    store = ParamStore()
-    init_head_params(store, D, m, n_marks, n_goals, np.random.default_rng(seed))
-    return store
+    return ParamStore(init_head_params(D, m, n_marks, n_goals, np.random.default_rng(seed)))
 
 
 def rows(s):

@@ -51,11 +51,8 @@ ATTN_WEIGHTS = Tensor(np.random.default_rng(77).normal(size=(6, 4)))
 
 
 def make_store(shapes, seed):
-    store = ParamStore()
     rng = np.random.default_rng(seed)
-    for name, shape in shapes.items():
-        store.add(name, rng.normal(size=shape))
-    return store
+    return ParamStore((name, rng.normal(size=shape)) for name, shape in shapes.items())
 
 
 class TestPrimitiveValues:
@@ -121,15 +118,15 @@ class TestPrimitiveValues:
 
 class TestBackwardBasics:
     def test_sum_gradient_is_ones(self):
-        store = ParamStore()
-        w = store.add("w", np.arange(6.0).reshape(2, 3))
+        store = ParamStore({"w": np.arange(6.0).reshape(2, 3)})
+        w = store["w"]
         with GradTape() as tape:
             tape.backward(sum_all(w))
         np.testing.assert_array_equal(store.grad("w"), np.ones((2, 3)))
 
     def test_quadratic_gradient(self):
-        store = ParamStore()
-        w = store.add("w", [1.0, 2.0])
+        store = ParamStore({"w": [1.0, 2.0]})
+        w = store["w"]
         with GradTape() as tape:
             tape.backward(sum_all(mul(w, w)))
         np.testing.assert_array_equal(store.grad("w"), [2.0, 4.0])
@@ -146,16 +143,15 @@ class TestBackwardBasics:
         assert report.max_rel_err < 1e-6
 
     def test_unreachable_parameter_reads_zero_gradient(self):
-        store = ParamStore()
-        w = store.add("w", [1.0, 2.0])
-        store.add("unused", [3.0])
+        store = ParamStore({"w": [1.0, 2.0], "unused": [3.0]})
+        w = store["w"]
         with GradTape() as tape:
             tape.backward(sum_all(w))
         np.testing.assert_array_equal(store.grad("unused"), [0.0])
 
     def test_gradients_accumulate_until_zeroed(self):
-        store = ParamStore()
-        w = store.add("w", [1.0, 2.0])
+        store = ParamStore({"w": [1.0, 2.0]})
+        w = store["w"]
         for _ in range(3):
             with GradTape() as tape:
                 tape.backward(sum_all(w))
@@ -165,9 +161,9 @@ class TestBackwardBasics:
         np.testing.assert_array_equal(store.grad("w"), [0.0, 0.0])
 
     def test_reflected_sub_matches_numpy(self):
-        store = ParamStore()
         x = np.random.default_rng(3).normal(size=(2, 3))
-        w = store.add("w", x)
+        store = ParamStore({"w": x})
+        w = store["w"]
         with GradTape() as tape:
             y = 1.5 - w
             tape.backward(sum_all(mul(y, y)))
@@ -189,9 +185,8 @@ class TestBackwardBasics:
     def test_shared_vjp_array_is_not_accumulated_in_place(self):
         # add's vjp hands one array to both inputs: an in-place sum into w's
         # gradient would also change the gradient flowing on to exp(v)
-        store = ParamStore()
-        w = store.add("w", [0.5, -1.0])
-        v = store.add("v", [0.3, 1.2])
+        store = ParamStore({"w": [0.5, -1.0], "v": [0.3, 1.2]})
+        w, v = store["w"], store["v"]
         with GradTape() as tape:
             t = exp(v)
             u = mul(w, 2.0)
@@ -200,8 +195,8 @@ class TestBackwardBasics:
         np.testing.assert_array_equal(store.grad("v"), np.exp(v.data))
 
     def test_inner_tape_leaves_outer_products_alone(self):
-        store = ParamStore()
-        w = store.add("w", [1.0, -2.0])
+        store = ParamStore({"w": [1.0, -2.0]})
+        w = store["w"]
         with GradTape() as outer:
             t = mul(w, 2.0)
             with GradTape() as inner:
@@ -211,9 +206,8 @@ class TestBackwardBasics:
         np.testing.assert_array_equal(store.grad("w"), [2.0, 2.0])
 
     def test_no_product_holds_a_gradient_after_backward(self):
-        store = ParamStore()
-        w = store.add("w", np.arange(6.0).reshape(2, 3))
-        b = store.add("b", [0.1, 0.2, 0.3])
+        store = ParamStore({"w": np.arange(6.0).reshape(2, 3), "b": [0.1, 0.2, 0.3]})
+        w, b = store["w"], store["b"]
         with GradTape() as tape:
             loss = sum_all(mul(relu(add(w, b)), sub(w, 1.0)))
             tape.backward(loss)
@@ -221,8 +215,8 @@ class TestBackwardBasics:
         assert store["w"].grad is not None and store["b"].grad is not None
 
     def test_dropped_tape_is_freed_while_its_loss_lives(self):
-        store = ParamStore()
-        w = store.add("w", [1.0, 2.0])
+        store = ParamStore({"w": [1.0, 2.0]})
+        w = store["w"]
         gc.disable()
         try:
             with GradTape() as tape:
@@ -342,8 +336,8 @@ class TestPrefixMaxTies:
         return z
 
     def grad_of(self, a, g, lens=None):
-        store = ParamStore()
-        w = store.add("w", a)
+        store = ParamStore({"w": a})
+        w = store["w"]
         segs = Segments(len(a), lens)
         with GradTape() as tape:
             tape.backward(sum_all(mul(shifted_prefix_max(w, segs), Tensor(g))))
@@ -712,8 +706,8 @@ class TestErrorContracts:
             exp(Tensor([1e308]))
 
     def test_backward_rejects_non_scalar_loss(self):
-        store = ParamStore()
-        w = store.add("w", [1.0, 2.0])
+        store = ParamStore({"w": [1.0, 2.0]})
+        w = store["w"]
         with GradTape() as tape:
             out = mul(w, 2.0)
             with pytest.raises(ShapeError):
@@ -735,8 +729,8 @@ class TestErrorContracts:
 
 class TestMaskedGradientFlow:
     def test_no_gradient_through_masked_entries(self):
-        store = ParamStore()
-        w = store.add("w", np.ones((3, 3)))
+        store = ParamStore({"w": np.ones((3, 3))})
+        w = store["w"]
         mask = np.triu(np.ones((3, 3), bool), 1)
         with GradTape() as tape:
             tape.backward(sum_all(masked_fill(w, mask, -1e30)))
@@ -760,57 +754,92 @@ class TestLayerNorm:
         assert np.abs(out.mean(axis=1)).max() < 1e-10
         assert np.abs(out.var(axis=1) - 1.0).max() < 1e-6
 
+    @staticmethod
+    def mean_based(x, gain, bias, g, eps=1e-8):
+        """The ndarray.mean formulation: output and the three gradients."""
+        mu = x.mean(axis=1, keepdims=True)
+        xc = x - mu
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + eps)
+        xhat = xc * inv
+        gxhat = g * gain[None, :]
+        gx = inv * (gxhat - gxhat.mean(axis=1, keepdims=True)
+                    - xhat * (gxhat * xhat).mean(axis=1, keepdims=True))
+        return xhat * gain[None, :] + bias[None, :], gx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+    def test_bytes_equal_the_mean_based_formula(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            rows, d = int(rng.integers(1, 40)), int(rng.integers(1, 24))
+            x = rng.normal(size=(rows, d)) * rng.uniform(0.01, 100.0)
+            gain, bias = rng.normal(size=d), rng.normal(size=d)
+            g = rng.normal(size=(rows, d))
+            store = ParamStore({"x": x, "gain": gain, "bias": bias})
+            with GradTape() as tape:
+                out = layer_norm(store["x"], store["gain"], store["bias"])
+                tape.backward(sum_all(mul(out, Tensor(g))))
+            want = self.mean_based(x, gain, bias, g)
+            got = (out.data, store.grad("x"), store.grad("gain"), store.grad("bias"))
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
 
 class TestParamStore:
     def test_duplicate_name_rejected(self):
-        store = ParamStore()
-        store.add("w", [1.0])
-        with pytest.raises(ValueError):
-            store.add("w", [2.0])
+        with pytest.raises(ValueError, match="already present"):
+            ParamStore([("w", [1.0]), ("w", [2.0])])
 
     def test_iteration_sorted_by_name(self):
-        store = ParamStore()
-        for name in ("zeta", "alpha", "mid"):
-            store.add(name, [0.0])
+        store = ParamStore((name, [0.0]) for name in ("zeta", "alpha", "mid"))
         assert store.names() == ["alpha", "mid", "zeta"]
 
     def test_round_trip_is_bit_exact(self):
         store = make_store({"w": (3, 4), "b": (4,), "scalar": ()}, seed=5)
         again = ParamStore.from_dict(json.loads(json.dumps(store.to_dict())))
         assert again.names() == store.names()
+        assert again.flat.tobytes() == store.flat.tobytes()
         for name, t in store.items():
             assert again[name].data.tobytes() == t.data.tobytes()
             assert again[name].data.shape == t.data.shape
+            assert again[name].data.base is again.flat
 
     def test_version_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ParamStore.from_dict({"version": 99, "params": {}})
 
     def test_flat_vector_is_shared_both_ways(self):
-        store = make_store({"w": (3, 4), "b": (4,), "scalar": ()}, seed=8)
-        before = np.concatenate([t.data.ravel() for _, t in store.items()])
+        rng = np.random.default_rng(8)
+        arrays = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4), "scalar": rng.normal()}
+        store = ParamStore(arrays)
         flat = store.flat
-        assert flat.tobytes() == before.tobytes()
-        for (name, t), (lname, shape, at) in zip(store.items(), store.layout.entries):
-            assert name == lname and t.data.shape == shape
-            assert t.data.base is flat
-        flat[store.layout.entries[2][2]][5] = 7.25  # "w" is last in name order
+        assert flat.tobytes() == np.concatenate(
+            [arrays[name] for name in sorted(arrays)], axis=None).tobytes()
+        for (name, t), at in zip(store.items(), store.slices):
+            assert t.data.shape == np.shape(arrays[name]) and t.data.base is flat
+            assert flat[at].tobytes() == np.ravel(arrays[name]).tobytes()
+        flat[store.slices[2]][5] = 7.25  # "w" is last in name order
         assert store["w"].data[1, 1] == 7.25
         store["b"].data[2] = -3.5
         assert flat[2] == -3.5
-        assert store.flat is flat and store.tensors == tuple(t for _, t in store.items())
+        arrays["b"][0] = 99.0  # the store holds a copy
+        assert flat[0] != 99.0
+        assert store.tensors == tuple(t for _, t in store.items())
 
-    def test_add_after_the_flat_vector_lays_it_out_again(self):
-        store = make_store({"w": (2, 2)}, seed=9)
-        layout, w = store.layout, store["w"].data.copy()
-        store.add("a", [1.5, 2.5])
-        assert store.layout is not layout
-        np.testing.assert_array_equal(store.flat, np.concatenate([[1.5, 2.5], w.ravel()]))
-        assert np.shares_memory(store["w"].data, store.flat)
+    def test_split_gives_one_view_per_parameter(self):
+        store = make_store({"w": (2, 3), "b": (4,)}, seed=9)
+        vector = np.arange(store.flat.size, dtype=np.float64)
+        parts = store.split(vector)
+        assert [p.shape for p in parts] == [(4,), (2, 3)]
+        assert all(np.shares_memory(p, vector) for p in parts)
+        np.testing.assert_array_equal(parts[1], [[4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
 
-    def test_loading_does_not_build_the_flat_vector(self):
-        store = ParamStore.from_dict(make_store({"w": (2, 3)}, seed=10).to_dict())
-        assert store._flat is None
+    def test_join_inverts_split_and_rejects_other_names_or_shapes(self):
+        store = make_store({"w": (2, 3), "b": (4,)}, seed=10)
+        vector = np.arange(store.flat.size, dtype=np.float64)
+        named = dict(zip(store.names(), store.split(vector)))
+        assert store.join(named).tobytes() == vector.tobytes()
+        for bad in ({"w": named["w"]}, {**named, "x": np.zeros(1)},
+                    {**named, "w": np.zeros((3, 2))}):
+            with pytest.raises(ValueError, match="names and shapes"):
+                store.join(bad)
 
     def test_flat_grad_reads_zeros_for_unreached_parameters(self):
         store = make_store({"u": (2,), "w": (2, 2)}, seed=11)

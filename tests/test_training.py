@@ -121,7 +121,7 @@ class TestTrainConfig:
 
     def test_from_config_copies_optimizer_fields(self):
         cfg = TrainConfig(lr=0.07, beta1=0.8, beta2=0.95, eps=1e-6)
-        opt = Adam.from_config(cfg)
+        opt = Adam.from_config(ParamStore(), cfg)
         assert (opt.lr, opt.beta1, opt.beta2, opt.eps) == (0.07, 0.8, 0.95, 1e-6)
 
 
@@ -129,11 +129,12 @@ class LoopAdam:
     """The per-parameter Adam that the flat pass replaced, kept as the
     reference the flat pass must equal bit for bit."""
 
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, store, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.store, self.lr, self.beta1, self.beta2, self.eps = store, lr, beta1, beta2, eps
         self.step, self.m, self.v = 0, {}, {}
 
-    def update(self, store):
+    def update(self):
+        store = self.store
         self.step += 1
         bc1 = 1.0 - self.beta1 ** self.step
         bc2 = 1.0 - self.beta2 ** self.step
@@ -156,10 +157,8 @@ class TestAdam:
     @staticmethod
     def three_params(seed=4):
         rng = np.random.default_rng(seed)
-        store = ParamStore()
-        for name, shape in (("w", (2, 3)), ("unreached", (3,)), ("b", (4,))):
-            store.add(name, rng.normal(size=shape))
-        return store
+        return ParamStore((name, rng.normal(size=shape))
+                          for name, shape in (("w", (2, 3)), ("unreached", (3,)), ("b", (4,))))
 
     @staticmethod
     def nonlinear_step(store, opt):
@@ -169,11 +168,11 @@ class TestAdam:
             loss = add(sum_all(mul(exp(store["w"]), 0.3)),
                        sum_all(mul(store["b"], store["b"])))
             tape.backward(loss)
-        return opt.update(store)
+        return opt.update()
 
     def test_flat_pass_equals_the_per_parameter_loop(self):
         flat_store, loop_store = self.three_params(), self.three_params()
-        flat_opt, loop_opt = Adam(lr=0.05), LoopAdam(lr=0.05)
+        flat_opt, loop_opt = Adam(flat_store, lr=0.05), LoopAdam(loop_store, lr=0.05)
         for _ in range(6):
             self.nonlinear_step(flat_store, flat_opt)
             self.nonlinear_step(loop_store, loop_opt)
@@ -184,14 +183,14 @@ class TestAdam:
 
     def test_resume_from_per_name_state_equals_the_loop(self):
         loop_store = self.three_params()
-        loop_opt = LoopAdam(lr=0.05)
+        loop_opt = LoopAdam(loop_store, lr=0.05)
         for _ in range(4):
             self.nonlinear_step(loop_store, loop_opt)
         # a per-name state as the per-parameter optimizer wrote it
         state = json.loads(json.dumps({"step": loop_opt.step, "m": encode_arrays(loop_opt.m),
                                        "v": encode_arrays(loop_opt.v)}))
         resumed = ParamStore.from_dict(loop_store.to_dict())
-        opt = Adam(lr=0.05)
+        opt = Adam(resumed, lr=0.05)
         opt.load_state_dict(state)
         assert opt.state_dict() == state
         for _ in range(3):
@@ -200,18 +199,26 @@ class TestAdam:
             assert param_bytes(resumed) == param_bytes(loop_store)
         assert opt.state_dict()["m"] == encode_arrays(loop_opt.m)
 
-    def test_a_parameter_added_later_starts_with_zero_moments(self):
-        flat_store, loop_store = self.three_params(), self.three_params()
-        flat_opt, loop_opt = Adam(lr=0.05), LoopAdam(lr=0.05)
-        self.nonlinear_step(flat_store, flat_opt)
-        self.nonlinear_step(loop_store, loop_opt)
-        for store in (flat_store, loop_store):
-            store.add("c", [0.5, -0.5])
-        for _ in range(2):
-            self.nonlinear_step(flat_store, flat_opt)
-            self.nonlinear_step(loop_store, loop_opt)
-        assert param_bytes(flat_store) == param_bytes(loop_store)
-        assert flat_opt.state_dict()["v"] == encode_arrays(loop_opt.v)
+    def test_state_naming_other_parameters_is_rejected(self):
+        store = self.three_params()
+        opt = Adam(store, lr=0.05)
+        fresh = opt.state_dict()
+        assert fresh["m"] == encode_arrays({n: np.zeros(t.data.shape) for n, t in store.items()})
+        self.nonlinear_step(store, opt)
+        good = json.loads(json.dumps(opt.state_dict()))
+        missing = json.loads(json.dumps(good))
+        del missing["m"]["unreached"]
+        extra = json.loads(json.dumps(good))
+        extra["v"]["bogus"] = {"shape": [1], "values": [0.0]}
+        reshaped = json.loads(json.dumps(good))
+        reshaped["m"]["w"]["shape"] = [3, 2]
+        loaded = Adam(store, lr=0.05)
+        for bad in (missing, extra, reshaped):
+            with pytest.raises(ValueError, match="names and shapes"):
+                loaded.load_state_dict(bad)
+            assert loaded.state_dict() == fresh
+        loaded.load_state_dict(good)
+        assert loaded.state_dict() == good
 
     def test_update_reports_gradient_norm_and_update_ratio(self):
         store = self.three_params()
@@ -220,7 +227,7 @@ class TestAdam:
         with GradTape() as tape:
             tape.backward(sum_all(mul(store["b"], store["b"])))
         grad = store.flat_grad()
-        grad_norm, ratio = Adam(lr=0.05).update(store)
+        grad_norm, ratio = Adam(store, lr=0.05).update()
         assert grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-12)
         delta = before - store.flat
         assert ratio == pytest.approx(np.linalg.norm(delta) / np.linalg.norm(before), rel=1e-9)
@@ -231,37 +238,37 @@ class TestAdam:
             diff = sub(w, target)
             loss = sum_all(mul(diff, diff))
             tape.backward(loss)
-        opt.update(store)
+        opt.update()
 
     def test_quadratic_convergence(self):
-        store = ParamStore()
-        w = store.add("w", [0.0])
-        opt = Adam(lr=0.05)
+        store = ParamStore({"w": [0.0]})
+        w = store["w"]
+        opt = Adam(store, lr=0.05)
         for _ in range(500):
             self.quadratic_step(store, w, opt)
         assert abs(float(w.data[0]) - 3.0) < 1e-3
 
     def test_first_step_is_bias_corrected(self):
         # with m/v both zero, step one moves by lr * g / (|g| + eps) ~ lr * sign(g)
-        store = ParamStore()
-        w = store.add("w", [0.0])
-        opt = Adam(lr=0.05)
+        store = ParamStore({"w": [0.0]})
+        w = store["w"]
+        opt = Adam(store, lr=0.05)
         self.quadratic_step(store, w, opt)
         assert float(w.data[0]) == pytest.approx(0.05, abs=1e-6)
 
     def test_zero_grad_is_noop(self):
-        store = ParamStore()
-        w = store.add("w", [1.5, -2.0])
+        store = ParamStore({"w": [1.5, -2.0]})
+        w = store["w"]
         before = w.data.tobytes()
-        opt = Adam(lr=0.1)
+        opt = Adam(store, lr=0.1)
         store.zero_grads()
-        opt.update(store)
+        opt.update()
         assert w.data.tobytes() == before
 
     def test_zero_lr_freezes_params(self):
-        store = ParamStore()
-        w = store.add("w", [0.0])
-        opt = Adam(lr=0.0)
+        store = ParamStore({"w": [0.0]})
+        w = store["w"]
+        opt = Adam(store, lr=0.0)
         for _ in range(5):
             self.quadratic_step(store, w, opt)
         assert w.data.tobytes() == np.array([0.0]).tobytes()
@@ -269,32 +276,29 @@ class TestAdam:
     def test_matrix_target_convergence(self):
         rng = np.random.default_rng(11)
         target = Tensor(rng.normal(size=(2, 3)))
-        store = ParamStore()
-        w = store.add("w", np.zeros((2, 3)))
-        opt = Adam(lr=0.05)
+        store = ParamStore({"w": np.zeros((2, 3))})
+        w = store["w"]
+        opt = Adam(store, lr=0.05)
         for _ in range(800):
             store.zero_grads()
             with GradTape() as tape:
                 diff = sub(w, target)
                 loss = sum_all(mul(diff, diff))
                 tape.backward(loss)
-            opt.update(store)
+            opt.update()
         np.testing.assert_allclose(w.data, target.data, atol=1e-3)
 
     def test_state_dict_round_trip_resumes_identically(self):
-        def fresh():
-            store = ParamStore()
-            return store, store.add("w", [0.0, 1.0])
-
-        store_a, w_a = fresh()
-        opt_a = Adam(lr=0.03)
+        store_a = ParamStore({"w": [0.0, 1.0]})
+        w_a = store_a["w"]
+        opt_a = Adam(store_a, lr=0.03)
         for _ in range(7):
             self.quadratic_step(store_a, w_a, opt_a)
         state = opt_a.state_dict()
 
-        store_b = ParamStore()
-        w_b = store_b.add("w", w_a.data.copy())
-        opt_b = Adam(lr=0.03)
+        store_b = ParamStore({"w": w_a.data})
+        w_b = store_b["w"]
+        opt_b = Adam(store_b, lr=0.03)
         opt_b.load_state_dict(state)
         assert opt_b.step == opt_a.step
 
@@ -379,7 +383,7 @@ class TestCheckpoints:
     def test_payload_round_trip(self, tmp_path):
         model = self.make_model(seed=9)
         tcfg = TrainConfig(lr=0.02, epochs=4)
-        opt = Adam.from_config(tcfg)
+        opt = Adam.from_config(model.store, tcfg)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, model, tcfg, opt, epoch=2, best_total=1.25)
         ckpt = load_checkpoint(path)
