@@ -4,11 +4,12 @@ Subcommands: synth, train, eval, generate, gradcheck, sweep, ablate-delete.
 Every failure prints one line to stderr of the form ``E_CODE: message`` and
 exits nonzero; the codes are stable so scripts can branch on them:
 
-* E_USAGE     bad flags or arguments (exit 2, from the argument parser)
+* E_USAGE     bad flags or flag values (exit 2)
 * E_PARSE     malformed JSON / JSONL input
 * E_DATA      schema-valid input violating data invariants, missing files
 * E_CONFIG    invalid configuration values or unknown keys
-* E_NO_CKPT   checkpoint path missing or unreadable
+* E_NO_CKPT   checkpoint path missing or unreadable, or its parameters do
+              not fit the model its config builds
 * E_NUMERIC   non-finite loss or divergent training
 * E_GRADCHECK gradient check exceeded tolerance
 
@@ -164,22 +165,26 @@ def cmd_train(args) -> int:
 
 
 def _parse_prefixes(text: str) -> tuple[float, ...]:
+    """Comma-separated fractions, each in (0, 1]; nan and inf are refused."""
     try:
         fractions = tuple(float(p) for p in text.split(",") if p.strip())
     except ValueError:
         raise CliError("E_USAGE", f"bad --prefixes value {text!r}") from None
     if not fractions:
         raise CliError("E_USAGE", "empty --prefixes value")
+    for f in fractions:
+        if not 0.0 < f <= 1.0:
+            raise CliError("E_USAGE", f"--prefixes fractions must lie in (0, 1], got {f}")
     return fractions
 
 
 def cmd_eval(args) -> int:
+    prefixes = _parse_prefixes(args.prefixes) if args.prefixes else DEFAULT_PREFIXES
     ckpt = _load_checkpoint(args.ckpt)
     model = ckpt.model
     raw, file_vocab = load_corpus(args.data)
     # ids in the file follow its own interning order; line them up by name
     test = remap_corpus(raw, file_vocab, model.vocab)
-    prefixes = _parse_prefixes(args.prefixes) if args.prefixes else DEFAULT_PREFIXES
     echo = {"model": model.config.to_dict(),
             "train": None if ckpt.train_config is None else ckpt.train_config.to_dict()}
     report = full_report(model, test, seed=args.seed, prefix_fractions=prefixes,

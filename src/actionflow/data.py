@@ -29,8 +29,6 @@ log = logging.getLogger(__name__)
 
 EOS_NAME = "<EOS>"
 
-DATA_VERSION = 1
-
 
 class ParseError(ValueError):
     """A corpus line is not valid JSON or does not match the record schema."""
@@ -207,7 +205,6 @@ class Vocab:
 
     def to_dict(self) -> dict:
         return {
-            "version": DATA_VERSION,
             "marks": self.mark_names,
             "goals": self.goal_names,
             "goal_marks": None if self.goal_marks is None else {
@@ -217,8 +214,6 @@ class Vocab:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Vocab":
-        if payload.get("version") != DATA_VERSION:
-            raise DataError(f"unsupported vocab version {payload.get('version')!r}")
         gm = payload.get("goal_marks")
         goal_marks = None if gm is None else {int(g): tuple(ms) for g, ms in gm.items()}
         return cls(payload["marks"], payload["goals"], goal_marks)
@@ -261,7 +256,6 @@ class ClusterMap:
 
     def to_dict(self) -> dict:
         return {
-            "version": DATA_VERSION,
             "m": self.m,
             "assignments": {str(k): v for k, v in sorted(self.mark_to_cluster.items())},
             "means": {str(k): v for k, v in sorted(self.mark_means.items())},
@@ -269,8 +263,6 @@ class ClusterMap:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ClusterMap":
-        if payload.get("version") != DATA_VERSION:
-            raise DataError(f"unsupported cluster map version {payload.get('version')!r}")
         return cls(
             m=int(payload["m"]),
             mark_to_cluster={int(k): int(v) for k, v in payload["assignments"].items()},

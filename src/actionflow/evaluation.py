@@ -46,7 +46,10 @@ DEFAULT_PREFIXES = (0.3, 0.6, 1.0)
 
 
 def _fraction_key(f: float) -> str:
-    return format(float(f), "g")
+    """Short form when it reads back as the same fraction, full repr otherwise,
+    so that two fractions never share a key."""
+    short = format(float(f), "g")
+    return short if float(short) == f else repr(float(f))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ with one bincount each, adding repeated targets in input order.
 A ParamStore is built once from all its named arrays and keeps them in one
 contiguous vector, laid out in name order, with each named tensor a view into
 it; that layout never changes, so whole-store passes (the L2 term, an Adam
-step) are single vectorized operations.
+step) are single vectorized operations. The store has no saved form of its
+own: a checkpoint (``training``) writes its names, shapes and ``flat``.
 """
 
 from __future__ import annotations
@@ -652,23 +653,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
 # parameter storage
 # ---------------------------------------------------------------------------
 
-SERIALIZATION_VERSION = 1
-
-
-def encode_arrays(arrays: dict[str, np.ndarray]) -> dict:
-    """Named arrays as JSON-ready ``{"shape", "values"}`` entries, in name order."""
-    return {name: {"shape": list(a.shape), "values": a.ravel().tolist()}
-            for name, a in sorted(arrays.items())}
-
-
-def decode_arrays(payload: dict) -> dict[str, np.ndarray]:
-    """Inverse of encode_arrays; entries come back as float64 arrays."""
-    return {name: np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in payload.items()}
-
-
 class ParamStore:
-    """Named trainable tensors in one contiguous vector, with a JSON-ready form.
+    """Named trainable tensors in one contiguous vector.
 
     A store is built once, from all its named arrays. Names are unique within
     a store and sorted, so iteration, optimizer updates and gradient
@@ -712,16 +698,6 @@ class ParamStore:
         """Views into a vector laid out like ``flat``, one per parameter in its shape."""
         return [vector[at].reshape(t.data.shape) for t, at in zip(self.tensors, self.slices)]
 
-    def join(self, arrays: dict[str, np.ndarray]) -> np.ndarray:
-        """One vector laid out like ``flat`` from per-name arrays, which must
-        have exactly the parameters' names and shapes."""
-        got = {name: a.shape for name, a in arrays.items()}
-        want = {t.name: t.data.shape for t in self.tensors}
-        if got != want:
-            bad = sorted(n for n in got.keys() | want.keys() if got.get(n) != want.get(n))
-            raise ValueError(f"arrays do not match the parameters' names and shapes at {bad}")
-        return np.concatenate([arrays[t.name] for t in self.tensors] or [np.zeros(0)], axis=None)
-
     def grad(self, name: str) -> np.ndarray:
         """Accumulated gradient for a parameter; zeros if never reached."""
         t = self._params[name]
@@ -735,20 +711,6 @@ class ParamStore:
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    # -- serialization (JSON floats round-trip bit-exactly in python3) ------
-
-    def to_dict(self) -> dict:
-        return {
-            "version": SERIALIZATION_VERSION,
-            "params": encode_arrays({name: t.data for name, t in self.items()}),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ParamStore":
-        if payload.get("version") != SERIALIZATION_VERSION:
-            raise ValueError(f"unsupported ParamStore version {payload.get('version')!r}")
-        return cls(decode_arrays(payload["params"]))
 
 
 # ---------------------------------------------------------------------------

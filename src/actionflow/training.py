@@ -8,9 +8,12 @@ epoch's last step (global gradient norm and update-to-parameter ratio) and
 wall time; a fresh run starts the log over, a resumed run appends to it.
 Adam is built for the model's store and steps its one flat parameter vector
 in one vectorized pass.
-Checkpoints bundle parameters, model config, vocabulary, cluster map, and
-optimizer state in one versioned JSON file; reloading one and continuing
-reproduces an uninterrupted run bit for bit.
+A checkpoint is one versioned JSON record: model config, vocabulary, cluster
+map, the parameters' names and shapes once, then the parameter vector and
+Adam's two moment vectors laid out like ``ParamStore.flat``. Loading builds
+the model its config describes and refuses a file whose names, shapes or
+vectors do not fit it; reloading one and continuing reproduces an
+uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
@@ -37,12 +40,12 @@ from .data import (
     split_by_goal,
 )
 from .model import Model, ModelConfig
-from .numerics import GradTape, NumericError, ParamStore, decode_arrays, encode_arrays
+from .numerics import GradTape, NumericError, ParamStore
 from .objectives import LossBreakdown, total_loss
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class TrainingDiverged(ArithmeticError):
@@ -100,8 +103,7 @@ class Adam:
     The optimizer is built for one store. The moments m and v are two
     vectors laid out like ``store.flat``, so a step is one vectorized pass;
     each element goes through the same float operations as a per-parameter
-    loop would. Their saved form is per parameter name, and loading one
-    that names other parameters, or other shapes, is an error.
+    loop would. A checkpoint saves ``step``, ``m`` and ``v`` as they are.
     """
 
     def __init__(self, store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
@@ -137,32 +139,49 @@ class Adam:
         ratio = math.sqrt(float(delta @ delta) / size2) if size2 > 0.0 else math.inf
         return math.sqrt(float(g @ g)), ratio
 
-    def state_dict(self) -> dict:
-        names = self.store.names()
-        m, v = (encode_arrays(dict(zip(names, self.store.split(x)))) for x in (self.m, self.v))
-        return {"step": self.step, "m": m, "v": v}
-
-    def load_state_dict(self, payload: dict) -> None:
-        m, v = (self.store.join(decode_arrays(payload[key])) for key in ("m", "v"))
-        self.step, self.m, self.v = int(payload["step"]), m, v
-
 
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
+def _layout(store: ParamStore) -> tuple[list[str], list[list[int]]]:
+    """The parameters' names and shapes, in ``flat`` order, as JSON lists."""
+    return store.names(), [list(t.data.shape) for t in store.tensors]
+
+
+def _encode(vector: np.ndarray) -> list[float]:
+    """The one codec for the checkpoint's three vectors: JSON floats, which
+    python reads back bit for bit."""
+    return vector.tolist()
+
+
+def _decode(values, size: int, key: str) -> np.ndarray:
+    """A saved vector as a new float64 array of ``size`` finite values."""
+    vector = np.array(values, dtype=np.float64)  # a JSON null reads as nan
+    if vector.shape != (size,):
+        raise ValueError(f"checkpoint {key} holds {vector.size} values, "
+                         f"the model has {size} parameters")
+    if not np.isfinite(vector).all():
+        raise ValueError(f"checkpoint {key} holds a non-finite value")
+    return vector
+
+
 def save_checkpoint(path, model: Model, train_cfg: TrainConfig | None = None,
                     optimizer: Adam | None = None, epoch: int = 0,
                     best_total: float | None = None) -> None:
     """Write the checkpoint atomically: a crash mid-write leaves the old file."""
+    names, shapes = _layout(model.store)
     payload = {
         "version": CHECKPOINT_VERSION,
         "model_config": model.config.to_dict(),
         "vocab": model.vocab.to_dict(),
         "clusters": model.clusters.to_dict(),
-        "params": model.store.to_dict(),
+        "names": names,
+        "shapes": shapes,
+        "params": _encode(model.store.flat),
         "train_config": None if train_cfg is None else train_cfg.to_dict(),
-        "optimizer": None if optimizer is None else optimizer.state_dict(),
+        "optimizer": None if optimizer is None else {
+            "step": optimizer.step, "m": _encode(optimizer.m), "v": _encode(optimizer.v)},
         "epoch": epoch,
         "best_total": best_total,
     }
@@ -192,24 +211,38 @@ class Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Rebuild the model a checkpoint's config describes, with its saved state.
+
+    The file is refused unless its version is CHECKPOINT_VERSION, its names
+    and shapes equal those of the store ``Model.init`` builds from its
+    config, and each saved vector has the store's length and only finite
+    values. A refusal is a ValueError, or a KeyError or TypeError for a
+    missing or ill-typed field.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError("checkpoint is not a JSON object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
-    config = ModelConfig.from_dict(payload["model_config"])
-    vocab = Vocab.from_dict(payload["vocab"])
-    clusters = ClusterMap.from_dict(payload["clusters"])
-    store = ParamStore.from_dict(payload["params"])
-    model = Model(config, vocab, clusters, store)
+    model = Model.init(ModelConfig.from_dict(payload["model_config"]),
+                       Vocab.from_dict(payload["vocab"]),
+                       ClusterMap.from_dict(payload["clusters"]))
+    store = model.store
+    if (payload["names"], payload["shapes"]) != _layout(store):
+        raise ValueError("checkpoint names and shapes do not match the parameters "
+                         "its model config builds")
+    store.flat[:] = _decode(payload["params"], store.flat.size, "params")
     train_cfg = None
     if payload.get("train_config") is not None:
         train_cfg = TrainConfig.from_dict(payload["train_config"])
     optimizer = None
-    if payload.get("optimizer") is not None:
+    state = payload.get("optimizer")
+    if state is not None:
         optimizer = Adam(store) if train_cfg is None else Adam.from_config(store, train_cfg)
-        optimizer.load_state_dict(payload["optimizer"])
+        optimizer.step = int(state["step"])
+        optimizer.m, optimizer.v = (_decode(state[key], store.flat.size, f"optimizer {key}")
+                                    for key in ("m", "v"))
     return Checkpoint(model=model, train_config=train_cfg, optimizer=optimizer,
                       epoch=int(payload.get("epoch", 0)),
                       best_total=payload.get("best_total"))

@@ -1,6 +1,7 @@
 """End-to-end and error-path tests for the command line interface."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -251,6 +252,25 @@ class TestEval:
                      "--prefixes", "abc"]) == 2
         assert capsys.readouterr().err.startswith("E_USAGE:")
 
+    def test_close_prefixes_print_two_entries(self, workspace, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        assert main(["eval", "--ckpt", str(workspace["run"]),
+                     "--data", str(workspace["run"] / "test.jsonl"),
+                     "--report", str(report), "--skip-generation",
+                     "--prefixes", "0.1234567,0.1234568"]) == 0
+        assert set(json.loads(report.read_text())["gpa_at"]) == {"0.1234567", "0.1234568"}
+        out = capsys.readouterr().out
+        assert "gpa@0.1234567=" in out and "gpa@0.1234568=" in out
+
+    @pytest.mark.parametrize("prefixes", ["1.5", "0", "-0.3", "0.5,nan", "inf"])
+    def test_out_of_range_prefixes_is_usage_error(self, workspace, capsys, tmp_path, prefixes):
+        # refused before the checkpoint is looked at: this one does not exist
+        assert main(["eval", "--ckpt", str(tmp_path / "nowhere"),
+                     "--data", str(workspace["run"] / "test.jsonl"),
+                     "--report", str(tmp_path / "r.json"), "--prefixes", prefixes]) == 2
+        assert capsys.readouterr().err.startswith("E_USAGE:")
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_checkpoint(self, workspace, capsys, tmp_path):
         assert main(["eval", "--ckpt", str(tmp_path / "nowhere"),
                      "--data", str(workspace["run"] / "test.jsonl"),
@@ -266,6 +286,14 @@ class TestEval:
         assert capsys.readouterr().err.startswith("E_NO_CKPT:")
 
 
+def value_span(payload, name):
+    """The slice of a checkpoint's flat vectors that holds one parameter."""
+    sizes = [math.prod(shape) for shape in payload["shapes"]]
+    at = payload["names"].index(name)
+    start = sum(sizes[:at])
+    return slice(start, start + sizes[at])
+
+
 def write_unreadable_checkpoint(kind, workspace, tmp_path):
     """A final.json under tmp_path that load_checkpoint cannot turn into a model."""
     good = (workspace["run"] / "final.json").read_text()
@@ -277,12 +305,37 @@ def write_unreadable_checkpoint(kind, workspace, tmp_path):
         text = json.dumps({"version": CHECKPOINT_VERSION})
     else:
         payload = json.loads(good)
+        names, shapes, params = payload["names"], payload["shapes"], payload["params"]
+        vectors = (params, payload["optimizer"]["m"], payload["optimizer"]["v"])
         if kind == "ill_typed_field":
-            payload["params"] = []  # a list where an object belongs
+            payload["params"] = {}  # an object where a list belongs
         elif kind == "optimizer_missing_name":
-            del payload["optimizer"]["m"][min(payload["optimizer"]["m"])]
-        else:  # optimizer_extra_name: a moment for no parameter
-            payload["optimizer"]["v"]["bogus"] = {"shape": [1], "values": [0.0]}
+            # a consistent file for a model without the first parameter
+            span = value_span(payload, names[0])
+            del names[0], shapes[0]
+            for vector in vectors:
+                del vector[span]
+        elif kind == "optimizer_extra_name":
+            # a consistent file for a model with one more parameter
+            names.append("zz.bogus")
+            shapes.append([1])
+            for vector in vectors:
+                vector.append(0.0)
+        elif kind == "param_missing":
+            at = names.index("mark.w")
+            del names[at], shapes[at]
+        elif kind == "param_reshaped":
+            shapes[names.index("mark.w")] = [1, 1]
+        elif kind == "params_wrong_length":
+            params.pop()
+        elif kind == "params_non_finite_null":
+            params[value_span(payload, "mark.w").start] = None
+        elif kind == "params_non_finite_nan":
+            params[value_span(payload, "mark.w").start] = math.nan
+        elif kind == "optimizer_wrong_length":
+            payload["optimizer"]["m"].append(0.0)
+        else:  # version_2: the per-name layout this file replaced
+            payload["version"] = 2
         text = json.dumps(payload)
     ckpt = tmp_path / "final.json"
     ckpt.write_text(text)
@@ -291,7 +344,9 @@ def write_unreadable_checkpoint(kind, workspace, tmp_path):
 
 class TestUnreadableCheckpoint:
     KINDS = ("truncated", "not_an_object", "missing_fields", "ill_typed_field",
-             "optimizer_missing_name", "optimizer_extra_name")
+             "optimizer_missing_name", "optimizer_extra_name", "param_missing",
+             "param_reshaped", "params_wrong_length", "params_non_finite_null",
+             "params_non_finite_nan", "optimizer_wrong_length", "version_2")
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_eval(self, workspace, capsys, tmp_path, kind):
@@ -300,6 +355,7 @@ class TestUnreadableCheckpoint:
                      "--data", str(workspace["run"] / "test.jsonl"),
                      "--report", str(tmp_path / "r.json")]) == 1
         assert capsys.readouterr().err.startswith("E_NO_CKPT:")
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_generate(self, workspace, capsys, tmp_path, kind):
@@ -307,6 +363,7 @@ class TestUnreadableCheckpoint:
         assert main(["generate", "--ckpt", str(tmp_path), "--goal", "brew",
                      "--first-mark", "grind", "--out", str(tmp_path / "g.jsonl")]) == 1
         assert capsys.readouterr().err.startswith("E_NO_CKPT:")
+        assert sorted(os.listdir(tmp_path)) == ["final.json"]
 
     def test_version_1_checkpoint_refused(self, workspace, capsys, tmp_path):
         payload = json.loads((workspace["run"] / "final.json").read_text())

@@ -259,12 +259,6 @@ class TestVocab:
         assert clone.goal_names == vocab.goal_names
         assert clone.goal_marks == vocab.goal_marks
 
-    def test_version_rejected(self):
-        payload = Vocab(["a"], ["g"]).to_dict()
-        payload["version"] = 99
-        with pytest.raises(DataError):
-            Vocab.from_dict(payload)
-
     def test_marks_for_goal_requires_built_sets(self):
         vocab = Vocab(["a"], ["g"])
         with pytest.raises(DataError):

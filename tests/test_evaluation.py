@@ -173,6 +173,15 @@ class TestGoalEval:
                            prefix_fractions=(0.25, 0.5, 1.0))
         assert set(result["gpa_at"]) == {"0.25", "0.5", "1"}
 
+    def test_close_fractions_keep_distinct_keys(self):
+        model = make_model(seed=1)
+        corpus = small_corpus(n=3, seed=1)
+        result = goal_eval(teacher_forced(model, corpus),
+                           prefix_fractions=(0.1234567, 0.1234568, 0.3))
+        keys = ["0.1234567", "0.1234568", "0.3"]
+        assert list(result["gpa_at"]) == keys
+        assert all(list(r["predicted"]) == keys for r in result["per_sequence"])
+
     def test_repeated_fraction_counts_once(self):
         model = make_model(seed=0)
         force_goal(model, 1)
@@ -185,7 +194,7 @@ class TestGoalEval:
     def test_invalid_fractions_rejected(self):
         model = make_model()
         corpus = small_corpus(n=2)
-        for bad in (0.0, -0.2, 1.5):
+        for bad in (0.0, -0.2, 1.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="fraction"):
                 goal_eval(teacher_forced(model, corpus), prefix_fractions=(bad,))
 

@@ -792,18 +792,16 @@ class TestParamStore:
         assert store.names() == ["alpha", "mid", "zeta"]
 
     def test_round_trip_is_bit_exact(self):
+        # names and the flat vector as JSON, the form a checkpoint saves
         store = make_store({"w": (3, 4), "b": (4,), "scalar": ()}, seed=5)
-        again = ParamStore.from_dict(json.loads(json.dumps(store.to_dict())))
+        names, values = json.loads(json.dumps([store.names(), store.flat.tolist()]))
+        again = ParamStore(zip(names, store.split(np.array(values))))
         assert again.names() == store.names()
         assert again.flat.tobytes() == store.flat.tobytes()
         for name, t in store.items():
             assert again[name].data.tobytes() == t.data.tobytes()
             assert again[name].data.shape == t.data.shape
             assert again[name].data.base is again.flat
-
-    def test_version_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ParamStore.from_dict({"version": 99, "params": {}})
 
     def test_flat_vector_is_shared_both_ways(self):
         rng = np.random.default_rng(8)
@@ -830,16 +828,6 @@ class TestParamStore:
         assert [p.shape for p in parts] == [(4,), (2, 3)]
         assert all(np.shares_memory(p, vector) for p in parts)
         np.testing.assert_array_equal(parts[1], [[4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
-
-    def test_join_inverts_split_and_rejects_other_names_or_shapes(self):
-        store = make_store({"w": (2, 3), "b": (4,)}, seed=10)
-        vector = np.arange(store.flat.size, dtype=np.float64)
-        named = dict(zip(store.names(), store.split(vector)))
-        assert store.join(named).tobytes() == vector.tobytes()
-        for bad in ({"w": named["w"]}, {**named, "x": np.zeros(1)},
-                    {**named, "w": np.zeros((3, 2))}):
-            with pytest.raises(ValueError, match="names and shapes"):
-                store.join(bad)
 
     def test_flat_grad_reads_zeros_for_unreached_parameters(self):
         store = make_store({"u": (2,), "w": (2, 2)}, seed=11)

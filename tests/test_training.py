@@ -15,7 +15,6 @@ from actionflow.numerics import (
     ParamStore,
     Tensor,
     add,
-    encode_arrays,
     exp,
     mul,
     sub,
@@ -170,6 +169,20 @@ class TestAdam:
             tape.backward(loss)
         return opt.update()
 
+    @staticmethod
+    def laid_flat(moments, store):
+        """A per-name moment dict in ``store.flat`` order."""
+        return np.concatenate([moments[name] for name in store.names()], axis=None)
+
+    @staticmethod
+    def model_step(store, opt):
+        # a loss on the first and last parameters; the rest read zero gradients
+        first, last = store.tensors[0], store.tensors[-1]
+        store.zero_grads()
+        with GradTape() as tape:
+            tape.backward(add(sum_all(mul(exp(first), 0.3)), sum_all(mul(last, last))))
+        return opt.update()
+
     def test_flat_pass_equals_the_per_parameter_loop(self):
         flat_store, loop_store = self.three_params(), self.three_params()
         flat_opt, loop_opt = Adam(flat_store, lr=0.05), LoopAdam(loop_store, lr=0.05)
@@ -177,48 +190,59 @@ class TestAdam:
             self.nonlinear_step(flat_store, flat_opt)
             self.nonlinear_step(loop_store, loop_opt)
             assert param_bytes(flat_store) == param_bytes(loop_store)
-        state = flat_opt.state_dict()
-        assert state["m"] == encode_arrays(loop_opt.m)
-        assert state["v"] == encode_arrays(loop_opt.v)
+        assert flat_opt.m.tobytes() == self.laid_flat(loop_opt.m, loop_store).tobytes()
+        assert flat_opt.v.tobytes() == self.laid_flat(loop_opt.v, loop_store).tobytes()
 
     def test_resume_from_per_name_state_equals_the_loop(self):
         loop_store = self.three_params()
         loop_opt = LoopAdam(loop_store, lr=0.05)
         for _ in range(4):
             self.nonlinear_step(loop_store, loop_opt)
-        # a per-name state as the per-parameter optimizer wrote it
-        state = json.loads(json.dumps({"step": loop_opt.step, "m": encode_arrays(loop_opt.m),
-                                       "v": encode_arrays(loop_opt.v)}))
-        resumed = ParamStore.from_dict(loop_store.to_dict())
+        # the per-parameter optimizer's state laid flat in name order and
+        # passed through JSON, as a checkpoint holds it
+        state = json.loads(json.dumps({
+            "params": loop_store.flat.tolist(), "step": loop_opt.step,
+            "m": self.laid_flat(loop_opt.m, loop_store).tolist(),
+            "v": self.laid_flat(loop_opt.v, loop_store).tolist()}))
+        resumed = ParamStore(zip(loop_store.names(), loop_store.split(np.array(state["params"]))))
         opt = Adam(resumed, lr=0.05)
-        opt.load_state_dict(state)
-        assert opt.state_dict() == state
+        opt.step, opt.m, opt.v = state["step"], np.array(state["m"]), np.array(state["v"])
+        assert [opt.m.tolist(), opt.v.tolist()] == [state["m"], state["v"]]
         for _ in range(3):
             self.nonlinear_step(loop_store, loop_opt)
             self.nonlinear_step(resumed, opt)
             assert param_bytes(resumed) == param_bytes(loop_store)
-        assert opt.state_dict()["m"] == encode_arrays(loop_opt.m)
+        assert opt.m.tobytes() == self.laid_flat(loop_opt.m, loop_store).tobytes()
+        assert opt.v.tobytes() == self.laid_flat(loop_opt.v, loop_store).tobytes()
 
-    def test_state_naming_other_parameters_is_rejected(self):
-        store = self.three_params()
+    def test_state_naming_other_parameters_is_rejected(self, tmp_path):
+        vocab, cm, cfg = tiny_setup()
+        model = Model.init(cfg, vocab, cm, seed=4)
+        store = model.store
         opt = Adam(store, lr=0.05)
-        fresh = opt.state_dict()
-        assert fresh["m"] == encode_arrays({n: np.zeros(t.data.shape) for n, t in store.items()})
-        self.nonlinear_step(store, opt)
-        good = json.loads(json.dumps(opt.state_dict()))
-        missing = json.loads(json.dumps(good))
-        del missing["m"]["unreached"]
-        extra = json.loads(json.dumps(good))
-        extra["v"]["bogus"] = {"shape": [1], "values": [0.0]}
-        reshaped = json.loads(json.dumps(good))
-        reshaped["m"]["w"]["shape"] = [3, 2]
-        loaded = Adam(store, lr=0.05)
-        for bad in (missing, extra, reshaped):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, model, optimizer=opt)
+        zeros = [0.0] * store.flat.size
+        assert json.loads(path.read_text())["optimizer"] == {"step": 0, "m": zeros, "v": zeros}
+        self.model_step(store, opt)
+        save_checkpoint(path, model, optimizer=opt)
+        good = json.loads(path.read_text())
+        wide = next(i for i, shape in enumerate(good["shapes"])
+                    if len(shape) == 2 and shape[0] != shape[1])
+        missing, extra, renamed, reshaped = (json.loads(json.dumps(good)) for _ in range(4))
+        del missing["names"][0], missing["shapes"][0]
+        extra["names"].append("zz.bogus")
+        extra["shapes"].append([1])
+        renamed["names"][0] = "bogus"
+        reshaped["shapes"][wide].reverse()
+        for bad in (missing, extra, renamed, reshaped):
+            path.write_text(json.dumps(bad))
             with pytest.raises(ValueError, match="names and shapes"):
-                loaded.load_state_dict(bad)
-            assert loaded.state_dict() == fresh
-        loaded.load_state_dict(good)
-        assert loaded.state_dict() == good
+                load_checkpoint(path)
+        path.write_text(json.dumps(good))
+        loaded = load_checkpoint(path).optimizer
+        assert loaded.step == 1
+        assert [loaded.m.tobytes(), loaded.v.tobytes()] == [opt.m.tobytes(), opt.v.tobytes()]
 
     def test_update_reports_gradient_norm_and_update_ratio(self):
         store = self.three_params()
@@ -288,23 +312,23 @@ class TestAdam:
             opt.update()
         np.testing.assert_allclose(w.data, target.data, atol=1e-3)
 
-    def test_state_dict_round_trip_resumes_identically(self):
-        store_a = ParamStore({"w": [0.0, 1.0]})
-        w_a = store_a["w"]
-        opt_a = Adam(store_a, lr=0.03)
+    def test_state_dict_round_trip_resumes_identically(self, tmp_path):
+        vocab, cm, cfg = tiny_setup()
+        model = Model.init(cfg, vocab, cm, seed=6)
+        tcfg = TrainConfig(lr=0.03)
+        opt_a = Adam.from_config(model.store, tcfg)
         for _ in range(7):
-            self.quadratic_step(store_a, w_a, opt_a)
-        state = opt_a.state_dict()
+            self.model_step(model.store, opt_a)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, model, tcfg, opt_a)
+        ckpt = load_checkpoint(path)
+        opt_b = ckpt.optimizer
+        assert opt_b.step == opt_a.step and opt_b.lr == opt_a.lr
+        assert [opt_b.m.tobytes(), opt_b.v.tobytes()] == [opt_a.m.tobytes(), opt_a.v.tobytes()]
 
-        store_b = ParamStore({"w": w_a.data})
-        w_b = store_b["w"]
-        opt_b = Adam(store_b, lr=0.03)
-        opt_b.load_state_dict(state)
-        assert opt_b.step == opt_a.step
-
-        self.quadratic_step(store_a, w_a, opt_a)
-        self.quadratic_step(store_b, w_b, opt_b)
-        assert w_a.data.tobytes() == w_b.data.tobytes()
+        self.model_step(model.store, opt_a)
+        self.model_step(ckpt.model.store, opt_b)
+        assert param_bytes(ckpt.model.store) == param_bytes(model.store)
 
 
 class TestTrainLoop:
@@ -403,7 +427,11 @@ class TestCheckpoints:
         ckpt = load_checkpoint(tmp_path / "final.json")
         assert ckpt.optimizer is not None
         assert ckpt.optimizer.step > 0
-        assert set(ckpt.optimizer.state_dict()["m"]) == set(ckpt.model.store.names())
+        saved = json.loads((tmp_path / "final.json").read_text())
+        assert saved["names"] == ckpt.model.store.names()
+        assert ckpt.optimizer.m.size == ckpt.optimizer.v.size == ckpt.model.store.flat.size
+        assert [ckpt.optimizer.m.tolist(), ckpt.optimizer.v.tolist()] == [
+            saved["optimizer"]["m"], saved["optimizer"]["v"]]
 
     def test_bad_version_rejected(self, tmp_path):
         model = self.make_model()
