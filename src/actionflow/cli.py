@@ -4,12 +4,14 @@ Subcommands: synth, train, eval, generate, gradcheck, sweep, ablate-delete.
 Every failure prints one line to stderr of the form ``E_CODE: message`` and
 exits nonzero; the codes are stable so scripts can branch on them:
 
-* E_USAGE     bad flags or flag values (exit 2)
+* E_USAGE     bad flags or flag values, such as a negative ``--seed`` for
+              eval or generate (exit 2)
 * E_PARSE     malformed JSON / JSONL input
 * E_DATA      schema-valid input violating data invariants, missing files
 * E_CONFIG    invalid configuration values or unknown keys
-* E_NO_CKPT   checkpoint path missing or unreadable, or its parameters do
-              not fit the model its config builds
+* E_NO_CKPT   checkpoint path missing or unreadable, a field of the wrong
+              type or out of range, or parameters that do not fit the
+              model its config builds
 * E_NUMERIC   non-finite loss or divergent training
 * E_GRADCHECK gradient check exceeded tolerance
 
@@ -122,15 +124,23 @@ def _resolve_checkpoint(path) -> str:
 
 
 def _load_checkpoint(path) -> Checkpoint:
-    """Load a checkpoint file or directory; anything unreadable is E_NO_CKPT."""
+    """Load a checkpoint file or directory; anything unreadable is E_NO_CKPT.
+
+    Malformed JSON, a field of the wrong type or out of range, and a file
+    whose parameters do not fit its model config all raise ValueError.
+    """
     path = _resolve_checkpoint(path)
     try:
         return load_checkpoint(path)
-    except (ValueError, KeyError, TypeError, AttributeError) as e:
-        # malformed JSON raises a ValueError; a missing or ill-typed field
-        # raises one of the four while the payload is decoded
+    except ValueError as e:
         raise CliError("E_NO_CKPT",
                        f"unreadable checkpoint {path}: {type(e).__name__}: {e}") from None
+
+
+def _check_seed(seed: int) -> None:
+    """numpy's generators take only non-negative seeds; refuse others up front."""
+    if seed < 0:
+        raise CliError("E_USAGE", f"--seed must be non-negative, got {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +189,7 @@ def _parse_prefixes(text: str) -> tuple[float, ...]:
 
 
 def cmd_eval(args) -> int:
+    _check_seed(args.seed)
     prefixes = _parse_prefixes(args.prefixes) if args.prefixes else DEFAULT_PREFIXES
     ckpt = _load_checkpoint(args.ckpt)
     model = ckpt.model
@@ -199,6 +210,7 @@ def cmd_eval(args) -> int:
 def cmd_generate(args) -> int:
     if args.count < 1:
         raise CliError("E_USAGE", f"--count must be at least 1, got {args.count}")
+    _check_seed(args.seed)
     ckpt = _load_checkpoint(args.ckpt)
     model = ckpt.model
     goal = model.vocab.goal_id(args.goal)

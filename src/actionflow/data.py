@@ -46,19 +46,53 @@ class DataError(ValueError):
 _SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
+def _id_key(key, where: str) -> int:
+    """A JSON object key that spells an id: decimal digits, no sign, no leading zero."""
+    if isinstance(key, str) and key.isascii() and key.isdigit() and str(int(key)) == key:
+        return int(key)
+    raise ValueError(f"{where} has key {key!r}, which is not a decimal id")
+
+
+def _all_scalars(tp, values) -> bool:
+    """Whether every value is JSON of the scalar annotation ``tp``, by one type
+    scan; JSON gives exact types, so the scan agrees with the per-value check."""
+    return tp in _SCALARS and set(map(type, values)).issubset(_SCALARS[tp])
+
+
 def _check(tp, value, where: str):
-    """Return ``value`` if it is JSON of annotation ``tp``, else raise ValueError."""
+    """Return ``value`` if it is JSON of annotation ``tp``, else raise ValueError.
+
+    A list or id-keyed object of scalars, and a float vector, are checked
+    with one type scan; the per-element path runs only to name a bad element.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp in _SCALARS:
         if isinstance(value, _SCALARS[tp]) and (tp is bool or not isinstance(value, bool)):
             return value
+    elif tp is np.ndarray:
+        # only floats: the writer saves float64 vectors, and a JSON integer
+        # may not fit one
+        if isinstance(value, list) and set(map(type, value)).issubset((float,)):
+            vector = np.array(value, dtype=np.float64)
+            if not np.isfinite(vector).all():
+                raise ValueError(f"{where} holds a non-finite value")
+            return vector
+        raise ValueError(f"{where} must be a list of floats")
     elif dataclasses.is_dataclass(tp):
         return tp.from_dict(value) if hasattr(tp, "from_dict") else read_record(tp, value, where)
-    elif typing.get_origin(tp) is list:
+    elif origin in (list, tuple):
         if isinstance(value, list):
-            item = typing.get_args(tp)[0]
-            return [_check(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
-    elif typing.get_origin(tp) is types.UnionType and typing.get_args(tp)[1:] == (type(None),):
-        return None if value is None else _check(typing.get_args(tp)[0], value, where)
+            if _all_scalars(args[0], value):
+                return origin(value)
+            return origin(_check(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    elif origin is dict and args[0] is int:
+        if isinstance(value, dict):
+            if _all_scalars(args[1], value.values()):
+                return {_id_key(k, where): v for k, v in value.items()}
+            return {_id_key(k, where): _check(args[1], v, f"{where}[{k!r}]")
+                    for k, v in value.items()}
+    elif origin is types.UnionType and args[1:] == (type(None),):
+        return None if value is None else _check(args[0], value, where)
     else:
         raise TypeError(f"{where}: no reader for annotation {tp!r}")
     raise ValueError(f"{where} must be {tp.__name__}, got {type(value).__name__}")
@@ -66,34 +100,43 @@ def _check(tp, value, where: str):
 
 @functools.cache
 def _schema(cls) -> dict[str, tuple]:
-    """Field name -> (annotation, required), resolved once per record class."""
+    """JSON key -> (field name, annotation, required), resolved once per
+    record class. A field is saved under its name unless its metadata names
+    another ``key``."""
     hints = typing.get_type_hints(cls)
-    return {f.name: (hints[f.name], f.default is f.default_factory is dataclasses.MISSING)
+    return {f.metadata.get("key", f.name):
+            (f.name, hints[f.name], f.default is f.default_factory is dataclasses.MISSING)
             for f in dataclasses.fields(cls)}
 
 
 def read_record(cls, payload, what: str, *, version: int | None = None):
     """Build the dataclass ``cls`` from a JSON object; its annotations are the schema.
 
-    A non-object payload, an unknown or missing key, or a value of the wrong
-    type raises a ValueError naming the key, e.g. ``train config key
-    'batch_size' must be int, got float``. With a ``version``, an optional
-    "version" key must equal it. The record's own validate(), if it has one,
-    then checks ranges.
+    This is the one reader of settings and checkpoint JSON. A non-object
+    payload, an unknown or missing key, or a value of the wrong type raises a
+    ValueError naming the key, e.g. ``train config key 'batch_size' must be
+    int, got float``. Besides scalars, lists, tuples, ``X | None`` and nested
+    records, a field may be a ``dict[int, X]`` (a JSON object keyed by
+    decimal ids) or an ``np.ndarray`` (a list of finite floats, read as one
+    float64 vector). With a ``version``, the "version" key is checked first:
+    it must equal ``version``, and may be left out unless the record declares
+    a ``version`` field. The record's own validate(), if it has one, then
+    checks ranges.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(payload).__name__}")
+    if version is not None and payload.get("version", version) != version:
+        raise ValueError(f"unsupported {what} version {payload['version']!r}")
     schema = _schema(cls)
     values = {}
     for key, value in payload.items():
-        if version is not None and key == "version":
-            if value != version:
-                raise ValueError(f"unsupported {what} version {value!r}")
-        elif key not in schema:
+        if key in schema:
+            name, tp, _ = schema[key]
+            values[name] = _check(tp, value, f"{what} key {key!r}")
+        elif key != "version" or version is None:
             raise ValueError(f"unknown {what} key {key!r}")
-        else:
-            values[key] = _check(schema[key][0], value, f"{what} key {key!r}")
-    missing = [key for key, (_, required) in schema.items() if required and key not in values]
+    missing = [key for key, (name, _, required) in schema.items()
+               if required and name not in values]
     if missing:
         raise ValueError(f"{what} is missing key {missing[0]!r}")
     record = cls(**values)
@@ -144,27 +187,38 @@ class Ctas:
             prev = a.t
 
 
+@dataclass
 class Vocab:
     """Bidirectional mark/goal name maps plus per-goal observed action sets.
 
     Ids are dense and assigned by first appearance. The end-of-sequence mark
     is reserved: it has id ``len(mark_names)``, never appears in raw files,
-    and is excluded from the per-goal action sets.
+    and is excluded from the per-goal action sets. Saved, the names are
+    listed under "marks" and "goals".
     """
 
-    def __init__(self, mark_names: list[str], goal_names: list[str],
-                 goal_marks: dict[int, tuple[int, ...]] | None = None):
-        if len(set(mark_names)) != len(mark_names):
+    mark_names: list[str] = field(metadata={"key": "marks"})
+    goal_names: list[str] = field(metadata={"key": "goals"})
+    goal_marks: dict[int, tuple[int, ...]] | None = None
+
+    def __post_init__(self):
+        if len(set(self.mark_names)) != len(self.mark_names):
             raise DataError("duplicate mark names")
-        if len(set(goal_names)) != len(goal_names):
+        if len(set(self.goal_names)) != len(self.goal_names):
             raise DataError("duplicate goal names")
-        if EOS_NAME in mark_names:
+        if EOS_NAME in self.mark_names:
             raise DataError(f"{EOS_NAME} is reserved and cannot be a raw mark")
-        self.mark_names = list(mark_names)
-        self.goal_names = list(goal_names)
+        self.mark_names = list(self.mark_names)
+        self.goal_names = list(self.goal_names)
         self._mark_ids = {n: i for i, n in enumerate(self.mark_names)}
         self._goal_ids = {n: i for i, n in enumerate(self.goal_names)}
-        self.goal_marks = goal_marks
+
+    def validate(self) -> None:
+        """Every goal_marks entry names a goal and raw marks of this vocabulary."""
+        for goal, marks in (self.goal_marks or {}).items():
+            if not 0 <= goal < self.n_goals or not all(0 <= mk < self.eos_id for mk in marks):
+                raise DataError(f"goal_marks entry {goal}: {list(marks)} lies outside "
+                                f"{self.n_goals} goals and {self.eos_id} marks")
 
     @property
     def eos_id(self) -> int:
@@ -214,9 +268,7 @@ class Vocab:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Vocab":
-        gm = payload.get("goal_marks")
-        goal_marks = None if gm is None else {int(g): tuple(ms) for g, ms in gm.items()}
-        return cls(payload["marks"], payload["goals"], goal_marks)
+        return read_record(cls, payload, "vocab")
 
 
 @dataclass
@@ -226,11 +278,19 @@ class ClusterMap:
     Clustering runs on a per-mark scalar: the mean gap from the mark's start
     to the next action's start across the training corpus. The reserved
     end-of-sequence mark inherits the cluster of the most frequent mark.
+    Saved, the two maps are keyed "assignments" and "means".
     """
 
     m: int
-    mark_to_cluster: dict[int, int]
-    mark_means: dict[int, float] = field(default_factory=dict)
+    mark_to_cluster: dict[int, int] = field(metadata={"key": "assignments"})
+    mark_means: dict[int, float] = field(default_factory=dict, metadata={"key": "means"})
+
+    def validate(self) -> None:
+        """Every assigned cluster id lies in [0, m)."""
+        for mark, cluster in self.mark_to_cluster.items():
+            if not 0 <= cluster < self.m:
+                raise DataError(f"mark id {mark} is assigned cluster {cluster}, "
+                                f"outside [0, {self.m})")
 
     @functools.cached_property
     def _lookup(self) -> np.ndarray:
@@ -263,11 +323,7 @@ class ClusterMap:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ClusterMap":
-        return cls(
-            m=int(payload["m"]),
-            mark_to_cluster={int(k): int(v) for k, v in payload["assignments"].items()},
-            mark_means={int(k): float(v) for k, v in payload["means"].items()},
-        )
+        return read_record(cls, payload, "clusters")
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,13 @@ Adam is built for the model's store and steps its one flat parameter vector
 in one vectorized pass.
 A checkpoint is one versioned JSON record: model config, vocabulary, cluster
 map, the parameters' names and shapes once, then the parameter vector and
-Adam's two moment vectors laid out like ``ParamStore.flat``. Loading builds
-the model its config describes and refuses a file whose names, shapes or
-vectors do not fit it; reloading one and continuing reproduces an
-uninterrupted run bit for bit.
+Adam's state (its step and two moment vectors laid out like
+``ParamStore.flat``). Every field is read by ``data.read_record`` and checked
+for type and range, so a bad file is one ValueError. Loading builds the
+model its config describes and refuses a file whose names, shapes or vectors
+do not fit it. A resumed run builds its Adam from the TrainConfig it is
+given and loads only the saved state into it; with the saved config it
+reproduces an uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
@@ -155,17 +158,6 @@ def _encode(vector: np.ndarray) -> list[float]:
     return vector.tolist()
 
 
-def _decode(values, size: int, key: str) -> np.ndarray:
-    """A saved vector as a new float64 array of ``size`` finite values."""
-    vector = np.array(values, dtype=np.float64)  # a JSON null reads as nan
-    if vector.shape != (size,):
-        raise ValueError(f"checkpoint {key} holds {vector.size} values, "
-                         f"the model has {size} parameters")
-    if not np.isfinite(vector).all():
-        raise ValueError(f"checkpoint {key} holds a non-finite value")
-    return vector
-
-
 def save_checkpoint(path, model: Model, train_cfg: TrainConfig | None = None,
                     optimizer: Adam | None = None, epoch: int = 0,
                     best_total: float | None = None) -> None:
@@ -200,12 +192,58 @@ def save_checkpoint(path, model: Model, train_cfg: TrainConfig | None = None,
 
 
 @dataclass
+class OptimizerState:
+    """Adam's saved state: the step count and the two moment vectors. The
+    settings it steps with come from the TrainConfig that train() is given."""
+
+    step: int
+    m: np.ndarray
+    v: np.ndarray
+
+    def validate(self) -> None:
+        if self.step < 0:
+            raise ValueError(f"optimizer step must be non-negative, got {self.step}")
+        if (self.v < 0.0).any():
+            raise ValueError("optimizer v holds a negative value")
+
+
+@dataclass
+class _SavedCheckpoint:
+    """The checkpoint file, one key per field; save_checkpoint writes it."""
+
+    version: int
+    model_config: ModelConfig
+    vocab: Vocab
+    clusters: ClusterMap
+    names: list[str]
+    shapes: list[list[int]]
+    params: np.ndarray
+    train_config: TrainConfig | None
+    optimizer: OptimizerState | None
+    epoch: int
+    best_total: float | None
+
+    def validate(self) -> None:
+        if self.epoch < 0:
+            raise ValueError(f"checkpoint epoch must be non-negative, got {self.epoch}")
+        if self.best_total is not None and not math.isfinite(self.best_total):
+            raise ValueError(f"checkpoint best_total must be finite, got {self.best_total}")
+        size = sum(math.prod(shape) for shape in self.shapes)
+        vectors = [self.params]
+        if self.optimizer is not None:
+            vectors += [self.optimizer.m, self.optimizer.v]
+        if any(vector.size != size for vector in vectors):
+            raise ValueError(f"checkpoint vectors hold {[v.size for v in vectors]} values, "
+                             f"its names and shapes describe {size}")
+
+
+@dataclass
 class Checkpoint:
     """A deserialized checkpoint: the model plus resumable training state."""
 
     model: Model
     train_config: TrainConfig | None
-    optimizer: Adam | None
+    optimizer: OptimizerState | None
     epoch: int
     best_total: float | None
 
@@ -213,39 +251,23 @@ class Checkpoint:
 def load_checkpoint(path) -> Checkpoint:
     """Rebuild the model a checkpoint's config describes, with its saved state.
 
-    The file is refused unless its version is CHECKPOINT_VERSION, its names
-    and shapes equal those of the store ``Model.init`` builds from its
-    config, and each saved vector has the store's length and only finite
-    values. A refusal is a ValueError, or a KeyError or TypeError for a
-    missing or ill-typed field.
+    Every field is read by ``data.read_record`` and type-checked against
+    ``_SavedCheckpoint``; the version must be CHECKPOINT_VERSION, every
+    vector finite and as long as the saved shapes describe, and the counts
+    and ids in range. The names and shapes must then equal those of the
+    store ``Model.init`` builds from the config. Any refusal is a ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError("checkpoint is not a JSON object")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
-    model = Model.init(ModelConfig.from_dict(payload["model_config"]),
-                       Vocab.from_dict(payload["vocab"]),
-                       ClusterMap.from_dict(payload["clusters"]))
-    store = model.store
-    if (payload["names"], payload["shapes"]) != _layout(store):
+        saved = read_record(_SavedCheckpoint, json.load(fh), "checkpoint",
+                            version=CHECKPOINT_VERSION)
+    model = Model.init(saved.model_config, saved.vocab, saved.clusters)
+    if (saved.names, saved.shapes) != _layout(model.store):
         raise ValueError("checkpoint names and shapes do not match the parameters "
                          "its model config builds")
-    store.flat[:] = _decode(payload["params"], store.flat.size, "params")
-    train_cfg = None
-    if payload.get("train_config") is not None:
-        train_cfg = TrainConfig.from_dict(payload["train_config"])
-    optimizer = None
-    state = payload.get("optimizer")
-    if state is not None:
-        optimizer = Adam(store) if train_cfg is None else Adam.from_config(store, train_cfg)
-        optimizer.step = int(state["step"])
-        optimizer.m, optimizer.v = (_decode(state[key], store.flat.size, f"optimizer {key}")
-                                    for key in ("m", "v"))
-    return Checkpoint(model=model, train_config=train_cfg, optimizer=optimizer,
-                      epoch=int(payload.get("epoch", 0)),
-                      best_total=payload.get("best_total"))
+    model.store.flat[:] = saved.params
+    return Checkpoint(model=model, train_config=saved.train_config,
+                      optimizer=saved.optimizer, epoch=saved.epoch,
+                      best_total=saved.best_total)
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +283,25 @@ def train(corpus: list[Ctas], vocab: Vocab, clusters: ClusterMap,
     Returns the trained model and the per-epoch log entries. When ckpt_dir
     is given, writes final.json after every epoch, best.json whenever the
     epoch total improves, and train_log.jsonl incrementally; a divergent
-    loss aborts with those files intact.
+    loss aborts with those files intact. A ``resume`` checkpoint supplies
+    the model, the epoch and the saved optimizer state; every setting,
+    Adam's included, comes from ``train_cfg``.
     """
     train_cfg.validate()
     if not corpus:
         raise ValueError("empty training corpus")
     if resume is not None:
         model = resume.model
-        optimizer = resume.optimizer or Adam.from_config(model.store, train_cfg)
         start_epoch = resume.epoch + 1
         best_total = resume.best_total if resume.best_total is not None else math.inf
     else:
         model = Model.init(model_cfg, vocab, clusters, seed=train_cfg.seed)
-        optimizer = Adam.from_config(model.store, train_cfg)
         start_epoch = 1
         best_total = math.inf
+    optimizer = Adam.from_config(model.store, train_cfg)
+    if resume is not None and resume.optimizer is not None:
+        state = resume.optimizer
+        optimizer.step, optimizer.m, optimizer.v = state.step, state.m, state.v
     if ckpt_dir is not None:
         os.makedirs(ckpt_dir, exist_ok=True)
     log_path = None if ckpt_dir is None else os.path.join(ckpt_dir, "train_log.jsonl")

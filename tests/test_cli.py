@@ -271,6 +271,16 @@ class TestEval:
         assert capsys.readouterr().err.startswith("E_USAGE:")
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_is_usage_error(self, workspace, capsys, tmp_path, seed):
+        # a missing checkpoint would exit 1, so exit 2 shows the seed is checked first
+        report = tmp_path / "r.json"
+        assert main(["eval", "--ckpt", str(tmp_path / "nothing"),
+                     "--data", str(workspace["run"] / "test.jsonl"),
+                     "--report", str(report), "--seed", seed]) == 2
+        assert capsys.readouterr().err.startswith("E_USAGE: --seed must be non-negative")
+        assert not report.exists()
+
     def test_missing_checkpoint(self, workspace, capsys, tmp_path):
         assert main(["eval", "--ckpt", str(tmp_path / "nowhere"),
                      "--data", str(workspace["run"] / "test.jsonl"),
@@ -292,6 +302,41 @@ def value_span(payload, name):
     at = payload["names"].index(name)
     start = sum(sizes[:at])
     return slice(start, start + sizes[at])
+
+
+# ill-typed or out-of-range fields: each kind edits one value of a good file;
+# "HUGE" is written out as the JSON number 1e400
+FIELD_EDITS = {
+    "optimizer_step_negative": (("optimizer", "step"), -1),
+    "optimizer_step_string": (("optimizer", "step"), "7"),
+    "optimizer_step_float": (("optimizer", "step"), 2.9),
+    "optimizer_step_huge": (("optimizer", "step"), "HUGE"),
+    "optimizer_v_negative": (("optimizer", "v", 0), -1.0),
+    "params_string": (("params", 0), "0.5"),
+    "params_bool": (("params", 0), True),
+    "epoch_string": (("epoch",), "2"),
+    "epoch_negative": (("epoch",), -1),
+    "epoch_huge": (("epoch",), "HUGE"),
+    "best_total_string": (("best_total",), "low"),
+    "best_total_nan": (("best_total",), math.nan),
+    "unknown_key": (("bogus",), 1),
+    "goal_marks_string": (("vocab", "goal_marks", "0"), "ab"),
+    "cluster_id_string": (("clusters", "assignments", "0"), "1"),
+    "cluster_out_of_range": (("clusters", "assignments", "0"), 99),
+}
+
+
+def edit_field(kind, payload):
+    """Apply one FIELD_EDITS entry, or delete a field for the *_missing kinds."""
+    if kind == "epoch_missing":
+        del payload["epoch"]
+    elif kind == "version_missing":
+        del payload["version"]
+    else:
+        path, value = FIELD_EDITS[kind]
+        for key in path[:-1]:
+            payload = payload[key]
+        payload[path[-1]] = value
 
 
 def write_unreadable_checkpoint(kind, workspace, tmp_path):
@@ -334,9 +379,11 @@ def write_unreadable_checkpoint(kind, workspace, tmp_path):
             params[value_span(payload, "mark.w").start] = math.nan
         elif kind == "optimizer_wrong_length":
             payload["optimizer"]["m"].append(0.0)
-        else:  # version_2: the per-name layout this file replaced
+        elif kind == "version_2":  # the per-name layout this file replaced
             payload["version"] = 2
-        text = json.dumps(payload)
+        else:
+            edit_field(kind, payload)
+        text = json.dumps(payload).replace('"HUGE"', "1e400")
     ckpt = tmp_path / "final.json"
     ckpt.write_text(text)
     return ckpt
@@ -346,7 +393,8 @@ class TestUnreadableCheckpoint:
     KINDS = ("truncated", "not_an_object", "missing_fields", "ill_typed_field",
              "optimizer_missing_name", "optimizer_extra_name", "param_missing",
              "param_reshaped", "params_wrong_length", "params_non_finite_null",
-             "params_non_finite_nan", "optimizer_wrong_length", "version_2")
+             "params_non_finite_nan", "optimizer_wrong_length", "version_2",
+             *FIELD_EDITS, "epoch_missing", "version_missing")
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_eval(self, workspace, capsys, tmp_path, kind):
@@ -429,6 +477,14 @@ class TestGenerate:
         assert main(["generate", "--ckpt", str(workspace["run"]), "--goal", "brew",
                      "--first-mark", "grind", "--count", count, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("E_USAGE: --count must be at least 1")
+        assert not out.exists() and not (tmp_path / "g.jsonl.reasons.json").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_is_usage_error(self, workspace, capsys, tmp_path, seed):
+        out = tmp_path / "g.jsonl"
+        assert main(["generate", "--ckpt", str(tmp_path / "nothing"), "--goal", "brew",
+                     "--first-mark", "grind", "--seed", seed, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("E_USAGE: --seed must be non-negative")
         assert not out.exists() and not (tmp_path / "g.jsonl.reasons.json").exists()
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from actionflow import data
 from actionflow.data import (
     EOS_NAME,
     Action,
@@ -86,6 +87,17 @@ class Unsupported:
     table: dict = field(default_factory=dict)
 
 
+@dataclass
+class Saved:
+    """A record with id-keyed objects, a float vector and a tuple, one field
+    saved under another key."""
+
+    version: int
+    table: dict[int, float] = field(metadata={"key": "by_id"})
+    nested: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    vector: np.ndarray | None = None
+
+
 class TestReadRecord:
     def test_reads_every_annotation_kind(self):
         rec = read_record(Outer, {"count": 3, "rate": 2, "flag": True, "label": None,
@@ -109,6 +121,7 @@ class TestReadRecord:
         ({"count": 1, "bogus": 0}, "unknown outer key 'bogus'"),
         ({"rate": 0.5}, "outer is missing key 'count'"),
         ([1], "outer must be a JSON object, got list"),
+        ({"count": 1, "pairs": [[1, True]]}, r"outer key 'pairs'\[0\]\[1\] must be int, got bool"),
     ])
     def test_rejections_name_the_key(self, payload, message):
         with pytest.raises(ValueError, match=message):
@@ -120,6 +133,52 @@ class TestReadRecord:
             read_record(Outer, {"count": 1, "version": 3}, "outer", version=2)
         with pytest.raises(ValueError, match="unknown outer key 'version'"):
             read_record(Outer, {"count": 1, "version": 2}, "outer")
+
+    def test_reads_ids_vectors_and_saved_keys(self):
+        rec = read_record(Saved, {"version": 2, "by_id": {"0": 1.5, "12": 2},
+                                  "nested": {"3": [4, 5]}, "vector": [0.5, -1.0]},
+                          "saved", version=2)
+        assert rec.table == {0: 1.5, 12: 2} and rec.nested == {3: (4, 5)}
+        assert rec.vector.dtype == np.float64 and rec.vector.tolist() == [0.5, -1.0]
+        with pytest.raises(ValueError, match="unknown saved key 'table'"):
+            read_record(Saved, {"version": 2, "table": {}}, "saved", version=2)
+
+    @pytest.mark.parametrize("key", ["01", "-1", "+1", "1.0", " 1", "a", "", "\u0661"])
+    def test_malformed_id_key_rejected(self, key):
+        with pytest.raises(ValueError, match="is not a decimal id"):
+            read_record(Saved, {"version": 2, "by_id": {key: 1.0}}, "saved")
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"by_id": {"0": "1.5"}}, r"saved key 'by_id'\['0'\] must be float, got str"),
+        ({"by_id": {}, "nested": {"0": "ab"}}, r"saved key 'nested'\['0'\] must be tuple"),
+        ({"by_id": {}, "nested": {"0": [1, 2.5]}}, r"saved key 'nested'\['0'\]\[1\] must be int"),
+        ({"by_id": {}, "vector": ["0.5"]}, "saved key 'vector' must be a list of floats"),
+        ({"by_id": {}, "vector": [0.5, True]}, "must be a list of floats"),
+        ({"by_id": {}, "vector": [None]}, "must be a list of floats"),
+        ({"by_id": {}, "vector": [1]}, "must be a list of floats"),
+        ({"by_id": {}, "vector": [[0.5]]}, "must be a list of floats"),
+        ({"by_id": {}, "vector": {}}, "must be a list of floats"),
+        ({"by_id": {}, "vector": [0.5, float("nan")]}, "saved key 'vector' holds a non-finite"),
+        ({"by_id": {}, "vector": [float("inf")]}, "holds a non-finite value"),
+    ])
+    def test_id_object_and_vector_rejections(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            read_record(Saved, {"version": 2, **payload}, "saved")
+
+    def test_vector_is_checked_in_one_call(self, monkeypatch):
+        calls = []
+        check = data._check
+        monkeypatch.setattr(data, "_check", lambda *a: calls.append(a[0]) or check(*a))
+        read_record(Saved, {"version": 2, "by_id": {}, "vector": [0.25] * 1000}, "saved")
+        assert calls == [int, dict[int, float], np.ndarray | None, np.ndarray]
+
+    def test_declared_version_is_required_and_checked_first(self):
+        assert read_record(Saved, {"version": 2, "by_id": {}}, "saved", version=2).version == 2
+        with pytest.raises(ValueError, match="saved is missing key 'version'"):
+            read_record(Saved, {"by_id": {}}, "saved", version=2)
+        # the version is refused before any other key is read
+        with pytest.raises(ValueError, match="unsupported saved version 1"):
+            read_record(Saved, {"by_id": {"x": 0}, "version": 1}, "saved", version=2)
 
     def test_unsupported_annotation_raises(self):
         with pytest.raises(TypeError, match="no reader"):
@@ -258,6 +317,13 @@ class TestVocab:
         assert clone.mark_names == vocab.mark_names
         assert clone.goal_names == vocab.goal_names
         assert clone.goal_marks == vocab.goal_marks
+
+    @pytest.mark.parametrize("goal_marks", [{"2": [0]}, {"0": [2]}, {"0": [-1]}])
+    def test_loaded_goal_marks_must_lie_inside_the_vocabulary(self, goal_marks):
+        # two goals and two raw marks: goal 2, mark 2 (the terminal) and -1 lie outside
+        payload = {"marks": ["a", "b"], "goals": ["g0", "g1"], "goal_marks": goal_marks}
+        with pytest.raises(DataError, match="goal_marks entry"):
+            Vocab.from_dict(payload)
 
     def test_marks_for_goal_requires_built_sets(self):
         vocab = Vocab(["a"], ["g"])
@@ -462,6 +528,12 @@ class TestClusters:
         assert clone.m == cm.m
         assert clone.mark_to_cluster == cm.mark_to_cluster
         assert clone.mark_means == cm.mark_means
+
+    @pytest.mark.parametrize("cluster", [2, -1])
+    def test_loaded_cluster_ids_must_lie_below_m(self, cluster):
+        payload = {"m": 2, "assignments": {"0": 0, "1": cluster}, "means": {}}
+        with pytest.raises(DataError, match=rf"mark id 1 is assigned cluster {cluster}"):
+            ClusterMap.from_dict(payload)
 
     def test_unassigned_mark_raises(self):
         cm = ClusterMap(m=1, mark_to_cluster={0: 0})

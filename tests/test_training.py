@@ -4,12 +4,14 @@ import json
 import math
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from actionflow.data import Action, ClusterMap, Ctas, Vocab, append_eos
 from actionflow.model import Model, ModelConfig
+from actionflow.objectives import total_loss
 from actionflow.numerics import (
     GradTape,
     ParamStore,
@@ -322,10 +324,15 @@ class TestAdam:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, model, tcfg, opt_a)
         ckpt = load_checkpoint(path)
-        opt_b = ckpt.optimizer
-        assert opt_b.step == opt_a.step and opt_b.lr == opt_a.lr
-        assert [opt_b.m.tobytes(), opt_b.v.tobytes()] == [opt_a.m.tobytes(), opt_a.v.tobytes()]
+        state = ckpt.optimizer
+        assert ckpt.train_config == tcfg
+        assert state.step == opt_a.step
+        assert [state.m.tobytes(), state.v.tobytes()] == [opt_a.m.tobytes(), opt_a.v.tobytes()]
 
+        # the saved state only: the settings come from the config, as in train()
+        opt_b = Adam.from_config(ckpt.model.store, ckpt.train_config)
+        opt_b.step, opt_b.m, opt_b.v = state.step, state.m, state.v
+        assert opt_b.lr == opt_a.lr
         self.model_step(model.store, opt_a)
         self.model_step(ckpt.model.store, opt_b)
         assert param_bytes(ckpt.model.store) == param_bytes(model.store)
@@ -495,6 +502,32 @@ class TestCheckpoints:
 
         log_lines = (ckpt_dir / "train_log.jsonl").read_text().splitlines()
         assert [json.loads(line)["epoch"] for line in log_lines] == [1, 2, 3, 4]
+
+    def test_resume_steps_with_the_settings_it_is_given(self, tmp_path):
+        vocab, cm, cfg = tiny_setup()
+        corpus = tiny_corpus(vocab, n=1, seed=3)  # one batch, so one step per epoch
+        saved_cfg = TrainConfig(lr=1e-3, epochs=2, seed=5, batch_size=1)
+        train(corpus, vocab, cm, cfg, saved_cfg, ckpt_dir=str(tmp_path))
+        path = tmp_path / "final.json"
+        ckpt, ref = load_checkpoint(path), load_checkpoint(path)
+        resume_cfg = replace(saved_cfg, lr=0.5, epochs=3)
+        resumed, _ = train(corpus, vocab, cm, cfg, resume_cfg,
+                           ckpt_dir=str(tmp_path), resume=ckpt)
+
+        # the next step of a fresh Adam at lr 0.5 given the saved step, m and v
+        opt = Adam(ref.model.store, lr=0.5)
+        opt.step, opt.m, opt.v = ref.optimizer.step, ref.optimizer.m, ref.optimizer.v
+        ref.model.store.zero_grads()
+        with GradTape() as tape:
+            total, _ = total_loss(ref.model, corpus, gamma=resume_cfg.gamma,
+                                  margin_weight=resume_cfg.margin_weight,
+                                  l2_coeff=resume_cfg.l2_coeff)
+            tape.backward(total)
+        opt.update()
+        assert param_bytes(resumed.store) == param_bytes(ref.model.store)
+        written = json.loads(path.read_text())
+        assert written["train_config"]["lr"] == 0.5
+        assert written["optimizer"]["step"] == ref.optimizer.step + 1 == 3
 
     def test_fresh_run_rewrites_log(self, tmp_path):
         vocab, cm, cfg = tiny_setup()
