@@ -53,23 +53,18 @@ def _id_key(key, where: str) -> int:
     raise ValueError(f"{where} has key {key!r}, which is not a decimal id")
 
 
-def _all_scalars(tp, values) -> bool:
-    """Whether every value is JSON of the scalar annotation ``tp``, by one type
-    scan; JSON gives exact types, so the scan agrees with the per-value check."""
-    return tp in _SCALARS and set(map(type, values)).issubset(_SCALARS[tp])
-
-
 def _check(tp, value, where: str):
     """Return ``value`` if it is JSON of annotation ``tp``, else raise ValueError.
 
-    A list or id-keyed object of scalars, and a float vector, are checked
-    with one type scan; the per-element path runs only to name a bad element.
+    Containers are checked element by element, except a float vector, which
+    is one type scan and one numpy conversion.
     """
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp in _SCALARS:
         if isinstance(value, _SCALARS[tp]) and (tp is bool or not isinstance(value, bool)):
             return value
-    elif tp is np.ndarray:
+        raise ValueError(f"{where} must be {tp.__name__}, got {type(value).__name__}")
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is np.ndarray:
         # only floats: the writer saves float64 vectors, and a JSON integer
         # may not fit one
         if isinstance(value, list) and set(map(type, value)).issubset((float,)):
@@ -82,13 +77,9 @@ def _check(tp, value, where: str):
         return tp.from_dict(value) if hasattr(tp, "from_dict") else read_record(tp, value, where)
     elif origin in (list, tuple):
         if isinstance(value, list):
-            if _all_scalars(args[0], value):
-                return origin(value)
             return origin(_check(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     elif origin is dict and args[0] is int:
         if isinstance(value, dict):
-            if _all_scalars(args[1], value.values()):
-                return {_id_key(k, where): v for k, v in value.items()}
             return {_id_key(k, where): _check(args[1], v, f"{where}[{k!r}]")
                     for k, v in value.items()}
     elif origin is types.UnionType and args[1:] == (type(None),):
@@ -109,7 +100,8 @@ def _schema(cls) -> dict[str, tuple]:
             for f in dataclasses.fields(cls)}
 
 
-def read_record(cls, payload, what: str, *, version: int | None = None):
+def read_record(cls, payload, what: str, *, version: int | None = None,
+                require_version: bool = False):
     """Build the dataclass ``cls`` from a JSON object; its annotations are the schema.
 
     This is the one reader of settings and checkpoint JSON. A non-object
@@ -118,15 +110,19 @@ def read_record(cls, payload, what: str, *, version: int | None = None):
     int, got float``. Besides scalars, lists, tuples, ``X | None`` and nested
     records, a field may be a ``dict[int, X]`` (a JSON object keyed by
     decimal ids) or an ``np.ndarray`` (a list of finite floats, read as one
-    float64 vector). With a ``version``, the "version" key is checked first:
-    it must equal ``version``, and may be left out unless the record declares
-    a ``version`` field. The record's own validate(), if it has one, then
-    checks ranges.
+    float64 vector). With a ``version``, the "version" key is checked before
+    any other: it must be the int ``version``, and may be left out unless
+    ``require_version`` is set. The record's own validate(), if it has one,
+    then checks ranges.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(payload).__name__}")
-    if version is not None and payload.get("version", version) != version:
-        raise ValueError(f"unsupported {what} version {payload['version']!r}")
+    if version is not None:
+        if "version" in payload:
+            if _check(int, payload["version"], f"{what} key 'version'") != version:
+                raise ValueError(f"unsupported {what} version {payload['version']!r}")
+        elif require_version:
+            raise ValueError(f"{what} is missing key 'version'")
     schema = _schema(cls)
     values = {}
     for key, value in payload.items():

@@ -209,9 +209,9 @@ class OptimizerState:
 
 @dataclass
 class _SavedCheckpoint:
-    """The checkpoint file, one key per field; save_checkpoint writes it."""
+    """The checkpoint file after its version, one key per field;
+    save_checkpoint writes it."""
 
-    version: int
     model_config: ModelConfig
     vocab: Vocab
     clusters: ClusterMap
@@ -228,6 +228,10 @@ class _SavedCheckpoint:
             raise ValueError(f"checkpoint epoch must be non-negative, got {self.epoch}")
         if self.best_total is not None and not math.isfinite(self.best_total):
             raise ValueError(f"checkpoint best_total must be finite, got {self.best_total}")
+        top = max(self.clusters.mark_to_cluster, default=0)
+        if top >= self.vocab.n_marks:
+            raise ValueError(f"checkpoint clusters assign mark id {top}, outside the "
+                             f"vocabulary's {self.vocab.n_marks} marks")
         size = sum(math.prod(shape) for shape in self.shapes)
         vectors = [self.params]
         if self.optimizer is not None:
@@ -259,7 +263,7 @@ def load_checkpoint(path) -> Checkpoint:
     """
     with open(path, "r", encoding="utf-8") as fh:
         saved = read_record(_SavedCheckpoint, json.load(fh), "checkpoint",
-                            version=CHECKPOINT_VERSION)
+                            version=CHECKPOINT_VERSION, require_version=True)
     model = Model.init(saved.model_config, saved.vocab, saved.clusters)
     if (saved.names, saved.shapes) != _layout(model.store):
         raise ValueError("checkpoint names and shapes do not match the parameters "

@@ -323,6 +323,7 @@ FIELD_EDITS = {
     "goal_marks_string": (("vocab", "goal_marks", "0"), "ab"),
     "cluster_id_string": (("clusters", "assignments", "0"), "1"),
     "cluster_out_of_range": (("clusters", "assignments", "0"), 99),
+    "assignment_key_out_of_range": (("clusters", "assignments", "100000000000"), 0),
 }
 
 

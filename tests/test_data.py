@@ -92,7 +92,6 @@ class Saved:
     """A record with id-keyed objects, a float vector and a tuple, one field
     saved under another key."""
 
-    version: int
     table: dict[int, float] = field(metadata={"key": "by_id"})
     nested: dict[int, tuple[int, ...]] = field(default_factory=dict)
     vector: np.ndarray | None = None
@@ -135,18 +134,17 @@ class TestReadRecord:
             read_record(Outer, {"count": 1, "version": 2}, "outer")
 
     def test_reads_ids_vectors_and_saved_keys(self):
-        rec = read_record(Saved, {"version": 2, "by_id": {"0": 1.5, "12": 2},
-                                  "nested": {"3": [4, 5]}, "vector": [0.5, -1.0]},
-                          "saved", version=2)
+        rec = read_record(Saved, {"by_id": {"0": 1.5, "12": 2},
+                                  "nested": {"3": [4, 5]}, "vector": [0.5, -1.0]}, "saved")
         assert rec.table == {0: 1.5, 12: 2} and rec.nested == {3: (4, 5)}
         assert rec.vector.dtype == np.float64 and rec.vector.tolist() == [0.5, -1.0]
         with pytest.raises(ValueError, match="unknown saved key 'table'"):
-            read_record(Saved, {"version": 2, "table": {}}, "saved", version=2)
+            read_record(Saved, {"table": {}}, "saved")
 
     @pytest.mark.parametrize("key", ["01", "-1", "+1", "1.0", " 1", "a", "", "\u0661"])
     def test_malformed_id_key_rejected(self, key):
         with pytest.raises(ValueError, match="is not a decimal id"):
-            read_record(Saved, {"version": 2, "by_id": {key: 1.0}}, "saved")
+            read_record(Saved, {"by_id": {key: 1.0}}, "saved")
 
     @pytest.mark.parametrize("payload,message", [
         ({"by_id": {"0": "1.5"}}, r"saved key 'by_id'\['0'\] must be float, got str"),
@@ -163,19 +161,25 @@ class TestReadRecord:
     ])
     def test_id_object_and_vector_rejections(self, payload, message):
         with pytest.raises(ValueError, match=message):
-            read_record(Saved, {"version": 2, **payload}, "saved")
+            read_record(Saved, payload, "saved")
 
     def test_vector_is_checked_in_one_call(self, monkeypatch):
         calls = []
         check = data._check
         monkeypatch.setattr(data, "_check", lambda *a: calls.append(a[0]) or check(*a))
-        read_record(Saved, {"version": 2, "by_id": {}, "vector": [0.25] * 1000}, "saved")
-        assert calls == [int, dict[int, float], np.ndarray | None, np.ndarray]
+        read_record(Saved, {"by_id": {}, "vector": [0.25] * 1000}, "saved")
+        assert calls == [dict[int, float], np.ndarray | None, np.ndarray]
 
-    def test_declared_version_is_required_and_checked_first(self):
-        assert read_record(Saved, {"version": 2, "by_id": {}}, "saved", version=2).version == 2
+    def test_required_version_is_an_int_checked_first(self):
+        assert read_record(Saved, {"version": 2, "by_id": {"0": 1.5}}, "saved",
+                           version=2, require_version=True).table == {0: 1.5}
         with pytest.raises(ValueError, match="saved is missing key 'version'"):
-            read_record(Saved, {"by_id": {}}, "saved", version=2)
+            read_record(Saved, {"by_id": {}}, "saved", version=2, require_version=True)
+        # left out, the version is only refused when required
+        assert read_record(Saved, {"by_id": {}}, "saved", version=2).table == {}
+        for bad in (2.0, True, "2"):
+            with pytest.raises(ValueError, match="saved key 'version' must be int"):
+                read_record(Saved, {"version": bad, "by_id": {}}, "saved", version=2)
         # the version is refused before any other key is read
         with pytest.raises(ValueError, match="unsupported saved version 1"):
             read_record(Saved, {"by_id": {"x": 0}, "version": 1}, "saved", version=2)

@@ -450,6 +450,18 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    def test_cluster_assignments_must_name_vocabulary_marks(self, tmp_path):
+        model = self.make_model()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, model)
+        load_checkpoint(path)  # the terminal mark, the last id, is assigned too
+        payload = json.loads(path.read_text())
+        assert max(map(int, payload["clusters"]["assignments"])) == model.vocab.eos_id
+        payload["clusters"]["assignments"][str(model.vocab.n_marks)] = 0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"mark id {model.vocab.n_marks}, outside"):
+            load_checkpoint(path)
+
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "final.json"
         save_checkpoint(path, self.make_model(seed=1), epoch=1)
