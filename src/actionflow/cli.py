@@ -5,13 +5,14 @@ Every failure prints one line to stderr of the form ``E_CODE: message`` and
 exits nonzero; the codes are stable so scripts can branch on them:
 
 * E_USAGE     bad flags or flag values, such as a negative ``--seed`` for
-              eval or generate (exit 2)
+              eval, generate or ablate-delete (exit 2)
 * E_PARSE     malformed JSON / JSONL input
 * E_DATA      schema-valid input violating data invariants, missing files
 * E_CONFIG    invalid configuration values or unknown keys
 * E_NO_CKPT   checkpoint path missing or unreadable, a field of the wrong
-              type or out of range, or parameters that do not fit the
-              model its config builds
+              type or out of range, a vector that is not base64 of a whole
+              number of finite float64 values, or parameters that do not
+              fit the model its config builds
 * E_NUMERIC   non-finite loss or divergent training
 * E_GRADCHECK gradient check exceeded tolerance
 
@@ -299,6 +300,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ablate_delete(args) -> int:
+    _check_seed(args.seed)
     corpus, vocab = load_corpus(args.data)
     thinned = delete_random(corpus, args.fraction, seed=args.seed)
     write_corpus(thinned, vocab, args.out)

@@ -13,6 +13,7 @@ sequences so the model can learn termination.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import functools
 import json
@@ -53,11 +54,34 @@ def _id_key(key, where: str) -> int:
     raise ValueError(f"{where} has key {key!r}, which is not a decimal id")
 
 
+def encode_vector(vector: np.ndarray) -> str:
+    """A float64 vector as JSON: the base64 of its little-endian bytes,
+    which ``decode_vector`` reads back bit for bit."""
+    return base64.b64encode(vector.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def decode_vector(value, where: str = "vector") -> np.ndarray:
+    """The writable, finite float64 vector ``encode_vector`` saved as ``value``;
+    anything else raises a ValueError that names ``where``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where} must be a base64 string, got {type(value).__name__}")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as e:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{where} is not valid base64: {e}") from None
+    if len(raw) % 8:
+        raise ValueError(f"{where} holds {len(raw)} bytes, not a whole number of float64 values")
+    vector = np.frombuffer(raw, "<f8").astype(np.float64)
+    if not np.isfinite(vector).all():
+        raise ValueError(f"{where} holds a non-finite value")
+    return vector
+
+
 def _check(tp, value, where: str):
     """Return ``value`` if it is JSON of annotation ``tp``, else raise ValueError.
 
-    Containers are checked element by element, except a float vector, which
-    is one type scan and one numpy conversion.
+    Containers are checked element by element; a float vector is one base64
+    string, decoded in one call.
     """
     if tp in _SCALARS:
         if isinstance(value, _SCALARS[tp]) and (tp is bool or not isinstance(value, bool)):
@@ -65,14 +89,7 @@ def _check(tp, value, where: str):
         raise ValueError(f"{where} must be {tp.__name__}, got {type(value).__name__}")
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp is np.ndarray:
-        # only floats: the writer saves float64 vectors, and a JSON integer
-        # may not fit one
-        if isinstance(value, list) and set(map(type, value)).issubset((float,)):
-            vector = np.array(value, dtype=np.float64)
-            if not np.isfinite(vector).all():
-                raise ValueError(f"{where} holds a non-finite value")
-            return vector
-        raise ValueError(f"{where} must be a list of floats")
+        return decode_vector(value, where)
     elif dataclasses.is_dataclass(tp):
         return tp.from_dict(value) if hasattr(tp, "from_dict") else read_record(tp, value, where)
     elif origin in (list, tuple):
@@ -109,11 +126,12 @@ def read_record(cls, payload, what: str, *, version: int | None = None,
     ValueError naming the key, e.g. ``train config key 'batch_size' must be
     int, got float``. Besides scalars, lists, tuples, ``X | None`` and nested
     records, a field may be a ``dict[int, X]`` (a JSON object keyed by
-    decimal ids) or an ``np.ndarray`` (a list of finite floats, read as one
-    float64 vector). With a ``version``, the "version" key is checked before
-    any other: it must be the int ``version``, and may be left out unless
-    ``require_version`` is set. The record's own validate(), if it has one,
-    then checks ranges.
+    decimal ids) or an ``np.ndarray`` (a string from ``encode_vector``: the
+    base64 of little-endian float64 bytes, refused unless it decodes to a
+    whole number of finite values). With a ``version``, the "version" key is
+    checked before any other: it must be the int ``version``, and may be left
+    out unless ``require_version`` is set. The record's own validate(), if it
+    has one, then checks ranges.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(payload).__name__}")

@@ -33,17 +33,21 @@ import numpy as np
 
 from .data import DataError
 from .numerics import (
+    ParamSpec,
     ParamStore,
     Segments,
     Tensor,
     add,
     causal_attention,
+    constant_draw,
     cumsum,
     layer_norm,
     matmul,
     mul,
+    normal_draw,
     relu,
     take_rows,
+    uniform_draw,
 )
 
 if TYPE_CHECKING:
@@ -57,65 +61,56 @@ class CapacityError(ValueError):
 # parameter initialization
 # ---------------------------------------------------------------------------
 
-def init_encoder_params(cfg: ModelConfig, n_marks: int,
-                        rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
-    """All encoder parameters, in the fixed order they consume rng.
+def init_encoder_params(cfg: ModelConfig, n_marks: int) -> list[ParamSpec]:
+    """All encoder parameters as (name, shape, draw), in the fixed order
+    Model.init draws them.
 
     max_len must be resolved; the positional table gets max_len + 1 rows so
     a terminal mark always fits.
     """
     cfg.validate()
     d = cfg.d
-    bound = 1.0 / math.sqrt(d)
-
-    def uniform(shape):
-        return rng.uniform(-bound, bound, size=shape)
-
+    uniform, zeros, ones = uniform_draw(1.0 / math.sqrt(d)), constant_draw(0.0), constant_draw(1.0)
     params = [
-        ("embed.marks", uniform((n_marks, d))),
-        ("embed.w_time", uniform((1, d))),
-        ("embed.w_gap", uniform((1, d))),
-        ("embed.bias", np.zeros(d)),
-        ("pos.table", rng.normal(0.0, 0.02, size=(cfg.max_len + 1, d))),
+        ("embed.marks", (n_marks, d), uniform),
+        ("embed.w_time", (1, d), uniform),
+        ("embed.w_gap", (1, d), uniform),
+        ("embed.bias", (d,), zeros),
+        ("pos.table", (cfg.max_len + 1, d), normal_draw(0.02)),
     ]
     for b in range(cfg.blocks):
-        params += [(f"block{b}.attn.{proj}", uniform((d, d))) for proj in ("wq", "wk", "wv", "wo")]
-        params += [(f"block{b}.ln1.gain", np.ones(d)), (f"block{b}.ln1.bias", np.zeros(d))]
+        params += [(f"block{b}.attn.{proj}", (d, d), uniform) for proj in ("wq", "wk", "wv", "wo")]
+        params += [(f"block{b}.ln1.gain", (d,), ones), (f"block{b}.ln1.bias", (d,), zeros)]
         if cfg.ffn == "summed":
             params += [
-                (f"block{b}.ffn.w_in", uniform((d,))),
-                (f"block{b}.ffn.b_in", np.zeros(d)),
-                (f"block{b}.ffn.w_out", uniform((d,))),
-                (f"block{b}.ffn.b_out", np.zeros(d)),
+                (f"block{b}.ffn.w_in", (d,), uniform),
+                (f"block{b}.ffn.b_in", (d,), zeros),
+                (f"block{b}.ffn.w_out", (d,), uniform),
+                (f"block{b}.ffn.b_out", (d,), zeros),
             ]
         else:
             inner = 4 * d
             params += [
-                (f"block{b}.ffn.w1", uniform((d, inner))),
-                (f"block{b}.ffn.b1", np.zeros(inner)),
-                (f"block{b}.ffn.w2", rng.uniform(-1.0 / math.sqrt(inner), 1.0 / math.sqrt(inner),
-                                                 size=(inner, d))),
-                (f"block{b}.ffn.b2", np.zeros(d)),
+                (f"block{b}.ffn.w1", (d, inner), uniform),
+                (f"block{b}.ffn.b1", (inner,), zeros),
+                (f"block{b}.ffn.w2", (inner, d), uniform_draw(1.0 / math.sqrt(inner))),
+                (f"block{b}.ffn.b2", (d,), zeros),
             ]
-        params += [(f"block{b}.ln2.gain", np.ones(d)), (f"block{b}.ln2.bias", np.zeros(d))]
+        params += [(f"block{b}.ln2.gain", (d,), ones), (f"block{b}.ln2.bias", (d,), zeros)]
     return params
 
 
-def init_set_params(cfg: ModelConfig, rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
+def init_set_params(cfg: ModelConfig) -> list[ParamSpec]:
     """Parameters of the order-free prefix summary (fused variant only)."""
     d = cfg.d
-    bound = 1.0 / math.sqrt(d)
-
-    def uniform(shape):
-        return rng.uniform(-bound, bound, size=shape)
-
+    uniform, zeros = uniform_draw(1.0 / math.sqrt(d)), constant_draw(0.0)
     return [
-        ("set.w_in", uniform((d, d))),
-        ("set.b_in", np.zeros(d)),
-        ("set.w_hidden", uniform((d, d))),
-        ("set.b_hidden", np.zeros(d)),
-        ("set.w_out", uniform((d, d))),
-        ("set.b_out", np.zeros(d)),
+        ("set.w_in", (d, d), uniform),
+        ("set.b_in", (d,), zeros),
+        ("set.w_hidden", (d, d), uniform),
+        ("set.b_hidden", (d,), zeros),
+        ("set.w_out", (d, d), uniform),
+        ("set.b_out", (d,), zeros),
     ]
 
 

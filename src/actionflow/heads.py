@@ -17,14 +17,17 @@ import numpy as np
 
 from .numerics import (
     NumericError,
+    ParamSpec,
     ParamStore,
     Tensor,
     add,
+    constant_draw,
     matmul,
     mul,
     relu,
     softplus,
     take_rows,
+    uniform_draw,
 )
 
 SIGMA_FLOOR = 1e-4
@@ -38,27 +41,22 @@ class TimeDensity:
     sigma2: float
 
 
-def init_head_params(d: int, m: int, n_marks: int, n_goals: int,
-                     rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
-    """All head parameters, in the fixed order they consume rng; m is the
-    duration-cluster count."""
-    bound = 1.0 / math.sqrt(d)
-
-    def uniform(shape):
-        return rng.uniform(-bound, bound, size=shape)
-
+def init_head_params(d: int, m: int, n_marks: int, n_goals: int) -> list[ParamSpec]:
+    """All head parameters as (name, shape, draw), in the fixed order
+    Model.init draws them; m is the duration-cluster count."""
+    uniform, zeros = uniform_draw(1.0 / math.sqrt(d)), constant_draw(0.0)
     return [
-        ("mark.w", uniform((d, n_marks))),
-        ("mark.bias", np.zeros(n_marks)),
-        ("goal.w_hidden", uniform((d, d))),
-        ("goal.b_hidden", np.zeros(d)),
-        ("goal.w_out", uniform((d, n_goals))),
-        ("goal.b_out", np.zeros(n_goals)),
-        ("time.clusters", uniform((m, d))),
-        ("time.w_mu", uniform((d, 1))),
-        ("time.b_mu", np.zeros(1)),
-        ("time.w_var", uniform((d, 1))),
-        ("time.b_var", np.zeros(1)),
+        ("mark.w", (d, n_marks), uniform),
+        ("mark.bias", (n_marks,), zeros),
+        ("goal.w_hidden", (d, d), uniform),
+        ("goal.b_hidden", (d,), zeros),
+        ("goal.w_out", (d, n_goals), uniform),
+        ("goal.b_out", (n_goals,), zeros),
+        ("time.clusters", (m, d), uniform),
+        ("time.w_mu", (d, 1), uniform),
+        ("time.b_mu", (1,), zeros),
+        ("time.w_var", (d, 1), uniform),
+        ("time.b_var", (1,), zeros),
     ]
 
 

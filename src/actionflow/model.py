@@ -19,7 +19,7 @@ import numpy as np
 from . import encoder as enc
 from . import heads
 from .data import ClusterMap, Ctas, Vocab, read_record
-from .numerics import ParamStore, Segments, Tensor, exp, log_softmax
+from .numerics import ParamSpec, ParamStore, Segments, Tensor, draw_params, exp, log_softmax
 
 VARIANTS = ("base", "plus")
 
@@ -109,6 +109,25 @@ def _check(config: ModelConfig, clusters: ClusterMap) -> None:
             f"cluster map has {clusters.m} clusters but config expects {config.clusters}")
 
 
+def param_specs(config: ModelConfig, vocab: Vocab, clusters: ClusterMap) -> list[ParamSpec]:
+    """Every parameter as (name, shape, draw), in the order Model.init draws
+    them; nothing is drawn or allocated."""
+    _check(config, clusters)  # init_encoder_params needs max_len
+    specs = enc.init_encoder_params(config, vocab.n_marks)
+    specs += heads.init_head_params(config.d, config.clusters, vocab.n_marks, vocab.n_goals)
+    if config.variant == "plus":
+        specs += enc.init_set_params(config)
+    return specs
+
+
+def layout(config: ModelConfig, vocab: Vocab,
+           clusters: ClusterMap) -> tuple[list[str], list[list[int]]]:
+    """The names and shapes of the store Model.init builds, in ``flat``
+    order, as JSON lists; found without drawing or allocating a parameter."""
+    specs = sorted(param_specs(config, vocab, clusters), key=lambda spec: spec[0])
+    return [name for name, _, _ in specs], [list(shape) for _, shape, _ in specs]
+
+
 class Model:
     """Configuration + vocabulary + cluster map + parameters, ready to run."""
 
@@ -124,14 +143,9 @@ class Model:
     def init(cls, config: ModelConfig, vocab: Vocab, clusters: ClusterMap,
              seed: int = 0) -> "Model":
         """Fresh parameters; rng consumption order is fixed by construction."""
-        _check(config, clusters)  # before any draw: init_encoder_params needs max_len
-        rng = np.random.default_rng([seed, 0])
-        params = enc.init_encoder_params(config, vocab.n_marks, rng)
-        params += heads.init_head_params(config.d, config.clusters, vocab.n_marks,
-                                         vocab.n_goals, rng)
-        if config.variant == "plus":
-            params += enc.init_set_params(config, rng)
-        return cls(config, vocab, clusters, ParamStore(params))
+        specs = param_specs(config, vocab, clusters)
+        store = ParamStore(draw_params(specs, np.random.default_rng([seed, 0])))
+        return cls(config, vocab, clusters, store)
 
     def forward(self, marks, times, segs: Segments) -> ForwardPass:
         """Encode once and evaluate every head at every prefix index.

@@ -26,18 +26,19 @@ group of similar-length segments (Segments.groups), still as one tape record.
 The index ops (take_rows, pick, shifted_prefix_max) scatter their gradients
 with one bincount each, adding repeated targets in input order.
 
-A ParamStore is built once from all its named arrays and keeps them in one
-contiguous vector, laid out in name order, with each named tensor a view into
-it; that layout never changes, so whole-store passes (the L2 term, an Adam
-step) are single vectorized operations. The store has no saved form of its
-own: a checkpoint (``training``) writes its names, shapes and ``flat``.
+A ParamStore is built once, from all its named arrays or over a saved flat
+vector, and keeps them in one contiguous vector, laid out in name order, with
+each named tensor a view into it; that layout never changes, so whole-store
+passes (the L2 term, an Adam step) are single vectorized operations. The
+store has no saved form of its own: a checkpoint (``training``) writes its
+names, shapes and ``flat``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -653,6 +654,32 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
 # parameter storage
 # ---------------------------------------------------------------------------
 
+# a parameter's initial values: draw(rng, shape) returns an array of that shape
+Draw = Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
+
+# a parameter described without its values: (name, shape, draw)
+ParamSpec = tuple[str, tuple[int, ...], Draw]
+
+
+def uniform_draw(bound: float) -> Draw:
+    return lambda rng, shape: rng.uniform(-bound, bound, size=shape)
+
+
+def normal_draw(std: float) -> Draw:
+    return lambda rng, shape: rng.normal(0.0, std, size=shape)
+
+
+def constant_draw(value: float) -> Draw:
+    """Draws nothing from rng."""
+    return lambda rng, shape: np.full(shape, value)
+
+
+def draw_params(specs: Iterable[ParamSpec],
+                rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
+    """Every spec's initial values, drawn from rng in spec order."""
+    return [(name, draw(rng, shape)) for name, shape, draw in specs]
+
+
 class ParamStore:
     """Named trainable tensors in one contiguous vector.
 
@@ -662,7 +689,8 @@ class ParamStore:
     into one float64 vector, ``flat``; each parameter's ``.data`` is a view
     of its slice of it (``slices``, in ``tensors`` order), so a write through
     either shows in the other and whole-store passes (L2, Adam) are single
-    vectorized operations.
+    vectorized operations. ``from_flat`` builds a store over an existing
+    vector instead, without copying it.
     """
 
     def __init__(self, arrays: Mapping[str, object] | Iterable[tuple[str, object]] = ()):
@@ -672,11 +700,28 @@ class ParamStore:
                 raise ValueError(f"parameter {name!r} already present")
             named[name] = np.asarray(values, dtype=np.float64)
         names = sorted(named)
-        self.flat = np.concatenate([named[n] for n in names] or [np.zeros(0)], axis=None)
-        ends = itertools.accumulate(named[n].size for n in names)
-        self.slices = tuple(slice(end - named[n].size, end) for n, end in zip(names, ends))
-        self.tensors = tuple(Tensor(self.flat[at].reshape(named[n].shape), requires_grad=True, name=n)
-                             for n, at in zip(names, self.slices))
+        self._bind(names, [named[n].shape for n in names],
+                   np.concatenate([named[n] for n in names] or [np.zeros(0)], axis=None))
+
+    @classmethod
+    def from_flat(cls, names: list[str], shapes, flat: np.ndarray) -> "ParamStore":
+        """A store whose ``flat`` is ``flat`` itself, laid out by ``names``
+        (sorted and unique) and their ``shapes``."""
+        if any(a >= b for a, b in itertools.pairwise(names)) or len(shapes) != len(names):
+            raise ValueError("parameter names must be sorted, unique and one per shape")
+        if flat.dtype != np.float64 or flat.shape != (sum(map(math.prod, shapes)),):
+            raise ValueError(f"a {flat.dtype} vector of shape {flat.shape} does not hold "
+                             f"the {len(names)} parameters' values")
+        store = cls.__new__(cls)
+        store._bind(list(names), [tuple(s) for s in shapes], flat)
+        return store
+
+    def _bind(self, names: list[str], shapes: list[tuple[int, ...]], flat: np.ndarray) -> None:
+        self.flat = flat
+        ends = itertools.accumulate(map(math.prod, shapes))
+        self.slices = tuple(slice(end - math.prod(shape), end) for shape, end in zip(shapes, ends))
+        self.tensors = tuple(Tensor(flat[at].reshape(shape), requires_grad=True, name=n)
+                             for n, shape, at in zip(names, shapes, self.slices))
         self._params = {t.name: t for t in self.tensors}
 
     def __contains__(self, name: str) -> bool:

@@ -11,10 +11,13 @@ in one vectorized pass.
 A checkpoint is one versioned JSON record: model config, vocabulary, cluster
 map, the parameters' names and shapes once, then the parameter vector and
 Adam's state (its step and two moment vectors laid out like
-``ParamStore.flat``). Every field is read by ``data.read_record`` and checked
-for type and range, so a bad file is one ValueError. Loading builds the
-model its config describes and refuses a file whose names, shapes or vectors
-do not fit it. A resumed run builds its Adam from the TrainConfig it is
+``ParamStore.flat``). Each vector is one base64 string of little-endian
+float64 bytes (``data.encode_vector``), so it round-trips bit for bit. Every
+field is read by ``data.read_record`` and checked for type and range, so a
+bad file is one ValueError. Loading compares the names and shapes with those
+the config describes before any parameter is allocated, refuses a file whose
+names, shapes or vectors do not fit, and builds the store over the saved
+parameter vector. A resumed run builds its Adam from the TrainConfig it is
 given and loads only the saved state into it; with the saved config it
 reproduces an uninterrupted run bit for bit.
 """
@@ -37,18 +40,19 @@ from .data import (
     append_eos_corpus,
     build_clusters,
     distinct_durations,
+    encode_vector,
     median_gap,
     observed_marks_by_goal,
     read_record,
     split_by_goal,
 )
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, layout
 from .numerics import GradTape, NumericError, ParamStore
 from .objectives import LossBreakdown, total_loss
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class TrainingDiverged(ArithmeticError):
@@ -152,12 +156,6 @@ def _layout(store: ParamStore) -> tuple[list[str], list[list[int]]]:
     return store.names(), [list(t.data.shape) for t in store.tensors]
 
 
-def _encode(vector: np.ndarray) -> list[float]:
-    """The one codec for the checkpoint's three vectors: JSON floats, which
-    python reads back bit for bit."""
-    return vector.tolist()
-
-
 def save_checkpoint(path, model: Model, train_cfg: TrainConfig | None = None,
                     optimizer: Adam | None = None, epoch: int = 0,
                     best_total: float | None = None) -> None:
@@ -170,10 +168,11 @@ def save_checkpoint(path, model: Model, train_cfg: TrainConfig | None = None,
         "clusters": model.clusters.to_dict(),
         "names": names,
         "shapes": shapes,
-        "params": _encode(model.store.flat),
+        "params": encode_vector(model.store.flat),
         "train_config": None if train_cfg is None else train_cfg.to_dict(),
         "optimizer": None if optimizer is None else {
-            "step": optimizer.step, "m": _encode(optimizer.m), "v": _encode(optimizer.v)},
+            "step": optimizer.step, "m": encode_vector(optimizer.m),
+            "v": encode_vector(optimizer.v)},
         "epoch": epoch,
         "best_total": best_total,
     }
@@ -258,17 +257,18 @@ def load_checkpoint(path) -> Checkpoint:
     Every field is read by ``data.read_record`` and type-checked against
     ``_SavedCheckpoint``; the version must be CHECKPOINT_VERSION, every
     vector finite and as long as the saved shapes describe, and the counts
-    and ids in range. The names and shapes must then equal those of the
-    store ``Model.init`` builds from the config. Any refusal is a ValueError.
+    and ids in range. The names and shapes must then equal those the config
+    describes, compared before any parameter is allocated; the store is then
+    built over the saved parameter vector itself. Any refusal is a ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         saved = read_record(_SavedCheckpoint, json.load(fh), "checkpoint",
                             version=CHECKPOINT_VERSION, require_version=True)
-    model = Model.init(saved.model_config, saved.vocab, saved.clusters)
-    if (saved.names, saved.shapes) != _layout(model.store):
+    if (saved.names, saved.shapes) != layout(saved.model_config, saved.vocab, saved.clusters):
         raise ValueError("checkpoint names and shapes do not match the parameters "
                          "its model config builds")
-    model.store.flat[:] = saved.params
+    model = Model(saved.model_config, saved.vocab, saved.clusters,
+                  ParamStore.from_flat(saved.names, saved.shapes, saved.params))
     return Checkpoint(model=model, train_config=saved.train_config,
                       optimizer=saved.optimizer, epoch=saved.epoch,
                       best_total=saved.best_total)

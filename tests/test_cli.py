@@ -1,5 +1,6 @@
 """End-to-end and error-path tests for the command line interface."""
 
+import base64
 import json
 import math
 import os
@@ -8,10 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from actionflow import cli
 from actionflow.cli import RunConfig, main
+from actionflow.data import decode_vector, encode_vector
 from actionflow.training import CHECKPOINT_VERSION, TrainingDiverged
 
 SPEC = {
@@ -304,6 +307,12 @@ def value_span(payload, name):
     return slice(start, start + sizes[at])
 
 
+# edits of the three vectors, made on their decoded values, which are then
+# saved back encoded
+VECTOR_KINDS = ("optimizer_missing_name", "optimizer_extra_name", "params_wrong_length",
+                "params_non_finite_nan", "params_non_finite_inf", "optimizer_wrong_length",
+                "optimizer_v_negative")
+
 # ill-typed or out-of-range fields: each kind edits one value of a good file;
 # "HUGE" is written out as the JSON number 1e400
 FIELD_EDITS = {
@@ -311,9 +320,11 @@ FIELD_EDITS = {
     "optimizer_step_string": (("optimizer", "step"), "7"),
     "optimizer_step_float": (("optimizer", "step"), 2.9),
     "optimizer_step_huge": (("optimizer", "step"), "HUGE"),
-    "optimizer_v_negative": (("optimizer", "v", 0), -1.0),
-    "params_string": (("params", 0), "0.5"),
-    "params_bool": (("params", 0), True),
+    # a vector must be a base64 string: a non-string, characters outside the
+    # base64 alphabet and non-ASCII characters are refused
+    "params_bool": (("params",), True),
+    "params_string": (("params",), "0.5"),
+    "params_not_ascii": (("params",), "AAAAAAAA\u00e9AAA"),
     "epoch_string": (("epoch",), "2"),
     "epoch_negative": (("epoch",), -1),
     "epoch_huge": (("epoch",), "HUGE"),
@@ -324,6 +335,8 @@ FIELD_EDITS = {
     "cluster_id_string": (("clusters", "assignments", "0"), "1"),
     "cluster_out_of_range": (("clusters", "assignments", "0"), 99),
     "assignment_key_out_of_range": (("clusters", "assignments", "100000000000"), 0),
+    # parameters this wide would need terabytes if they were built
+    "model_config_huge_width": (("model_config", "d"), 10**12),
 }
 
 
@@ -340,6 +353,38 @@ def edit_field(kind, payload):
         payload[path[-1]] = value
 
 
+def edit_vectors(kind, payload):
+    """Apply one VECTOR_KINDS edit to the decoded vectors and save them back."""
+    names, shapes, optimizer = payload["names"], payload["shapes"], payload["optimizer"]
+    vectors = params, m, v = [decode_vector(payload["params"]).tolist(),
+                              decode_vector(optimizer["m"]).tolist(),
+                              decode_vector(optimizer["v"]).tolist()]
+    if kind == "optimizer_missing_name":
+        # a consistent file for a model without the first parameter
+        span = value_span(payload, names[0])
+        del names[0], shapes[0]
+        for vector in vectors:
+            del vector[span]
+    elif kind == "optimizer_extra_name":
+        # a consistent file for a model with one more parameter
+        names.append("zz.bogus")
+        shapes.append([1])
+        for vector in vectors:
+            vector.append(0.0)
+    elif kind == "params_wrong_length":
+        params.pop()
+    elif kind == "params_non_finite_nan":
+        params[value_span(payload, "mark.w").start] = math.nan
+    elif kind == "params_non_finite_inf":
+        params[value_span(payload, "mark.w").start] = -math.inf
+    elif kind == "optimizer_wrong_length":
+        m.append(0.0)
+    elif kind == "optimizer_v_negative":
+        v[0] = -1.0
+    payload["params"], optimizer["m"], optimizer["v"] = (
+        encode_vector(np.array(vector, dtype=np.float64)) for vector in vectors)
+
+
 def write_unreadable_checkpoint(kind, workspace, tmp_path):
     """A final.json under tmp_path that load_checkpoint cannot turn into a model."""
     good = (workspace["run"] / "final.json").read_text()
@@ -351,37 +396,28 @@ def write_unreadable_checkpoint(kind, workspace, tmp_path):
         text = json.dumps({"version": CHECKPOINT_VERSION})
     else:
         payload = json.loads(good)
-        names, shapes, params = payload["names"], payload["shapes"], payload["params"]
-        vectors = (params, payload["optimizer"]["m"], payload["optimizer"]["v"])
         if kind == "ill_typed_field":
-            payload["params"] = {}  # an object where a list belongs
-        elif kind == "optimizer_missing_name":
-            # a consistent file for a model without the first parameter
-            span = value_span(payload, names[0])
-            del names[0], shapes[0]
-            for vector in vectors:
-                del vector[span]
-        elif kind == "optimizer_extra_name":
-            # a consistent file for a model with one more parameter
-            names.append("zz.bogus")
-            shapes.append([1])
-            for vector in vectors:
-                vector.append(0.0)
+            payload["params"] = {}  # an object where a string belongs
+        elif kind in VECTOR_KINDS:
+            edit_vectors(kind, payload)
         elif kind == "param_missing":
-            at = names.index("mark.w")
-            del names[at], shapes[at]
+            at = payload["names"].index("mark.w")
+            del payload["names"][at], payload["shapes"][at]
         elif kind == "param_reshaped":
-            shapes[names.index("mark.w")] = [1, 1]
-        elif kind == "params_wrong_length":
-            params.pop()
-        elif kind == "params_non_finite_null":
-            params[value_span(payload, "mark.w").start] = None
-        elif kind == "params_non_finite_nan":
-            params[value_span(payload, "mark.w").start] = math.nan
-        elif kind == "optimizer_wrong_length":
-            payload["optimizer"]["m"].append(0.0)
-        elif kind == "version_2":  # the per-name layout this file replaced
+            payload["shapes"][payload["names"].index("mark.w")] = [1, 1]
+        elif kind == "params_bad_padding":
+            payload["params"] = payload["params"][:-1]
+        elif kind == "params_partial_value":  # four bytes short of the last value
+            raw = base64.b64decode(payload["params"])
+            payload["params"] = base64.b64encode(raw[:-4]).decode("ascii")
+        elif kind == "version_2":  # the per-name layout
             payload["version"] = 2
+        elif kind == "version_3":  # the same layout with JSON float lists
+            payload["version"] = 3
+            optimizer = payload["optimizer"]
+            payload["params"], optimizer["m"], optimizer["v"] = (
+                decode_vector(text).tolist()
+                for text in (payload["params"], optimizer["m"], optimizer["v"]))
         else:
             edit_field(kind, payload)
         text = json.dumps(payload).replace('"HUGE"', "1e400")
@@ -392,10 +428,9 @@ def write_unreadable_checkpoint(kind, workspace, tmp_path):
 
 class TestUnreadableCheckpoint:
     KINDS = ("truncated", "not_an_object", "missing_fields", "ill_typed_field",
-             "optimizer_missing_name", "optimizer_extra_name", "param_missing",
-             "param_reshaped", "params_wrong_length", "params_non_finite_null",
-             "params_non_finite_nan", "optimizer_wrong_length", "version_2",
-             *FIELD_EDITS, "epoch_missing", "version_missing")
+             "param_missing", "param_reshaped", *VECTOR_KINDS, "params_bad_padding",
+             "params_partial_value", "version_2", "version_3", *FIELD_EDITS,
+             "epoch_missing", "version_missing")
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_eval(self, workspace, capsys, tmp_path, kind):
@@ -567,6 +602,15 @@ class TestAblateDelete:
         assert main(["ablate-delete", "--data", str(workspace["corpus"]),
                      "--fraction", "1.5", "--out", str(tmp_path / "t.jsonl")]) == 1
         assert capsys.readouterr().err.startswith("E_DATA:")
+
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path, seed):
+        # a missing corpus would exit 1, so exit 2 shows the seed is checked first
+        out = tmp_path / "t.jsonl"
+        assert main(["ablate-delete", "--data", str(tmp_path / "nothing.jsonl"),
+                     "--fraction", "0.4", "--seed", seed, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("E_USAGE: --seed must be non-negative")
+        assert not out.exists()
 
 
 class TestUsageErrors:

@@ -21,7 +21,9 @@ from actionflow.data import (
     append_eos,
     append_eos_corpus,
     build_clusters,
+    decode_vector,
     delete_random,
+    encode_vector,
     load_corpus,
     median_gap,
     observed_marks_by_goal,
@@ -134,8 +136,8 @@ class TestReadRecord:
             read_record(Outer, {"count": 1, "version": 2}, "outer")
 
     def test_reads_ids_vectors_and_saved_keys(self):
-        rec = read_record(Saved, {"by_id": {"0": 1.5, "12": 2},
-                                  "nested": {"3": [4, 5]}, "vector": [0.5, -1.0]}, "saved")
+        rec = read_record(Saved, {"by_id": {"0": 1.5, "12": 2}, "nested": {"3": [4, 5]},
+                                  "vector": encode_vector(np.array([0.5, -1.0]))}, "saved")
         assert rec.table == {0: 1.5, 12: 2} and rec.nested == {3: (4, 5)}
         assert rec.vector.dtype == np.float64 and rec.vector.tolist() == [0.5, -1.0]
         with pytest.raises(ValueError, match="unknown saved key 'table'"):
@@ -150,14 +152,16 @@ class TestReadRecord:
         ({"by_id": {"0": "1.5"}}, r"saved key 'by_id'\['0'\] must be float, got str"),
         ({"by_id": {}, "nested": {"0": "ab"}}, r"saved key 'nested'\['0'\] must be tuple"),
         ({"by_id": {}, "nested": {"0": [1, 2.5]}}, r"saved key 'nested'\['0'\]\[1\] must be int"),
-        ({"by_id": {}, "vector": ["0.5"]}, "saved key 'vector' must be a list of floats"),
-        ({"by_id": {}, "vector": [0.5, True]}, "must be a list of floats"),
-        ({"by_id": {}, "vector": [None]}, "must be a list of floats"),
-        ({"by_id": {}, "vector": [1]}, "must be a list of floats"),
-        ({"by_id": {}, "vector": [[0.5]]}, "must be a list of floats"),
-        ({"by_id": {}, "vector": {}}, "must be a list of floats"),
-        ({"by_id": {}, "vector": [0.5, float("nan")]}, "saved key 'vector' holds a non-finite"),
-        ({"by_id": {}, "vector": [float("inf")]}, "holds a non-finite value"),
+        ({"by_id": {}, "vector": [0.5]}, "saved key 'vector' must be a base64 string, got list"),
+        ({"by_id": {}, "vector": 0.5}, "must be a base64 string, got float"),
+        # without the '*' this is valid base64 for one float64
+        ({"by_id": {}, "vector": "AAAA*AAAAAAA="}, "saved key 'vector' is not valid base64"),
+        ({"by_id": {}, "vector": "AAAAAAAAAAA"}, "is not valid base64: Incorrect padding"),
+        ({"by_id": {}, "vector": "AAAAAAAA\u00e9AAA"}, "is not valid base64"),
+        ({"by_id": {}, "vector": "AAAAAAAAAAAAAAAA"}, "holds 12 bytes, not a whole number"),
+        ({"by_id": {}, "vector": encode_vector(np.array([0.5, np.nan]))},
+         "saved key 'vector' holds a non-finite"),
+        ({"by_id": {}, "vector": encode_vector(np.array([-np.inf]))}, "holds a non-finite value"),
     ])
     def test_id_object_and_vector_rejections(self, payload, message):
         with pytest.raises(ValueError, match=message):
@@ -167,7 +171,7 @@ class TestReadRecord:
         calls = []
         check = data._check
         monkeypatch.setattr(data, "_check", lambda *a: calls.append(a[0]) or check(*a))
-        read_record(Saved, {"by_id": {}, "vector": [0.25] * 1000}, "saved")
+        read_record(Saved, {"by_id": {}, "vector": encode_vector(np.full(1000, 0.25))}, "saved")
         assert calls == [dict[int, float], np.ndarray | None, np.ndarray]
 
     def test_required_version_is_an_int_checked_first(self):

@@ -16,7 +16,7 @@ from actionflow.encoder import (
 )
 from actionflow.model import ModelConfig
 from actionflow.numerics import (GradTape, ParamStore, Segments, ShapeError, Tensor,
-                                 causal_attention, sum_all)
+                                 causal_attention, draw_params, sum_all)
 
 D = 8
 
@@ -29,11 +29,10 @@ def make_cfg(**kw):
 
 
 def make_store(cfg, n_marks=5, seed=0, with_set=False):
-    rng = np.random.default_rng(seed)
-    params = init_encoder_params(cfg, n_marks, rng)
+    specs = init_encoder_params(cfg, n_marks)
     if with_set:
-        params += init_set_params(cfg, rng)
-    return ParamStore(params)
+        specs += init_set_params(cfg)
+    return ParamStore(draw_params(specs, np.random.default_rng(seed)))
 
 
 def random_sequence(rng, k, n_marks=5):

@@ -17,13 +17,14 @@ from actionflow.heads import (
     sample_time,
     time_params,
 )
-from actionflow.numerics import NumericError, ParamStore, Tensor, log_softmax
+from actionflow.numerics import NumericError, ParamStore, Tensor, draw_params, log_softmax
 
 D = 6
 
 
 def make_store(m=3, n_marks=4, n_goals=2, seed=0):
-    return ParamStore(init_head_params(D, m, n_marks, n_goals, np.random.default_rng(seed)))
+    specs = init_head_params(D, m, n_marks, n_goals)
+    return ParamStore(draw_params(specs, np.random.default_rng(seed)))
 
 
 def rows(s):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from actionflow import numerics
+from actionflow.data import decode_vector, encode_vector
 from actionflow.numerics import (
     FdReport,
     GradTape,
@@ -792,16 +793,30 @@ class TestParamStore:
         assert store.names() == ["alpha", "mid", "zeta"]
 
     def test_round_trip_is_bit_exact(self):
-        # names and the flat vector as JSON, the form a checkpoint saves
+        # names, shapes and the encoded flat vector as JSON, the form a
+        # checkpoint saves, read back as load_checkpoint builds its store
         store = make_store({"w": (3, 4), "b": (4,), "scalar": ()}, seed=5)
-        names, values = json.loads(json.dumps([store.names(), store.flat.tolist()]))
-        again = ParamStore(zip(names, store.split(np.array(values))))
+        names, shapes, text = json.loads(json.dumps(
+            [store.names(), [t.data.shape for t in store.tensors], encode_vector(store.flat)]))
+        again = ParamStore.from_flat(names, shapes, decode_vector(text))
         assert again.names() == store.names()
         assert again.flat.tobytes() == store.flat.tobytes()
         for name, t in store.items():
             assert again[name].data.tobytes() == t.data.tobytes()
             assert again[name].data.shape == t.data.shape
             assert again[name].data.base is again.flat
+
+    def test_from_flat_refuses_a_layout_that_does_not_fit(self):
+        flat = np.arange(5.0)
+        store = ParamStore.from_flat(["a", "b"], [(2,), (3,)], flat)
+        assert store.flat is flat and store["b"].data.base is flat
+        for names, shapes, vector in ((["b", "a"], [(2,), (3,)], flat),
+                                      (["a", "a"], [(2,), (3,)], flat),
+                                      (["a"], [(2,), (3,)], flat),
+                                      (["a", "b"], [(2,), (2,)], flat),
+                                      (["a", "b"], [(2,), (3,)], np.arange(5))):
+            with pytest.raises(ValueError):
+                ParamStore.from_flat(names, shapes, vector)
 
     def test_flat_vector_is_shared_both_ways(self):
         rng = np.random.default_rng(8)

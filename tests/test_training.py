@@ -6,10 +6,15 @@ import os
 import warnings
 from dataclasses import replace
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from actionflow.data import Action, ClusterMap, Ctas, Vocab, append_eos
+from actionflow.data import (Action, ClusterMap, Ctas, Vocab, append_eos, decode_vector,
+                             encode_vector)
 from actionflow.model import Model, ModelConfig
 from actionflow.objectives import total_loss
 from actionflow.numerics import (
@@ -58,6 +63,17 @@ def tiny_corpus(vocab, n=6, seed=0):
                    actions=[Action(int(m), float(t)) for m, t in zip(marks, times)])
         out.append(append_eos(seq, eos_gap=1.0, eos_id=vocab.eos_id))
     return out
+
+
+def _tiny_size():
+    vocab, cm, cfg = tiny_setup()
+    return Model.init(cfg, vocab, cm).store.flat.size
+
+
+TINY_SIZE = _tiny_size()
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# signed zeros, the smallest subnormal, a subnormal near the normal range, the extremes
+EDGES = np.array([-0.0, 0.0, 5e-324, np.finfo(float).tiny / 2, np.finfo(float).max, 1.0])
 
 
 def param_bytes(store):
@@ -203,13 +219,15 @@ class TestAdam:
         # the per-parameter optimizer's state laid flat in name order and
         # passed through JSON, as a checkpoint holds it
         state = json.loads(json.dumps({
-            "params": loop_store.flat.tolist(), "step": loop_opt.step,
-            "m": self.laid_flat(loop_opt.m, loop_store).tolist(),
-            "v": self.laid_flat(loop_opt.v, loop_store).tolist()}))
-        resumed = ParamStore(zip(loop_store.names(), loop_store.split(np.array(state["params"]))))
+            "params": encode_vector(loop_store.flat), "step": loop_opt.step,
+            "m": encode_vector(self.laid_flat(loop_opt.m, loop_store)),
+            "v": encode_vector(self.laid_flat(loop_opt.v, loop_store))}))
+        resumed = ParamStore(zip(loop_store.names(),
+                                 loop_store.split(decode_vector(state["params"]))))
         opt = Adam(resumed, lr=0.05)
-        opt.step, opt.m, opt.v = state["step"], np.array(state["m"]), np.array(state["v"])
-        assert [opt.m.tolist(), opt.v.tolist()] == [state["m"], state["v"]]
+        opt.step = state["step"]
+        opt.m, opt.v = decode_vector(state["m"]), decode_vector(state["v"])
+        assert [encode_vector(opt.m), encode_vector(opt.v)] == [state["m"], state["v"]]
         for _ in range(3):
             self.nonlinear_step(loop_store, loop_opt)
             self.nonlinear_step(resumed, opt)
@@ -224,7 +242,7 @@ class TestAdam:
         opt = Adam(store, lr=0.05)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, model, optimizer=opt)
-        zeros = [0.0] * store.flat.size
+        zeros = encode_vector(np.zeros(store.flat.size))
         assert json.loads(path.read_text())["optimizer"] == {"step": 0, "m": zeros, "v": zeros}
         self.model_step(store, opt)
         save_checkpoint(path, model, optimizer=opt)
@@ -338,6 +356,21 @@ class TestAdam:
         assert param_bytes(ckpt.model.store) == param_bytes(model.store)
 
 
+class TestModelInit:
+    # sha256 of the names, shapes and flat bytes Model.init drew before its
+    # parameters were described as (name, shape, draw) specs
+    @pytest.mark.parametrize("variant,ffn,digest", [
+        ("base", "summed", "f151fca59aa0c5081a2b896d2aad439adcef60d9c6cc7988a162dac22dcca770"),
+        ("plus", "standard", "0060f52a09b1feb01cf42cc34f0d2046d1cb2e651591b5cab2dedf525e74becd"),
+    ])
+    def test_same_seed_draws_are_unchanged(self, variant, ffn, digest):
+        vocab, cm, _ = tiny_setup()
+        cfg = ModelConfig(d=4, heads=2, blocks=2, clusters=2, max_len=8, variant=variant, ffn=ffn)
+        store = Model.init(cfg, vocab, cm, seed=11).store
+        layout = repr([(name, t.data.shape) for name, t in store.items()]).encode()
+        assert hashlib.sha256(layout + store.flat.tobytes()).hexdigest() == digest
+
+
 class TestTrainLoop:
     def run_once(self, epochs=2, seed=0, lr=0.01, ckpt_dir=None, corpus=None):
         vocab, cm, cfg = tiny_setup()
@@ -346,11 +379,13 @@ class TestTrainLoop:
         model, entries = train(corpus, vocab, cm, cfg, tcfg, ckpt_dir=ckpt_dir)
         return model, entries
 
-    def test_double_run_bitwise_identical(self):
-        model_a, entries_a = self.run_once(seed=3)
-        model_b, entries_b = self.run_once(seed=3)
+    def test_double_run_bitwise_identical(self, tmp_path):
+        model_a, entries_a = self.run_once(seed=3, ckpt_dir=str(tmp_path / "a"))
+        model_b, entries_b = self.run_once(seed=3, ckpt_dir=str(tmp_path / "b"))
         assert param_bytes(model_a.store) == param_bytes(model_b.store)
         assert [loss_fields(e) for e in entries_a] == [loss_fields(e) for e in entries_b]
+        for name in ("final.json", "best.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_different_seeds_differ(self):
         model_a, _ = self.run_once(seed=0)
@@ -437,7 +472,7 @@ class TestCheckpoints:
         saved = json.loads((tmp_path / "final.json").read_text())
         assert saved["names"] == ckpt.model.store.names()
         assert ckpt.optimizer.m.size == ckpt.optimizer.v.size == ckpt.model.store.flat.size
-        assert [ckpt.optimizer.m.tolist(), ckpt.optimizer.v.tolist()] == [
+        assert [encode_vector(ckpt.optimizer.m), encode_vector(ckpt.optimizer.v)] == [
             saved["optimizer"]["m"], saved["optimizer"]["v"]]
 
     def test_bad_version_rejected(self, tmp_path):
@@ -448,6 +483,46 @@ class TestCheckpoints:
         payload["version"] = CHECKPOINT_VERSION + 1
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="version"):
+            load_checkpoint(path)
+
+    def test_config_too_wide_for_the_saved_shapes_is_refused_unbuilt(self, tmp_path):
+        # a width of 10**12 would need terabytes if the config's parameters were built
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, self.make_model())
+        payload = json.loads(path.read_text())
+        payload["model_config"]["d"] = 10**12
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="names and shapes do not match"):
+            load_checkpoint(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=arrays(np.float64, TINY_SIZE, elements=FINITE),
+           m=arrays(np.float64, TINY_SIZE, elements=FINITE),
+           v=arrays(np.float64, TINY_SIZE, elements=st.floats(0.0, allow_infinity=False)))
+    @example(params=np.resize(EDGES, TINY_SIZE), m=np.resize(-EDGES, TINY_SIZE),
+             v=np.resize(np.abs(EDGES), TINY_SIZE))
+    def test_finite_vectors_round_trip_bit_for_bit(self, tmp_path_factory, params, m, v):
+        model = self.make_model()
+        model.store.flat[:] = params
+        opt = Adam(model.store)
+        opt.step, opt.m, opt.v = 1, m, v
+        path = tmp_path_factory.getbasetemp() / "codec.json"
+        save_checkpoint(path, model, optimizer=opt)
+        ckpt = load_checkpoint(path)
+        assert ckpt.model.store.flat.flags.writeable
+        assert [ckpt.model.store.flat.tobytes(), ckpt.optimizer.m.tobytes(),
+                ckpt.optimizer.v.tobytes()] == [params.tobytes(), m.tobytes(), v.tobytes()]
+
+    def test_version_3_float_lists_refused_by_version(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, self.make_model(), optimizer=Adam(self.make_model().store))
+        payload = json.loads(path.read_text())
+        payload["version"] = 3
+        payload["params"] = decode_vector(payload["params"]).tolist()
+        for key in ("m", "v"):
+            payload["optimizer"][key] = decode_vector(payload["optimizer"][key]).tolist()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
             load_checkpoint(path)
 
     def test_cluster_assignments_must_name_vocabulary_marks(self, tmp_path):
@@ -496,7 +571,9 @@ class TestCheckpoints:
         corpus = tiny_corpus(vocab, n=8, seed=2)
 
         straight_cfg = TrainConfig(lr=0.01, epochs=4, seed=7, batch_size=3)
-        model_straight, entries_straight = train(corpus, vocab, cm, cfg, straight_cfg)
+        straight_dir = tmp_path / "straight"
+        model_straight, entries_straight = train(corpus, vocab, cm, cfg, straight_cfg,
+                                                 ckpt_dir=str(straight_dir))
 
         first_cfg = TrainConfig(lr=0.01, epochs=2, seed=7, batch_size=3)
         ckpt_dir = tmp_path / "run"
@@ -509,6 +586,7 @@ class TestCheckpoints:
             ckpt_dir=str(ckpt_dir), resume=ckpt)
         assert [e["epoch"] for e in entries_resumed] == [3, 4]
         assert param_bytes(model_resumed.store) == param_bytes(model_straight.store)
+        assert (ckpt_dir / "final.json").read_bytes() == (straight_dir / "final.json").read_bytes()
         tail = [loss_fields(e) for e in entries_straight[2:]]
         assert [loss_fields(e) for e in entries_resumed] == tail
 
