@@ -410,7 +410,7 @@ def write_unreadable_checkpoint(kind, workspace, tmp_path):
         elif kind == "params_partial_value":  # four bytes short of the last value
             raw = base64.b64decode(payload["params"])
             payload["params"] = base64.b64encode(raw[:-4]).decode("ascii")
-        elif kind == "version_2":  # the per-name layout
+        elif kind == "version_2":  # the per-name layout this file replaced
             payload["version"] = 2
         elif kind == "version_3":  # the same layout with JSON float lists
             payload["version"] = 3

@@ -1,12 +1,11 @@
 """Tests for the Adam optimizer, training loop, and checkpoint round trips."""
 
+import hashlib
 import json
 import math
 import os
 import warnings
 from dataclasses import replace
-
-import hashlib
 
 import numpy as np
 import pytest
@@ -515,7 +514,8 @@ class TestCheckpoints:
 
     def test_version_3_float_lists_refused_by_version(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, self.make_model(), optimizer=Adam(self.make_model().store))
+        model = self.make_model()
+        save_checkpoint(path, model, optimizer=Adam(model.store))
         payload = json.loads(path.read_text())
         payload["version"] = 3
         payload["params"] = decode_vector(payload["params"]).tolist()
