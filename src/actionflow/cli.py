@@ -5,7 +5,7 @@ Every failure prints one line to stderr of the form ``E_CODE: message`` and
 exits nonzero; the codes are stable so scripts can branch on them:
 
 * E_USAGE     bad flags or flag values, such as a negative ``--seed`` for
-              eval, generate or ablate-delete (exit 2)
+              any subcommand (exit 2)
 * E_PARSE     malformed JSON / JSONL input
 * E_DATA      schema-valid input violating data invariants, missing files
 * E_CONFIG    invalid configuration values or unknown keys
@@ -19,12 +19,19 @@ exits nonzero; the codes are stable so scripts can branch on them:
 Configuration comes from one JSON file with three optional sections:
 ``{"model": {...}, "train": {...}, "data": {...}}``. Flags override the
 file. The data section knows ``corpus`` (path) and ``train_fraction``.
+
+Log records of the ``actionflow`` loggers go to stderr as ``LEVEL: message``;
+every subcommand takes ``--log-level`` (default WARNING) and ``-v`` (INFO:
+epoch totals, the cluster-count notice, corpus loading).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
+import logging
 import math
 import os
 import sys
@@ -102,6 +109,8 @@ def _read_json(path) -> dict:
 def _load_run_config(args) -> RunConfig:
     """The run config with the --seed/--epochs flags applied, all validated
     before any command writes a file."""
+    if getattr(args, "seed", None) is not None:
+        _check_seed(args.seed)
     cfg = RunConfig.from_dict(_read_json(args.config)) if args.config else RunConfig()
     overrides = {name: getattr(args, name) for name in ("seed", "epochs")
                  if getattr(args, name, None) is not None}
@@ -320,17 +329,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"E_USAGE: {message}\n")
 
 
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="actionflow",
                      description="Train, evaluate, and sample action-sequence models.")
+    logs = argparse.ArgumentParser(add_help=False)
+    logs.add_argument("--log-level", choices=LOG_LEVELS, default="WARNING",
+                      help="least severe log records printed to stderr (default WARNING)")
+    logs.add_argument("-v", "--verbose", dest="log_level", action="store_const",
+                      const="INFO", help="same as --log-level INFO")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, parents=[logs])
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus from a template spec")
+    p = add_parser("synth", help="generate a synthetic corpus from a template spec")
     p.add_argument("--spec", required=True, help="synthesis spec JSON")
     p.add_argument("--out", required=True, help="output corpus JSONL")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train a model on a corpus")
+    p = add_parser("train", help="train a model on a corpus")
     p.add_argument("--data", required=True, help="corpus JSONL")
     p.add_argument("--config", help="run config JSON (model/train/data sections)")
     p.add_argument("--out", required=True, help="checkpoint directory")
@@ -340,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, help="override the epoch count")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a test corpus")
+    p = add_parser("eval", help="evaluate a checkpoint on a test corpus")
     p.add_argument("--ckpt", required=True, help="checkpoint file or training output directory")
     p.add_argument("--data", required=True, help="test corpus JSONL")
     p.add_argument("--report", required=True, help="output report JSON")
@@ -350,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the (slower) generation comparison")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("generate", help="sample sequences for a goal")
+    p = add_parser("generate", help="sample sequences for a goal")
     p.add_argument("--ckpt", required=True, help="checkpoint file or training output directory")
     p.add_argument("--goal", required=True, help="goal name")
     p.add_argument("--first-mark", required=True, help="name of the seed action")
@@ -361,13 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output JSONL (terminal mark stripped)")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check on a tiny random model")
+    p = add_parser("gradcheck", help="finite-difference check on a tiny random model")
     p.add_argument("--config", help="run config JSON")
     p.add_argument("--tol", type=float, default=1e-4, help="max allowed relative error")
     p.add_argument("--seed", type=int, help="override the init seed")
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("sweep", help="train and evaluate over a hyperparameter grid")
+    p = add_parser("sweep", help="train and evaluate over a hyperparameter grid")
     p.add_argument("--config", help="run config JSON; data.corpus names the corpus")
     p.add_argument("--grid", required=True, help="grid JSON: {key: [values, ...]}")
     p.add_argument("--data", help="corpus JSONL (overrides data.corpus)")
@@ -375,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1, help="parallel training processes")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("ablate-delete", help="randomly delete actions from a corpus")
+    p = add_parser("ablate-delete", help="randomly delete actions from a corpus")
     p.add_argument("--data", required=True, help="corpus JSONL")
     p.add_argument("--fraction", type=float, required=True, help="fraction of actions to delete")
     p.add_argument("--seed", type=int, default=0, help="deletion rng seed")
@@ -385,9 +403,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _log_to_stderr(level: str):
+    """Print the package's log records of ``level`` and above to stderr,
+    one ``LEVEL: message`` line each, while the block runs."""
+    logger = logging.getLogger("actionflow")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    previous = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    with _log_to_stderr(args.log_level):
+        return _run(args)
+
+
+def _run(args) -> int:
+    """Run the subcommand, mapping each failure to its code and exit status."""
     try:
         return args.func(args)
     except CliError as e:

@@ -22,6 +22,12 @@ in one array, laid out by the one Segments built per forward pass (see
 Model.forward). Positions, gaps, attention and running sums all restart at
 each sequence, so a sequence's rows come out the same whatever it is packed
 with.
+
+Every layer is causal, so generation appends one action at a time:
+encode_next runs the new action's row alone, through the same per-row code,
+against a DecodeCache of the earlier rows' keys, values and running sums.
+Attention and the running sums are the only steps in which a row meets
+earlier ones, and they are the only steps the two paths do differently.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .numerics import (
     Segments,
     Tensor,
     add,
+    attend,
     causal_attention,
     constant_draw,
     cumsum,
@@ -118,6 +125,20 @@ def init_set_params(cfg: ModelConfig) -> list[ParamSpec]:
 # forward passes
 # ---------------------------------------------------------------------------
 
+def _embed_rows(store: ParamStore, marks: np.ndarray, times: np.ndarray,
+                gaps: np.ndarray) -> Tensor:
+    """Mark row + time and gap features + bias, one row per action."""
+    n_rows = store["embed.marks"].data.shape[0]
+    if marks.min() < 0 or marks.max() >= n_rows:
+        raise DataError(f"mark id outside vocabulary of size {n_rows}")
+    if np.any(gaps < 0.0):
+        raise DataError("times must be non-decreasing from zero")
+    y = take_rows(store["embed.marks"], marks)
+    y = add(y, matmul(Tensor(times[:, None]), store["embed.w_time"]))
+    y = add(y, matmul(Tensor(gaps[:, None]), store["embed.w_gap"]))
+    return add(y, store["embed.bias"])
+
+
 def embed_actions(store: ParamStore, marks, times, segs: Segments) -> Tensor:
     """Embed packed actions: mark row + time and gap features + bias.
 
@@ -134,49 +155,83 @@ def embed_actions(store: ParamStore, marks, times, segs: Segments) -> Tensor:
     segs.check("embed_actions", marks.size)
     if segs.lens.min() == 0:
         raise ValueError("empty prefix")
-    n_rows = store["embed.marks"].data.shape[0]
-    if marks.min() < 0 or marks.max() >= n_rows:
-        raise DataError(f"mark id outside vocabulary of size {n_rows}")
     gaps = np.diff(times, prepend=0.0)
     gaps[segs.starts] = times[segs.starts]
-    if np.any(gaps < 0.0):
-        raise DataError("times must be non-decreasing from zero")
-    y = take_rows(store["embed.marks"], marks)
-    y = add(y, matmul(Tensor(times[:, None]), store["embed.w_time"]))
-    y = add(y, matmul(Tensor(gaps[:, None]), store["embed.w_gap"]))
-    return add(y, store["embed.bias"])
+    return _embed_rows(store, marks, times, gaps)
+
+
+def _add_positions(store: ParamStore, y: Tensor, pos: np.ndarray, length: int) -> Tensor:
+    """Add positional row pos[i] to row i; length is the longest prefix."""
+    table = store["pos.table"]
+    capacity = table.data.shape[0]
+    if length > capacity:
+        raise CapacityError(f"prefix length {length} exceeds positional capacity {capacity}")
+    return add(y, take_rows(table, pos))
 
 
 def positional_add(store: ParamStore, y: Tensor, segs: Segments) -> Tensor:
     """Add the trainable positional rows 0..k-1 to each embedded sequence."""
     segs.check("positional_add", y.data.shape[0])
-    table = store["pos.table"]
-    k, capacity = segs.width, table.data.shape[0]
-    if k > capacity:
-        raise CapacityError(f"prefix length {k} exceeds positional capacity {capacity}")
-    return add(y, take_rows(table, segs.pos))
+    return _add_positions(store, y, segs.pos, segs.width)
 
 
-def _attention(store: ParamStore, cfg: ModelConfig, x: Tensor, block: int,
-               segs: Segments) -> Tensor:
-    q = matmul(x, store[f"block{block}.attn.wq"])
-    k = matmul(x, store[f"block{block}.attn.wk"])
-    v = matmul(x, store[f"block{block}.attn.wv"])
-    return matmul(causal_attention(q, k, v, segs, cfg.heads), store[f"block{block}.attn.wo"])
-
-
-def _feed_forward(store: ParamStore, cfg: ModelConfig, x: Tensor, block: int,
-                  segs: Segments) -> Tensor:
+def _feed_forward(store: ParamStore, cfg: ModelConfig, x: Tensor, block: int) -> Tensor:
+    """The feed-forward stage of each row on its own: for the summed form,
+    the per-index terms that its running sum accumulates."""
     if cfg.ffn == "summed":
         gated = relu(add(mul(x, store[f"block{block}.ffn.w_in"]),
                          store[f"block{block}.ffn.b_in"]))
-        per_index = add(mul(gated, store[f"block{block}.ffn.w_out"]),
-                        store[f"block{block}.ffn.b_out"])
-        return cumsum(per_index, segs)
+        return add(mul(gated, store[f"block{block}.ffn.w_out"]),
+                   store[f"block{block}.ffn.b_out"])
     hidden = relu(add(matmul(x, store[f"block{block}.ffn.w1"]),
                       store[f"block{block}.ffn.b1"]))
     return add(matmul(hidden, store[f"block{block}.ffn.w2"]),
                store[f"block{block}.ffn.b2"])
+
+
+def _set_rows(store: ParamStore, y: Tensor) -> Tensor:
+    """The order-free summary's per-action features, before the prefix sum."""
+    u = add(matmul(y, store["set.w_in"]), store["set.b_in"])
+    h = relu(add(matmul(u, store["set.w_hidden"]), store["set.b_hidden"]))
+    return relu(add(matmul(h, store["set.w_out"]), store["set.b_out"]))
+
+
+class _Packed:
+    """How the rows of packed sequences see earlier rows: causal attention
+    and running sums, restarting at every segment."""
+
+    def __init__(self, segs: Segments, heads: int):
+        self.segs = segs
+        self.heads = heads
+
+    def attend(self, block: int, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+        return causal_attention(q, k, v, self.segs, self.heads)
+
+    def running_sum(self, key, a: Tensor) -> Tensor:
+        return cumsum(a, self.segs)
+
+
+def _attention(store: ParamStore, x: Tensor, block: int, context) -> Tensor:
+    q, k, v = (matmul(x, store[f"block{block}.attn.{proj}"]) for proj in ("wq", "wk", "wv"))
+    return matmul(context.attend(block, q, k, v), store[f"block{block}.attn.wo"])
+
+
+def _blocks(store: ParamStore, cfg: ModelConfig, x: Tensor, context) -> Tensor:
+    """The attention and feed-forward blocks on positioned rows x.
+
+    Everything here works row by row except the two calls into context
+    (_Packed or DecodeCache), the only places a row meets earlier ones:
+    context.attend(block, q, k, v) for attention and
+    context.running_sum(key, a) for the summed feed-forward.
+    """
+    for b in range(cfg.blocks):
+        attn = _attention(store, x, b, context)
+        x = layer_norm(add(x, attn), store[f"block{b}.ln1.gain"], store[f"block{b}.ln1.bias"])
+        ffn = _feed_forward(store, cfg, x, b)
+        if cfg.ffn == "summed":
+            ffn = context.running_sum(("ffn", b), ffn)
+        x = layer_norm(add(x, ffn), store[f"block{b}.ln2.gain"], store[f"block{b}.ln2.bias"])
+    return x
 
 
 def encode(store: ParamStore, cfg: ModelConfig, y: Tensor, segs: Segments) -> Tensor:
@@ -188,13 +243,7 @@ def encode(store: ParamStore, cfg: ModelConfig, y: Tensor, segs: Segments) -> Te
     """
     if y.data.shape[0] == 0:
         raise ValueError("empty prefix")
-    x = positional_add(store, y, segs)
-    for b in range(cfg.blocks):
-        attn = _attention(store, cfg, x, b, segs)
-        x = layer_norm(add(x, attn), store[f"block{b}.ln1.gain"], store[f"block{b}.ln1.bias"])
-        ffn = _feed_forward(store, cfg, x, b, segs)
-        x = layer_norm(add(x, ffn), store[f"block{b}.ln2.gain"], store[f"block{b}.ln2.bias"])
-    return x
+    return _blocks(store, cfg, positional_add(store, y, segs), _Packed(segs, cfg.heads))
 
 
 def set_embed(store: ParamStore, y: Tensor, segs: Segments) -> Tensor:
@@ -205,7 +254,63 @@ def set_embed(store: ParamStore, y: Tensor, segs: Segments) -> Tensor:
     pre-positional embeddings so that reordering a prefix only reorders the
     summands.
     """
-    u = add(matmul(y, store["set.w_in"]), store["set.b_in"])
-    h = relu(add(matmul(u, store["set.w_hidden"]), store["set.b_hidden"]))
-    o = add(matmul(h, store["set.w_out"]), store["set.b_out"])
-    return cumsum(relu(o), segs)
+    return cumsum(_set_rows(store, y), segs)
+
+
+# ---------------------------------------------------------------------------
+# cached decoding
+# ---------------------------------------------------------------------------
+
+class DecodeCache:
+    """What one growing sequence's next row needs from its earlier rows.
+
+    Every layer is causal, so appending an action changes no earlier row;
+    the cache keeps each block's keys and values (preallocated for
+    ``capacity`` actions), the running sums of the summed feed-forward and
+    of the order-free summary, the last action's time (for the gap feature)
+    and the sequence's length (the next position). encode_next fills it. A
+    step that raises leaves the cache unusable.
+    """
+
+    def __init__(self, cfg: ModelConfig, capacity: int):
+        self.heads = cfg.heads
+        self.keys = np.empty((cfg.blocks, capacity, cfg.d))
+        self.values = np.empty((cfg.blocks, capacity, cfg.d))
+        self.sums: dict[object, Tensor] = {}
+        self.length = 0
+        self.last_t = 0.0
+
+    def attend(self, block: int, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+        n = self.length
+        self.keys[block, n] = k.data[0]
+        self.values[block, n] = v.data[0]
+        return attend(q, Tensor(self.keys[block, :n + 1]), Tensor(self.values[block, :n + 1]),
+                      self.heads)
+
+    def running_sum(self, key, a: Tensor) -> Tensor:
+        total = self.sums.get(key)
+        self.sums[key] = a if total is None else add(total, a)
+        return self.sums[key]
+
+
+def encode_next(store: ParamStore, cfg: ModelConfig, cache: DecodeCache, mark: int,
+                t: float) -> tuple[Tensor, Tensor | None]:
+    """Append one action to the cache's sequence and encode it alone.
+
+    Returns the action's [1, d] history row and, for the plus variant, its
+    order-free summary row (None otherwise): the last rows encode and
+    set_embed give on the whole sequence, up to rounding. Each row runs the
+    same per-row code as the packed pass and keeps its checks.
+    """
+    capacity = cache.keys.shape[1]
+    if cache.length == capacity:
+        raise CapacityError(f"prefix length {capacity + 1} exceeds the cache's capacity {capacity}")
+    marks = np.array([mark], dtype=np.intp)
+    times = np.array([t], dtype=np.float64)
+    y = _embed_rows(store, marks, times, times - cache.last_t)
+    x = _add_positions(store, y, np.array([cache.length]), cache.length + 1)
+    s = _blocks(store, cfg, x, cache)
+    summary = cache.running_sum("set", _set_rows(store, y)) if cfg.variant == "plus" else None
+    cache.length += 1
+    cache.last_t = times[0]
+    return s, summary

@@ -2,9 +2,12 @@
 
 Starting from a goal and a first action, the loop repeatedly samples the
 next mark and a lognormal gap from the model, appends the candidate,
-re-encodes the extended prefix, and checks whether the model still believes
-the requested goal is the most likely one. Generation ends in one of three
-ways, each closing the sequence with the terminal mark:
+encodes it, and checks whether the model still believes the requested goal
+is the most likely one. Every layer of the model is causal, so the candidate
+is encoded alone (Model.step) against a cache of the earlier actions' keys,
+values and running sums (encoder.DecodeCache); its predictions are the last
+row of a forward pass over the whole prefix, up to rounding. Generation ends
+in one of three ways, each closing the sequence with the terminal mark:
 
 * goal_mismatch: the candidate pushed the predicted goal away from the
   request; the candidate is dropped and the terminal mark takes its time.
@@ -23,10 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Action, Ctas, DataError
-from .encoder import CapacityError
+from .encoder import CapacityError, DecodeCache
 from .heads import TimeDensity, point_time, sample_time
 from .model import Model
-from .numerics import Segments
 
 TERMINATION_REASONS = ("goal_mismatch", "eos_sampled", "max_len")
 
@@ -87,21 +89,20 @@ def generate(model: Model, request: GenRequest, *,
     if rng is None:
         rng = np.random.default_rng([request.seed])
     eos = model.vocab.eos_id
+    cache = DecodeCache(model.config, max_len)
     actions = [Action(mark=request.first_mark, t=float(request.first_t))]
-    fwd = model.forward([a.mark for a in actions], [a.t for a in actions], Segments(1))
+    pred = model.step(cache, request.first_mark, actions[0].t)
     while True:
-        last = len(actions) - 1
-        mark = _draw_mark(fwd.mark_prob.data[last], request.mode, rng)
-        gap = _draw_gap(model.time_density_at(fwd, last), request.mode, rng)
+        mark = _draw_mark(pred.mark_prob.data[0], request.mode, rng)
+        gap = _draw_gap(model.time_density_at(pred, 0), request.mode, rng)
         t_next = actions[-1].t + gap
         if mark == eos:
             actions.append(Action(mark=eos, t=t_next))
             reason = "eos_sampled"
             break
         actions.append(Action(mark=mark, t=t_next))
-        fwd = model.forward([a.mark for a in actions], [a.t for a in actions],
-                            Segments(len(actions)))
-        predicted_goal = int(np.argmax(fwd.goal_prob.data[-1]))
+        pred = model.step(cache, mark, t_next)
+        predicted_goal = int(np.argmax(pred.goal_prob.data[0]))
         if predicted_goal != request.goal:
             # the candidate revealed the mismatch; it does not survive
             actions.pop()
@@ -109,8 +110,7 @@ def generate(model: Model, request: GenRequest, *,
             reason = "goal_mismatch"
             break
         if len(actions) >= max_len:
-            tail_gap = _draw_gap(model.time_density_at(fwd, len(actions) - 1),
-                                 request.mode, rng)
+            tail_gap = _draw_gap(model.time_density_at(pred, 0), request.mode, rng)
             actions.append(Action(mark=eos, t=actions[-1].t + tail_gap))
             reason = "max_len"
             break

@@ -6,7 +6,9 @@ once and produces, for every prefix index, the next-mark log-probabilities,
 the goal log-probabilities, and the lognormal gap parameters gated by the
 current action's duration cluster. The "plus" variant additionally maintains an
 order-free prefix summary and offsets the history vectors by a scaled copy
-of it (one scale per head) before the heads run.
+of it (one scale per head) before the heads run. Model.step gives the same
+predictions for one action appended to a cached sequence (generation); it
+shares every head and every per-row layer with the forward pass.
 """
 
 from __future__ import annotations
@@ -78,9 +80,8 @@ class ModelConfig:
 
 
 @dataclass
-class ForwardPass:
-    """All per-index predictions from one encoding of packed sequences, with
-    the marks, times and layout (one segment per sequence) they came from."""
+class Predictions:
+    """Every head's output at each encoded index, one row per index."""
 
     mark_logprob: Tensor
     mark_prob: Tensor
@@ -88,6 +89,13 @@ class ForwardPass:
     goal_prob: Tensor
     mu: Tensor
     sigma2: Tensor
+
+
+@dataclass
+class ForwardPass(Predictions):
+    """All per-index predictions from one encoding of packed sequences, with
+    the marks, times and layout (one segment per sequence) they came from."""
+
     marks: np.ndarray
     times: np.ndarray
     segs: Segments
@@ -157,27 +165,30 @@ class Model:
         """
         marks = np.asarray(marks, dtype=np.intp)
         times = np.asarray(times, dtype=np.float64)
-        cfg = self.config
         y = enc.embed_actions(self.store, marks, times, segs)
-        s = enc.encode(self.store, cfg, y, segs)
-        x = enc.set_embed(self.store, y, segs) if cfg.variant == "plus" else None
-        s_mark = heads.fuse(s, x, cfg.alpha_mark)
-        s_goal = heads.fuse(s, x, cfg.alpha_goal)
-        s_time = heads.fuse(s, x, cfg.alpha_time)
-        mark_lp = log_softmax(heads.mark_logits(self.store, s_mark))
-        goal_lp = log_softmax(heads.goal_logits(self.store, s_goal))
-        cluster_ids = self.clusters.clusters_of(marks)
-        mu, sigma2 = heads.time_params(self.store, s_time, cluster_ids)
-        return ForwardPass(
-            mark_logprob=mark_lp,
-            mark_prob=exp(mark_lp),
-            goal_logprob=goal_lp,
-            goal_prob=exp(goal_lp),
-            mu=mu,
-            sigma2=sigma2,
-            marks=marks, times=times, segs=segs,
-        )
+        s = enc.encode(self.store, self.config, y, segs)
+        x = enc.set_embed(self.store, y, segs) if self.config.variant == "plus" else None
+        return ForwardPass(*self._heads(s, x, marks), marks=marks, times=times, segs=segs)
 
-    def time_density_at(self, fwd: ForwardPass, index: int) -> heads.TimeDensity:
-        return heads.TimeDensity(mu=float(fwd.mu.data[index, 0]),
-                                 sigma2=float(fwd.sigma2.data[index, 0]))
+    def step(self, cache: enc.DecodeCache, mark: int, t: float) -> Predictions:
+        """Append one action to the cache's sequence and predict what follows.
+
+        The one row returned is the last row of forward on the whole
+        sequence, up to rounding, at the cost of encoding one action.
+        """
+        s, x = enc.encode_next(self.store, self.config, cache, mark, t)
+        return Predictions(*self._heads(s, x, np.array([mark], dtype=np.intp)))
+
+    def _heads(self, s: Tensor, x: Tensor | None, marks: np.ndarray) -> tuple[Tensor, ...]:
+        """The Predictions fields from history rows s, the plus variant's
+        summary rows x (else None) and the marks of those rows."""
+        cfg = self.config
+        mark_lp = log_softmax(heads.mark_logits(self.store, heads.fuse(s, x, cfg.alpha_mark)))
+        goal_lp = log_softmax(heads.goal_logits(self.store, heads.fuse(s, x, cfg.alpha_goal)))
+        mu, sigma2 = heads.time_params(self.store, heads.fuse(s, x, cfg.alpha_time),
+                                       self.clusters.clusters_of(marks))
+        return mark_lp, exp(mark_lp), goal_lp, exp(goal_lp), mu, sigma2
+
+    def time_density_at(self, pred: Predictions, index: int) -> heads.TimeDensity:
+        return heads.TimeDensity(mu=float(pred.mu.data[index, 0]),
+                                 sigma2=float(pred.sigma2.data[index, 0]))

@@ -23,6 +23,8 @@ one for another row count, and never mix rows of different sequences. The
 scans run on one zero-padded [segments, longest, ...] block; causal_attention,
 whose cost grows with the square of the padded width, runs one block per
 group of similar-length segments (Segments.groups), still as one tape record.
+attend is the same softmax attention without a mask or a layout: a row
+appended to a sequence attends over the keys and values cached before it.
 The index ops (take_rows, pick, shifted_prefix_max) scatter their gradients
 with one bincount each, adding repeated targets in input order.
 
@@ -562,6 +564,36 @@ def segment_sum(a: Tensor, segs: Segments) -> Tensor:
                  (a,), vjp)
 
 
+def _softmax_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, scale: float,
+                       causal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dot-product attention on [..., heads, rows, dh] blocks: the
+    heads' outputs and their weights. A causal block is square, and its row
+    i gives exactly zero weight to the keys after it."""
+    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
+    if causal:
+        cols = np.arange(scores.shape[-1])
+        np.copyto(scores, -np.inf, where=cols > cols[:, None])
+    scores -= scores.max(axis=-1, keepdims=True)
+    w = np.exp(scores, out=scores)
+    w /= w.sum(axis=-1, keepdims=True)
+    return np.matmul(w, vh), w
+
+
+def _softmax_attention_vjp(gh, qh, kh, vh, w, scale: float):
+    """Gradients of _softmax_attention's output with respect to qh, kh, vh."""
+    gw = np.matmul(gh, vh.swapaxes(-1, -2))
+    gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
+    return (np.matmul(gs, kh), np.matmul(gs.swapaxes(-1, -2), qh),
+            np.matmul(w.swapaxes(-1, -2), gh))
+
+
+def _attention_scale(op: str, d: int, heads: int) -> float:
+    """The attention scale for d columns split into ``heads`` blocks."""
+    if heads < 1 or d % heads:
+        raise ShapeError(f"{op}: width {d} does not split into {heads} heads")
+    return 1.0 / np.sqrt(d // heads)
+
+
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, segs: Segments, heads: int) -> Tensor:
     """Multi-head causal self-attention over packed sequences, in one record.
 
@@ -579,10 +611,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, segs: Segments, heads: int
     if len(shapes) != 1 or q.data.ndim != 2:
         raise ShapeError(f"causal_attention: q/k/v shapes {sorted(shapes)}")
     n, d = q.data.shape
-    if heads < 1 or d % heads:
-        raise ShapeError(f"causal_attention: width {d} does not split into {heads} heads")
+    scale = _attention_scale("causal_attention", d, heads)
     segs.check("causal_attention", n)
-    scale = 1.0 / np.sqrt(d // heads)
 
     def split(x, sub):  # [rows, d] -> [segments, heads, width, dh]
         return sub.pad(x).reshape(sub.count, sub.width, heads, -1).transpose(0, 2, 1, 3)
@@ -595,30 +625,52 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, segs: Segments, heads: int
     # overflowing scores end in a non-finite output, which _emit reports
     with np.errstate(over="ignore", invalid="ignore"):
         for rows, sub in segs.groups:
-            qh, kh, vh = (split(x.data[rows], sub) for x in (q, k, v))
             # a real row's padding keys lie above the diagonal too; a padding
             # row's output is dropped and its gradient is zero
-            cols = np.arange(sub.width)
-            scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
-            np.copyto(scores, -np.inf, where=cols > cols[:, None])
-            scores -= scores.max(axis=-1, keepdims=True)
-            w = np.exp(scores, out=scores)
-            w /= w.sum(axis=-1, keepdims=True)
-            out[rows] = merge(np.matmul(w, vh), sub)
+            qh, kh, vh = (split(x.data[rows], sub) for x in (q, k, v))
+            oh, w = _softmax_attention(qh, kh, vh, scale, causal=True)
+            out[rows] = merge(oh, sub)
             blocks.append((rows, sub, qh, kh, vh, w))
 
     def vjp(g):
         gq, gk, gv = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
         for rows, sub, qh, kh, vh, w in blocks:
-            gh = split(g[rows], sub)
-            gw = np.matmul(gh, vh.swapaxes(-1, -2))
-            gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
-            gq[rows] = merge(np.matmul(gs, kh), sub)
-            gk[rows] = merge(np.matmul(gs.swapaxes(-1, -2), qh), sub)
-            gv[rows] = merge(np.matmul(w.swapaxes(-1, -2), gh), sub)
+            gqh, gkh, gvh = _softmax_attention_vjp(split(g[rows], sub), qh, kh, vh, w, scale)
+            gq[rows], gk[rows], gv[rows] = merge(gqh, sub), merge(gkh, sub), merge(gvh, sub)
         return gq, gk, gv
 
     return _emit("causal_attention", out, (q, k, v), vjp)
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head attention of every row of q over every row of k and v.
+
+    q is [m, d]; k and v are [n, d], with the d columns split into
+    ``heads`` equal blocks as in causal_attention. When k and v hold a
+    sequence's rows 0..i and q its row i, the output is row i of
+    causal_attention on that sequence: this is how cached decoding attends
+    from one appended row.
+    """
+    if q.data.ndim != 2 or k.data.ndim != 2 or k.data.shape != v.data.shape \
+            or q.data.shape[1] != k.data.shape[1]:
+        raise ShapeError(f"attend: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
+    d = q.data.shape[1]
+    scale = _attention_scale("attend", d, heads)
+
+    def split(x):  # [rows, d] -> [heads, rows, dh]
+        return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+
+    def merge(x):  # inverse of split
+        return x.transpose(1, 0, 2).reshape(-1, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        oh, w = _softmax_attention(qh, kh, vh, scale, causal=False)
+
+    def vjp(g):
+        return tuple(merge(x) for x in _softmax_attention_vjp(split(g), qh, kh, vh, w, scale))
+
+    return _emit("attend", merge(oh), (q, k, v), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:

@@ -86,6 +86,8 @@ class SynthSpec:
             raise SynthSpecError("duplicate goal names")
         if self.count < 1:
             raise SynthSpecError(f"count must be at least 1, got {self.count}")
+        if self.seed < 0:
+            raise SynthSpecError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.swap_prob <= 1.0:
             raise SynthSpecError(f"swap_prob must lie in [0, 1], got {self.swap_prob}")
         for g in self.goals:

@@ -7,6 +7,9 @@ transpose, masked softmax, concatenation) are rebuilt here from the
 primitives that remain, mostly as products with constant 0/1 matrices, so
 the oracle shares no attention, packing or segment code with the path under
 test. Every helper is taped, so the oracle yields gradients too.
+
+It also keeps the generation loop that re-encodes the whole prefix with
+Model.forward after every draw: the oracle for cached decoding.
 """
 
 from __future__ import annotations
@@ -17,12 +20,15 @@ import numpy as np
 
 from actionflow import encoder as enc
 from actionflow import heads
+from actionflow.data import Action, Ctas
+from actionflow.generation import _draw_gap, _draw_mark
 from actionflow.model import ForwardPass
 from actionflow.numerics import (
     Segments,
     ShapeError,
     Tensor,
     add,
+    cumsum,
     div,
     exp,
     layer_norm,
@@ -124,8 +130,10 @@ def encode(store, cfg, y: Tensor, segs: Segments) -> Tensor:
     for b in range(cfg.blocks):
         x = layer_norm(add(x, attention(store, cfg, x, b)),
                        store[f"block{b}.ln1.gain"], store[f"block{b}.ln1.bias"])
-        x = layer_norm(add(x, enc._feed_forward(store, cfg, x, b, segs)),
-                       store[f"block{b}.ln2.gain"], store[f"block{b}.ln2.bias"])
+        ffn = enc._feed_forward(store, cfg, x, b)
+        if cfg.ffn == "summed":
+            ffn = cumsum(ffn, segs)
+        x = layer_norm(add(x, ffn), store[f"block{b}.ln2.gain"], store[f"block{b}.ln2.bias"])
     return x
 
 
@@ -209,3 +217,43 @@ def total_loss(model, batch, *, gamma: float, margin_weight: float, l2_coeff: fl
             l2 = sq if l2 is None else add(l2, sq)
         total = add(total, mul(l2, l2_coeff))
     return total, per_seq
+
+
+# ---------------------------------------------------------------------------
+# generation by re-encoding the whole prefix
+# ---------------------------------------------------------------------------
+
+def generate(model, request, *, rng=None, seq_id: str = "gen"):
+    """generation.generate with a full Model.forward on the extended prefix
+    after every draw, reading its last row."""
+    request.validate(model)
+    max_len = request.max_len if request.max_len is not None else model.config.max_len
+    if rng is None:
+        rng = np.random.default_rng([request.seed])
+    eos = model.vocab.eos_id
+    actions = [Action(mark=request.first_mark, t=float(request.first_t))]
+    fwd = model.forward([a.mark for a in actions], [a.t for a in actions], Segments(1))
+    while True:
+        last = len(actions) - 1
+        mark = _draw_mark(fwd.mark_prob.data[last], request.mode, rng)
+        gap = _draw_gap(model.time_density_at(fwd, last), request.mode, rng)
+        t_next = actions[-1].t + gap
+        if mark == eos:
+            actions.append(Action(mark=eos, t=t_next))
+            reason = "eos_sampled"
+            break
+        actions.append(Action(mark=mark, t=t_next))
+        fwd = model.forward([a.mark for a in actions], [a.t for a in actions],
+                            Segments(len(actions)))
+        if int(np.argmax(fwd.goal_prob.data[-1])) != request.goal:
+            actions.pop()
+            actions.append(Action(mark=eos, t=t_next))
+            reason = "goal_mismatch"
+            break
+        if len(actions) >= max_len:
+            tail_gap = _draw_gap(model.time_density_at(fwd, len(actions) - 1),
+                                 request.mode, rng)
+            actions.append(Action(mark=eos, t=actions[-1].t + tail_gap))
+            reason = "max_len"
+            break
+    return Ctas(id=seq_id, goal=request.goal, actions=actions), reason

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import reference
 from actionflow.data import Action, Ctas, ClusterMap, Vocab, delete_random
 from actionflow.encoder import embed_actions, encode, set_embed
 from actionflow.evaluation import (
@@ -24,6 +25,7 @@ from actionflow.evaluation import (
     next_action_eval,
     teacher_forced,
 )
+from actionflow.generation import GenRequest, generate
 from actionflow.heads import TimeDensity, log_density, sample_time
 from actionflow.model import Model, ModelConfig
 from actionflow.numerics import Segments, Tensor, finite_difference_check
@@ -333,6 +335,24 @@ def test_criterion_09_generation_quality(trained, announce):
     assert over_cap == 0
     assert result["cl"] >= 0.5
     assert result["apa"] >= 0.6
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "greedy"])
+def test_criterion_09_requests_match_reencoding_oracle(trained, mode):
+    """Criterion 9's 1000 requests, generated with the decode cache and by
+    re-encoding the whole prefix every step: the same marks and stop
+    reasons, and times within 1e-12."""
+    prep, model = trained.prep, trained.model
+    truths = list(prep.test_raw) + list(prep.train_raw[:1000 - len(prep.test_raw)])
+    for rank, seq in enumerate(sorted(truths, key=lambda s: s.id)):
+        request = GenRequest(goal=seq.goal, first_mark=seq.actions[0].mark,
+                             first_t=seq.actions[0].t, mode=mode)
+        got, reason = generate(model, request, rng=np.random.default_rng([0, rank]))
+        want, want_reason = reference.generate(model, request,
+                                               rng=np.random.default_rng([0, rank]))
+        assert (reason, got.marks().tolist()) == (want_reason, want.marks().tolist()), seq.id
+        np.testing.assert_allclose(got.times(), want.times(), rtol=0, atol=1e-12,
+                                   err_msg=seq.id)
 
 
 def test_criterion_10_determinism(announce):

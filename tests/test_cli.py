@@ -75,6 +75,14 @@ class TestSynth:
                      "--out", str(tmp_path / "o.jsonl")]) == 1
         assert capsys.readouterr().err.startswith("E_PARSE:")
 
+    def test_negative_seed_is_config_error_naming_the_key(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC, "seed": -1}))
+        out = tmp_path / "o.jsonl"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("E_CONFIG: seed must be non-negative")
+        assert not out.exists()
+
     def test_invalid_spec_is_config_error(self, capsys, tmp_path):
         payload = json.loads(json.dumps(SPEC))
         payload["goals"][0]["sigma"] = [-1.0, 0.3, 0.3]
@@ -157,13 +165,22 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("E_CONFIG:")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--epochs", "0"], ["--seed", "-1"]],
-                             ids=["epochs_zero", "seed_negative"])
+    @pytest.mark.parametrize("flags", [["--epochs", "0"]], ids=["epochs_zero"])
     def test_bad_override_writes_nothing(self, workspace, capsys, tmp_path, flags):
         out = tmp_path / "f1"
         assert main(["train", "--data", str(workspace["corpus"]),
                      "--out", str(out), *flags]) == 1
         assert capsys.readouterr().err.startswith("E_CONFIG:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_is_usage_error(self, workspace, capsys, tmp_path, seed):
+        # a missing corpus would exit 1, so exit 2 shows the seed is checked first
+        out = tmp_path / "f1"
+        assert main(["train", "--data", str(tmp_path / "none.jsonl"),
+                     "--config", str(workspace["config"]), "--out", str(out),
+                     "--seed", seed]) == 2
+        assert capsys.readouterr().err.startswith("E_USAGE: --seed must be non-negative")
         assert not out.exists()
 
     def test_readme_run_config_parses(self):
@@ -192,9 +209,10 @@ class TestTrain:
             raise TrainingDiverged("epoch 1: loss total is not finite")
 
         monkeypatch.setattr(cli, "train", explode)
+        # prepare's clustering warnings would print before the error line
         assert main(["train", "--data", str(workspace["corpus"]),
                      "--config", str(workspace["config"]),
-                     "--out", str(tmp_path / "x")]) == 1
+                     "--out", str(tmp_path / "x"), "--log-level", "ERROR"]) == 1
         assert capsys.readouterr().err.startswith("E_NUMERIC:")
 
 
@@ -537,6 +555,19 @@ class TestGradcheck:
         assert captured.err.startswith("E_USAGE: --tol must be finite and positive")
         assert "gradcheck ok" not in captured.out
 
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path, seed):
+        # a missing config would exit 1, so exit 2 shows the seed is checked first
+        assert main(["gradcheck", "--config", str(tmp_path / "none.json"),
+                     "--seed", seed]) == 2
+        assert capsys.readouterr().err.startswith("E_USAGE: --seed must be non-negative")
+
+    def test_negative_config_seed_stays_config_error(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"train": {"seed": -1}}))
+        assert main(["gradcheck", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("E_CONFIG:")
+
     def test_impossible_tolerance_fails(self, workspace, capsys):
         assert main(["gradcheck", "--config", str(workspace["config"]),
                      "--tol", "1e-16"]) == 1
@@ -611,6 +642,58 @@ class TestAblateDelete:
                      "--fraction", "0.4", "--seed", seed, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("E_USAGE: --seed must be non-negative")
         assert not out.exists()
+
+
+class TestLogging:
+    """Log records go to stderr as LEVEL: message; -v shows INFO. Nothing a
+    command writes depends on the level."""
+
+    @pytest.fixture(scope="class")
+    def config(self, tmp_path_factory):
+        # no cluster count: the default 8 is lowered to the corpus's
+        # distinct mean gaps, which is an INFO notice
+        path = tmp_path_factory.mktemp("logcfg") / "config.json"
+        path.write_text(json.dumps({"model": {"d": 4, "heads": 2, "blocks": 1},
+                                    "train": CONFIG["train"]}))
+        return path
+
+    def test_verbose_train_shows_epochs_and_writes_the_same_files(
+            self, workspace, config, capsys, tmp_path):
+        runs = {}
+        for flags in ([], ["-v"]):
+            out = tmp_path / ("verbose" if flags else "quiet")
+            assert main(["train", "--data", str(workspace["corpus"]), "--config", str(config),
+                         "--out", str(out), *flags]) == 0
+            err = capsys.readouterr().err
+            report = tmp_path / f"{out.name}.json"
+            assert main(["eval", "--ckpt", str(out), "--data", str(out / "test.jsonl"),
+                         "--report", str(report), *flags]) == 0
+            capsys.readouterr()
+            runs[out.name] = (err, out, report)
+        quiet, verbose = runs["quiet"], runs["verbose"]
+        assert "INFO:" not in quiet[0]
+        assert re.search(r"^INFO: epoch 1: total \S+ \(nll", verbose[0], re.M)
+        assert re.search(r"^INFO: epoch 2: total", verbose[0], re.M)
+        assert re.search(r"^INFO: lowering the cluster count from 8 to", verbose[0], re.M)
+        for name in ("final.json", "best.json", "test.jsonl"):
+            assert (quiet[1] / name).read_bytes() == (verbose[1] / name).read_bytes(), name
+        assert quiet[2].read_bytes() == verbose[2].read_bytes()
+
+    def test_warnings_print_with_a_level_prefix(self, workspace, capsys, tmp_path):
+        # each template's last mark is never followed, so clustering warns
+        args = ["train", "--data", str(workspace["corpus"]),
+                "--config", str(workspace["config"]), "--epochs", "1"]
+        assert main(args + ["--out", str(tmp_path / "a")]) == 0
+        assert re.search(r"^WARNING: mark id \d+ has no observed follower",
+                         capsys.readouterr().err, re.M)
+        assert main(args + ["--out", str(tmp_path / "b"), "--log-level", "ERROR"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_unknown_level_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--spec", "s.json", "--out", "o.jsonl", "--log-level", "LOUD"])
+        assert exc.value.code == 2
+        assert "E_USAGE:" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -7,6 +7,7 @@ import pytest
 from actionflow.encoder import (
     CapacityError,
     _attention,
+    _Packed,
     embed_actions,
     encode,
     init_encoder_params,
@@ -19,6 +20,11 @@ from actionflow.numerics import (GradTape, ParamStore, Segments, ShapeError, Ten
                                  causal_attention, draw_params, sum_all)
 
 D = 8
+
+
+def attention(store, cfg, x, segs):
+    """Block 0's attention stage on packed rows x."""
+    return _attention(store, x, 0, _Packed(segs, cfg.heads))
 
 
 def make_cfg(**kw):
@@ -214,7 +220,7 @@ class TestAttention:
         cfg = make_cfg(blocks=1)
         store = make_store(cfg, seed=8)
         x = Tensor(np.random.default_rng(2).normal(size=(1, D)))
-        out = _attention(store, cfg, x, 0, Segments(1))
+        out = attention(store, cfg, x, Segments(1))
         v = x.data @ store["block0.attn.wv"].data
         expect = v @ store["block0.attn.wo"].data
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
@@ -224,7 +230,7 @@ class TestAttention:
         store = make_store(cfg, seed=9)
         store["block0.attn.wk"].data[:] = 0.0  # all scores collapse to 0
         x = Tensor(np.random.default_rng(3).normal(size=(3, D)))
-        out = _attention(store, cfg, x, 0, Segments(3))
+        out = attention(store, cfg, x, Segments(3))
         v = x.data @ store["block0.attn.wv"].data
         for j in range(3):
             expect = v[: j + 1].mean(axis=0) @ store["block0.attn.wo"].data
@@ -238,7 +244,7 @@ class TestAttention:
         lens = rng.integers(1, 7, size=5)
         lens[0] = 1
         x_all = rng.normal(size=(int(lens.sum()), D))
-        out_all = _attention(store, cfg, Tensor(x_all), 0, Segments(x_all.shape[0], lens)).data
+        out_all = attention(store, cfg, Tensor(x_all), Segments(x_all.shape[0], lens)).data
         for n, end in zip(lens, np.cumsum(lens)):
             k = int(n)
             x, out = x_all[end - k:end], out_all[end - k:end]

@@ -1,10 +1,13 @@
 """Tests for goal-conditioned generation and its stopping behavior."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import reference
 from actionflow.data import ClusterMap, DataError, Vocab
-from actionflow.encoder import CapacityError
+from actionflow.encoder import CapacityError, DecodeCache
 from actionflow.generation import (
     MODES,
     TERMINATION_REASONS,
@@ -13,14 +16,26 @@ from actionflow.generation import (
     generate,
 )
 from actionflow.model import Model, ModelConfig
+from actionflow.numerics import NumericError, Segments
 
 
-def make_model(seed=0, max_len=8):
+def make_model(seed=0, max_len=8, **arch):
     vocab = Vocab(["a", "b", "c"], ["g0", "g1"],
                   goal_marks={0: (0, 1), 1: (1, 2)})
     cm = ClusterMap(m=2, mark_to_cluster={i: i % 2 for i in range(vocab.n_marks)})
-    cfg = ModelConfig(d=4, heads=2, blocks=1, clusters=2, max_len=max_len)
+    cfg = ModelConfig(**{"d": 4, "heads": 2, "blocks": 1, "clusters": 2, "max_len": max_len,
+                         **arch})
     return Model.init(cfg, vocab, cm, seed=seed)
+
+
+# variant x feed-forward form x blocks x heads
+ARCHS = [dict(variant=v, ffn=f, blocks=b, heads=h)
+         for v, f, b, h in itertools.product(("base", "plus"), ("summed", "standard"),
+                                             (1, 2), (1, 2))]
+
+
+def arch_id(arch):
+    return "{variant}-{ffn}-{blocks}b-{heads}h".format(**arch)
 
 
 def force_mark(model, mark, strength=50.0):
@@ -213,3 +228,124 @@ class TestCoreActions:
             type(seq)(id=seq.id, goal=seq.goal, actions=trimmed),
             model.vocab.eos_id)
         assert again == trimmed
+
+
+PREDICTIONS = ("mark_logprob", "mark_prob", "goal_logprob", "goal_prob", "mu", "sigma2")
+
+
+def random_prefix(rng, model, n):
+    """n actions over every mark id, the terminal one included, with some
+    repeated times."""
+    marks = rng.integers(0, model.vocab.n_marks, size=n)
+    gaps = rng.uniform(0.05, 2.0, size=n) * (rng.random(n) > 0.2)
+    return marks, np.cumsum(gaps)
+
+
+class TestCachedStep:
+    """Model.step encodes one appended action against the DecodeCache; its
+    one row must be the last row of Model.forward on the whole prefix."""
+
+    @pytest.mark.parametrize("arch", ARCHS, ids=arch_id)
+    def test_every_step_is_the_last_forward_row(self, arch):
+        max_len = 10
+        for seed in range(2):
+            model = make_model(seed=seed, max_len=max_len, **arch)
+            marks, times = random_prefix(np.random.default_rng(seed), model, max_len)
+            cache = DecodeCache(model.config, max_len)
+            for n in range(1, max_len + 1):
+                pred = model.step(cache, int(marks[n - 1]), float(times[n - 1]))
+                fwd = model.forward(marks[:n], times[:n], Segments(n))
+                for name in PREDICTIONS:
+                    got, want = getattr(pred, name).data, getattr(fwd, name).data
+                    assert got.shape == (1, want.shape[1]), name
+                    np.testing.assert_allclose(got[0], want[-1], rtol=0, atol=1e-12,
+                                               err_msg=f"{name} at prefix {n}")
+
+    @staticmethod
+    def run_both(model, marks, times, capacity):
+        """The exception types that stepping through the actions and one
+        forward pass over all of them raise (None for no error)."""
+        def outcome(call):
+            try:
+                call()
+            except (DataError, CapacityError, NumericError) as e:
+                return type(e)
+            return None
+
+        def steps():
+            cache = DecodeCache(model.config, capacity)
+            for mark, t in zip(marks, times):
+                model.step(cache, mark, t)
+
+        return outcome(steps), outcome(lambda: model.forward(marks, times, Segments(len(marks))))
+
+    @pytest.mark.parametrize("marks,times,error", [
+        ([0, 1, 2], [0.0, 1.0, 0.5], DataError),  # time goes backwards
+        ([0], [-0.5], DataError),                  # before time zero
+        ([0, 5], [0.0, 1.0], DataError),           # mark outside the vocabulary
+        ([0, -1], [0.0, 1.0], DataError),
+    ], ids=["backwards", "negative_first", "mark_too_large", "mark_negative"])
+    def test_keeps_the_data_checks(self, marks, times, error):
+        model = make_model(seed=4)
+        assert self.run_both(model, marks, times, capacity=8) == (error, error)
+
+    def test_mark_without_cluster(self):
+        vocab = Vocab(["a", "b", "c"], ["g0", "g1"], goal_marks={0: (0, 1), 1: (1, 2)})
+        clusters = ClusterMap(m=2, mark_to_cluster={0: 0, 1: 1})
+        model = Model.init(ModelConfig(d=4, heads=2, blocks=1, clusters=2, max_len=6),
+                           vocab, clusters, seed=0)
+        assert self.run_both(model, [0, 2], [0.0, 1.0], 6) == (DataError, DataError)
+
+    def test_non_finite_is_numeric_error(self):
+        model = make_model(seed=5)
+        model.store["block0.attn.wq"].data[0, 0] = np.nan
+        assert self.run_both(model, [0, 1], [0.0, 1.0], 8) == (NumericError, NumericError)
+
+    def test_overflowing_time_is_numeric_error(self):
+        model = make_model(seed=5)
+        assert self.run_both(model, [0, 1], [0.0, 1e308], 8) == (NumericError, NumericError)
+
+    def test_capacity(self):
+        model = make_model(seed=6, max_len=4)  # a 5-row positional table
+        marks, times = [0] * 6, np.arange(6.0)
+        # a cache holds as many actions as it was made for
+        assert self.run_both(model, marks[:3], times[:3], 2)[0] is CapacityError
+        assert self.run_both(model, marks[:5], times[:5], 5) == (None, None)
+        # beyond the positional table, a larger cache still refuses the action
+        assert self.run_both(model, marks, times, 6) == (CapacityError, CapacityError)
+
+
+def assert_same_generation(got, want):
+    (seq, reason), (ref_seq, ref_reason) = got, want
+    assert reason == ref_reason
+    assert seq.id == ref_seq.id and seq.goal == ref_seq.goal
+    assert seq.marks().tolist() == ref_seq.marks().tolist()
+    np.testing.assert_allclose(seq.times(), ref_seq.times(), rtol=0, atol=1e-12)
+
+
+class TestMatchesReencodingOracle:
+    """generate equals the loop that re-encodes the whole prefix each step."""
+
+    @pytest.mark.parametrize("arch", ARCHS, ids=arch_id)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_random_models(self, arch, mode):
+        reasons = set()
+        for trial in range(12):
+            model = make_model(seed=trial, max_len=12, **arch)
+            if trial % 3 == 0:  # no mismatch, no terminal mark: runs to the cap
+                force_goal(model, trial % 2)
+                model.store["mark.bias"].data[model.vocab.eos_id] = -50.0
+            req = GenRequest(goal=trial % 2, first_mark=trial % 3, first_t=0.3 * trial,
+                             seed=trial, mode=mode)
+            got = generate(model, req, seq_id=f"g{trial}")
+            assert_same_generation(got, reference.generate(model, req, seq_id=f"g{trial}"))
+            reasons.add(got[1])
+        assert "max_len" in reasons
+
+    def test_explicit_rng(self):
+        model = make_model(seed=9, variant="plus", blocks=2)
+        req = GenRequest(goal=0, first_mark=1, max_len=6)
+        for seed in range(8):
+            assert_same_generation(
+                generate(model, req, rng=np.random.default_rng([seed, 1])),
+                reference.generate(model, req, rng=np.random.default_rng([seed, 1])))

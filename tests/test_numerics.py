@@ -24,6 +24,7 @@ from actionflow.numerics import (
     ShapeError,
     Tensor,
     add,
+    attend,
     causal_attention,
     cumsum,
     div,
@@ -49,6 +50,7 @@ from reference import concat, masked_fill, slice_cols, softmax, take_cols, trans
 # fixed output weights for the attention gradient checks, so that no
 # symmetry of sum_all hides a wrong entry
 ATTN_WEIGHTS = Tensor(np.random.default_rng(77).normal(size=(6, 4)))
+ATTEND_WEIGHTS = Tensor(np.random.default_rng(78).normal(size=(2, 4)))
 
 
 def make_store(shapes, seed):
@@ -301,6 +303,12 @@ class TestPerPrimitiveGradients:
             lambda s: sum_all(mul(causal_attention(s["q"], s["k"], s["v"],
                                                    Segments(6, [4, 1, 1]), 2),
                                   ATTN_WEIGHTS))),
+        "attend_1head": (
+            {"q": (2, 4), "k": (5, 4), "v": (5, 4)},
+            lambda s: sum_all(mul(attend(s["q"], s["k"], s["v"], 1), ATTEND_WEIGHTS))),
+        "attend_2heads": (
+            {"q": (2, 4), "k": (5, 4), "v": (5, 4)},
+            lambda s: sum_all(mul(attend(s["q"], s["k"], s["v"], 2), ATTEND_WEIGHTS))),
         "layer_norm": ({"x": (4, 6), "g": (6,), "b": (6,)},
                        lambda s: sum_all(mul(layer_norm(s["x"], s["g"], s["b"]),
                                              layer_norm(s["x"], s["g"], s["b"])))),
@@ -881,3 +889,43 @@ class TestFiniteDifferenceCheck:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             finite_difference_check(lambda s: sum_all(Tensor([1.0])), ParamStore(), h=0.0)
+
+
+class TestAttend:
+    """attend: every query row over every key row, as cached decoding uses it."""
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_one_row_over_its_prefix_is_that_causal_row(self, heads):
+        rng = np.random.default_rng(90 + heads)
+        q, k, v = (rng.normal(size=(9, 8)) for _ in range(3))
+        full = causal_attention(Tensor(q), Tensor(k), Tensor(v), Segments(9), heads).data
+        for i in range(9):
+            row = attend(Tensor(q[i:i + 1]), Tensor(k[:i + 1]), Tensor(v[:i + 1]), heads).data
+            np.testing.assert_allclose(row[0], full[i], rtol=0, atol=1e-12)
+
+    def test_several_queries_see_every_key(self):
+        rng = np.random.default_rng(93)
+        q, k, v = rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        got = attend(Tensor(q), Tensor(k), Tensor(v), 2).data
+        for i in range(3):
+            for h in (slice(0, 2), slice(2, 4)):
+                scores = k[:, h] @ q[i, h] / np.sqrt(2)
+                e = np.exp(scores - scores.max())
+                np.testing.assert_allclose(got[i, h], (e / e.sum()) @ v[:, h],
+                                           rtol=0, atol=1e-12)
+
+    def test_shape_errors(self):
+        x, y = Tensor(np.ones((1, 4))), Tensor(np.ones((3, 4)))
+        with pytest.raises(ShapeError):
+            attend(x, y, Tensor(np.ones((2, 4))), 2)
+        with pytest.raises(ShapeError):
+            attend(Tensor(np.ones((1, 3))), y, y, 1)
+        with pytest.raises(ShapeError):
+            attend(Tensor(np.ones(4)), y, y, 1)
+        with pytest.raises(ShapeError):
+            attend(x, y, y, 3)
+
+    def test_non_finite_is_numeric_error(self):
+        y = Tensor(np.ones((3, 4)))
+        with pytest.raises(NumericError, match="attend"):
+            attend(Tensor(np.full((1, 4), np.nan)), y, y, 2)

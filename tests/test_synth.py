@@ -90,6 +90,12 @@ class TestSpecValidation:
         with pytest.raises(SynthSpecError, match="must be"):
             SynthSpec.from_dict(payload)
 
+    def test_negative_seed_names_the_key(self):
+        payload = two_goal_spec().to_dict()
+        payload["seed"] = -1
+        with pytest.raises(SynthSpecError, match="seed must be non-negative, got -1"):
+            SynthSpec.from_dict(payload)
+
     def test_missing_goal_field_rejected(self):
         payload = two_goal_spec().to_dict()
         del payload["goals"][1]["sigma"]
