@@ -9,6 +9,7 @@ generation on the held-out split. Takes around half a minute.
 import math
 import os
 
+from actionflow.data import write_record
 from actionflow.evaluation import full_report, majority_mark_baseline
 from actionflow.model import ModelConfig
 from actionflow.synth import GoalTemplate, SynthSpec, generate
@@ -51,8 +52,8 @@ def main():
         print(f"  cluster {cluster}: {members}")
 
     report = full_report(model, prep.test_raw, seed=0,
-                         config_echo={"model": model.config.to_dict(),
-                                      "train": train_cfg.to_dict()})
+                         config_echo={"model": write_record(model.config),
+                                      "train": write_record(train_cfg)})
     baseline = majority_mark_baseline(prep.train_raw, prep.test_raw)
 
     print(f"\nheld-out metrics over {report.transitions} transitions:")

@@ -41,7 +41,7 @@ import numpy as np
 
 from .data import (Action, ClusterMap, Ctas, DataError, ParseError, Vocab,
                    append_eos, delete_random, load_corpus, read_record,
-                   remap_corpus, write_corpus)
+                   remap_corpus, write_corpus, write_record)
 from .encoder import CapacityError
 from .evaluation import (DEFAULT_PREFIXES, full_report, sensitivity_sweep,
                          write_sweep_csv)
@@ -91,10 +91,6 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     data: DataSection = field(default_factory=DataSection)
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunConfig":
-        return read_record(cls, payload, "run config")
-
 
 def _read_json(path) -> dict:
     try:
@@ -111,7 +107,8 @@ def _load_run_config(args) -> RunConfig:
     before any command writes a file."""
     if getattr(args, "seed", None) is not None:
         _check_seed(args.seed)
-    cfg = RunConfig.from_dict(_read_json(args.config)) if args.config else RunConfig()
+    cfg = (read_record(RunConfig, _read_json(args.config), "run config") if args.config
+           else RunConfig())
     overrides = {name: getattr(args, name) for name in ("seed", "epochs")
                  if getattr(args, name, None) is not None}
     if overrides:
@@ -206,8 +203,8 @@ def cmd_eval(args) -> int:
     raw, file_vocab = load_corpus(args.data)
     # ids in the file follow its own interning order; line them up by name
     test = remap_corpus(raw, file_vocab, model.vocab)
-    echo = {"model": model.config.to_dict(),
-            "train": None if ckpt.train_config is None else ckpt.train_config.to_dict()}
+    echo = {"model": write_record(model.config),
+            "train": None if ckpt.train_config is None else write_record(ckpt.train_config)}
     report = full_report(model, test, seed=args.seed, prefix_fractions=prefixes,
                          config_echo=echo, with_generation=not args.skip_generation)
     report.save(args.report)
@@ -300,8 +297,8 @@ def cmd_sweep(args) -> int:
         raise CliError("E_CONFIG", "no corpus: pass --data or set data.corpus in the config")
     if not os.path.isfile(corpus_path):
         raise CliError("E_DATA", f"no such file: {corpus_path}")
-    rows, keys = sensitivity_sweep(corpus_path, cfg.model.to_dict(),
-                                   cfg.train.to_dict(), grid, workers=args.workers)
+    rows, keys = sensitivity_sweep(corpus_path, write_record(cfg.model),
+                                   write_record(cfg.train), grid, workers=args.workers)
     write_sweep_csv(rows, keys, args.out)
     failed = sum(1 for r in rows if r["status"] != "ok")
     print(f"swept {len(rows)} points ({failed} failed) -> {args.out}")

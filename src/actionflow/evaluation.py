@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Ctas, load_corpus
+from .data import Ctas, load_corpus, read_record
 from .generation import TERMINATION_REASONS, GenRequest, core_actions, generate
 from .model import Model, ModelConfig, pack
 from .training import TrainConfig, run_training
@@ -301,7 +301,7 @@ def sweep_point(corpus_path: str, model_dict: dict, train_dict: dict,
         for key, value in point.items():
             _assign_key(model_dict, train_dict, key, value)
         corpus, vocab = load_corpus(corpus_path)
-        model_cfg = ModelConfig.from_dict(model_dict)
+        model_cfg = read_record(ModelConfig, model_dict, "model config")
         train_cfg = TrainConfig.from_dict(train_dict)
         model, prep, _ = run_training(corpus, vocab, model_cfg, train_cfg)
         report = full_report(model, prep.test_raw, with_generation=False)

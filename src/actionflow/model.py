@@ -14,20 +14,18 @@ shares every head and every per-row layer with the forward pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import encoder as enc
 from . import heads
-from .data import ClusterMap, Ctas, Vocab, read_record
+from .data import ClusterMap, Ctas, Vocab
 from .numerics import ParamSpec, ParamStore, Segments, Tensor, draw_params, exp, log_softmax
 
 VARIANTS = ("base", "plus")
 
 FFN_FORMS = ("summed", "standard")
-
-CONFIG_VERSION = 1
 
 
 @dataclass
@@ -39,6 +37,8 @@ class ModelConfig:
     fits. Set max_len to None to have the training driver derive it from
     the corpus (1.5 times the longest raw training sequence, rounded up).
     """
+
+    VERSION = 1  # saved as "version"; unannotated, so not a field
 
     d: int = 16
     heads: int = 2
@@ -70,13 +70,6 @@ class ModelConfig:
             raise ValueError(f"block count must be positive, got {self.blocks}")
         if self.ffn not in FFN_FORMS:
             raise ValueError(f"feed-forward form must be one of {FFN_FORMS}, got {self.ffn!r}")
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "version": CONFIG_VERSION}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModelConfig":
-        return read_record(cls, payload, "model config", version=CONFIG_VERSION)
 
 
 @dataclass

@@ -30,8 +30,6 @@ import numpy as np
 
 from .data import Ctas, Action, Vocab, read_record
 
-SYNTH_VERSION = 1
-
 
 class SynthSpecError(ValueError):
     """The generator spec is structurally or numerically invalid."""
@@ -69,14 +67,16 @@ class GoalTemplate:
                     f"goal {self.name!r}: swap pair ({i}, {j}) outside template of length {n}")
 
 
-@dataclass
+@dataclass(kw_only=True)  # so that goals, saved last, is declared last
 class SynthSpec:
     """Full generator configuration: goals, noise level, count, and seed."""
 
-    goals: list[GoalTemplate]
+    VERSION = 1  # saved as "version"; unannotated, so not a field
+
     count: int
     seed: int = 0
     swap_prob: float = 0.0
+    goals: list[GoalTemplate]
 
     def validate(self) -> None:
         if not self.goals:
@@ -93,28 +93,10 @@ class SynthSpec:
         for g in self.goals:
             g.validate()
 
-    def to_dict(self) -> dict:
-        return {
-            "version": SYNTH_VERSION,
-            "count": self.count,
-            "seed": self.seed,
-            "swap_prob": self.swap_prob,
-            "goals": [
-                {
-                    "name": g.name,
-                    "template": list(g.template),
-                    "mu": list(g.mu),
-                    "sigma": list(g.sigma),
-                    "swap_pairs": [list(p) for p in g.swap_pairs],
-                }
-                for g in self.goals
-            ],
-        }
-
     @classmethod
     def from_dict(cls, payload: dict) -> "SynthSpec":
         try:
-            return read_record(cls, payload, "synth spec", version=SYNTH_VERSION)
+            return read_record(cls, payload, "synth spec")
         except ValueError as e:
             raise SynthSpecError(str(e)) from None
 

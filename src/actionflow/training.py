@@ -12,12 +12,13 @@ A checkpoint is one versioned JSON record: model config, vocabulary, cluster
 map, the parameters' names and shapes once, then the parameter vector and
 Adam's state (its step and two moment vectors laid out like
 ``ParamStore.flat``). Each vector is one base64 string of little-endian
-float64 bytes (``data.encode_vector``), so it round-trips bit for bit. Every
-field is read by ``data.read_record`` and checked for type and range, so a
-bad file is one ValueError. Loading compares the names and shapes with those
-the config describes before any parameter is allocated, refuses a file whose
-names, shapes or vectors do not fit, and builds the store over the saved
-parameter vector. A resumed run builds its Adam from the TrainConfig it is
+float64 bytes (``data.encode_vector``), so it round-trips bit for bit. The
+file is declared once, as ``_SavedCheckpoint``: ``data.write_record`` writes
+it and ``data.read_record`` reads it back, checking every field for type and
+range, so a bad file is one ValueError. Loading compares the names and
+shapes with those the config describes before any parameter is allocated,
+refuses a file whose names, shapes or vectors do not fit, and builds the
+store over the saved parameter vector. A resumed run builds its Adam from the TrainConfig it is
 given and loads only the saved state into it; with the saved config it
 reproduces an uninterrupted run bit for bit.
 """
@@ -29,7 +30,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,11 +41,11 @@ from .data import (
     append_eos_corpus,
     build_clusters,
     distinct_durations,
-    encode_vector,
     median_gap,
     observed_marks_by_goal,
     read_record,
     split_by_goal,
+    write_record,
 )
 from .model import Model, ModelConfig, layout
 from .numerics import GradTape, NumericError, ParamStore
@@ -95,9 +96,6 @@ class TrainConfig:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not (0.0 <= self.margin_weight < math.inf and 0.0 <= self.l2_coeff < math.inf):
             raise ValueError("margin_weight and l2_coeff must be finite and non-negative")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrainConfig":
@@ -151,34 +149,21 @@ class Adam:
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _layout(store: ParamStore) -> tuple[list[str], list[list[int]]]:
-    """The parameters' names and shapes, in ``flat`` order, as JSON lists."""
-    return store.names(), [list(t.data.shape) for t in store.tensors]
-
-
 def save_checkpoint(path, model: Model, train_cfg: TrainConfig | None = None,
                     optimizer: Adam | None = None, epoch: int = 0,
                     best_total: float | None = None) -> None:
     """Write the checkpoint atomically: a crash mid-write leaves the old file."""
-    names, shapes = _layout(model.store)
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "model_config": model.config.to_dict(),
-        "vocab": model.vocab.to_dict(),
-        "clusters": model.clusters.to_dict(),
-        "names": names,
-        "shapes": shapes,
-        "params": encode_vector(model.store.flat),
-        "train_config": None if train_cfg is None else train_cfg.to_dict(),
-        "optimizer": None if optimizer is None else {
-            "step": optimizer.step, "m": encode_vector(optimizer.m),
-            "v": encode_vector(optimizer.v)},
-        "epoch": epoch,
-        "best_total": best_total,
-    }
+    store = model.store
+    saved = _SavedCheckpoint(
+        model_config=model.config, vocab=model.vocab, clusters=model.clusters,
+        names=store.names(), shapes=[list(t.data.shape) for t in store.tensors],
+        params=store.flat, train_config=train_cfg,
+        optimizer=None if optimizer is None else OptimizerState(
+            optimizer.step, optimizer.m, optimizer.v),
+        epoch=epoch, best_total=best_total)
     # one string from the C encoder, one write: json.dump would run the
     # pure-Python encoder and write it chunk by chunk, at twice the cost
-    text = json.dumps(payload)
+    text = json.dumps(write_record(saved))
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -208,8 +193,10 @@ class OptimizerState:
 
 @dataclass
 class _SavedCheckpoint:
-    """The checkpoint file after its version, one key per field;
-    save_checkpoint writes it."""
+    """The checkpoint file: its version, then one key per field. save_checkpoint
+    writes it with ``data.write_record`` and load_checkpoint reads it back."""
+
+    VERSION = CHECKPOINT_VERSION  # saved as "version"; unannotated, so not a field
 
     model_config: ModelConfig
     vocab: Vocab
@@ -263,7 +250,7 @@ def load_checkpoint(path) -> Checkpoint:
     """
     with open(path, "r", encoding="utf-8") as fh:
         saved = read_record(_SavedCheckpoint, json.load(fh), "checkpoint",
-                            version=CHECKPOINT_VERSION, require_version=True)
+                            require_version=True)
     if (saved.names, saved.shapes) != layout(saved.model_config, saved.vocab, saved.clusters):
         raise ValueError("checkpoint names and shapes do not match the parameters "
                          "its model config builds")

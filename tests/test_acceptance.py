@@ -15,7 +15,7 @@ import pytest
 from scipy import integrate
 
 import reference
-from actionflow.data import Action, Ctas, ClusterMap, Vocab, delete_random
+from actionflow.data import Action, Ctas, ClusterMap, Vocab, delete_random, write_record
 from actionflow.encoder import embed_actions, encode, set_embed
 from actionflow.evaluation import (
     full_report,
@@ -362,8 +362,8 @@ def test_criterion_10_determinism(announce):
         tcfg = TrainConfig(epochs=2, seed=1, lr=3e-3)
         model, prep, _ = run_training(corpus, vocab, mcfg, tcfg)
         report = full_report(model, prep.test_raw, seed=0,
-                             config_echo={"model": model.config.to_dict(),
-                                          "train": tcfg.to_dict()})
+                             config_echo={"model": write_record(model.config),
+                                          "train": write_record(tcfg)})
         return report.json_bytes()
 
     first = pipeline()

@@ -14,7 +14,7 @@ import pytest
 
 from actionflow import cli
 from actionflow.cli import RunConfig, main
-from actionflow.data import decode_vector, encode_vector
+from actionflow.data import decode_vector, encode_vector, read_record
 from actionflow.training import CHECKPOINT_VERSION, TrainingDiverged
 
 SPEC = {
@@ -186,7 +186,7 @@ class TestTrain:
     def test_readme_run_config_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"\*\*Run config\*\*.*?```json\n(.*?)```", readme, re.S).group(1)
-        cfg = RunConfig.from_dict(json.loads(block))
+        cfg = read_record(RunConfig, json.loads(block), "run config")
         assert cfg.data.corpus == "corpus.jsonl"
         assert cfg.train.margin_weight == 0.1
 
@@ -209,10 +209,9 @@ class TestTrain:
             raise TrainingDiverged("epoch 1: loss total is not finite")
 
         monkeypatch.setattr(cli, "train", explode)
-        # prepare's clustering warnings would print before the error line
         assert main(["train", "--data", str(workspace["corpus"]),
                      "--config", str(workspace["config"]),
-                     "--out", str(tmp_path / "x"), "--log-level", "ERROR"]) == 1
+                     "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err.startswith("E_NUMERIC:")
 
 
@@ -479,6 +478,62 @@ class TestUnreadableCheckpoint:
         assert err.startswith("E_NO_CKPT:") and "unsupported checkpoint version 1" in err
 
 
+HUGE = 10**400  # written out as a 401-digit JSON integer, which no float64 holds
+
+# input kind -> (where the integer goes, the exit code, what the message names)
+HUGE_CASES = {
+    "synth_mu": ("spec", "E_CONFIG", "'mu'[0] is an integer too large"),
+    "train_lr": ("config", "E_CONFIG", "'lr' is an integer too large"),
+    "train_margin_weight": ("config", "E_CONFIG", "'margin_weight' is an integer too large"),
+    "model_alpha_mark": ("config", "E_CONFIG", "'alpha_mark' is an integer too large"),
+    "best_total": ("checkpoint", "E_NO_CKPT", "'best_total' is an integer too large"),
+    "cluster_mean": ("checkpoint", "E_NO_CKPT", "'means'['0'] is an integer too large"),
+    "corpus_time": ("corpus", "E_DATA", "time at index 1 is too large for a float"),
+}
+
+
+@pytest.mark.parametrize("kind", HUGE_CASES)
+def test_integer_beyond_any_float_is_refused_and_writes_nothing(workspace, capsys, tmp_path,
+                                                                 kind):
+    where, code, message = HUGE_CASES[kind]
+    given = tmp_path / "given"
+    given.mkdir()
+    out = tmp_path / "out"
+    config = workspace["config"]
+    corpus = workspace["corpus"]
+    if where == "spec":
+        spec = json.loads(json.dumps(SPEC))
+        spec["goals"][0]["mu"][0] = HUGE
+        (given / "spec.json").write_text(json.dumps(spec))
+        args = ["synth", "--spec", str(given / "spec.json"), "--out", str(out)]
+    elif where == "checkpoint":
+        payload = json.loads((workspace["run"] / "final.json").read_text())
+        if kind == "best_total":
+            payload["best_total"] = HUGE
+        else:
+            payload["clusters"]["means"]["0"] = HUGE
+        (given / "final.json").write_text(json.dumps(payload))
+        args = ["eval", "--ckpt", str(given), "--data", str(workspace["run"] / "test.jsonl"),
+                "--report", str(out)]
+    else:
+        if where == "config":
+            section, key = kind.split("_", 1)
+            payload = {**CONFIG, section: {**CONFIG[section], key: HUGE}}
+            config = given / "config.json"
+            config.write_text(json.dumps(payload))
+        else:
+            records = [json.loads(line) for line in corpus.read_text().splitlines()]
+            records[0]["actions"][1]["t"] = HUGE
+            corpus = given / "corpus.jsonl"
+            corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+        args = ["train", "--data", str(corpus), "--config", str(config), "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{code}: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+    assert len(os.listdir(given)) == 1  # only the input this test wrote
+
+
 class TestGenerate:
     def test_writes_sequences_and_reasons(self, workspace, capsys, tmp_path):
         out = tmp_path / "gen.jsonl"
@@ -680,14 +735,28 @@ class TestLogging:
         assert quiet[2].read_bytes() == verbose[2].read_bytes()
 
     def test_warnings_print_with_a_level_prefix(self, workspace, capsys, tmp_path):
-        # each template's last mark is never followed, so clustering warns
-        args = ["train", "--data", str(workspace["corpus"]),
-                "--config", str(workspace["config"]), "--epochs", "1"]
-        assert main(args + ["--out", str(tmp_path / "a")]) == 0
-        assert re.search(r"^WARNING: mark id \d+ has no observed follower",
-                         capsys.readouterr().err, re.M)
-        assert main(args + ["--out", str(tmp_path / "b"), "--log-level", "ERROR"]) == 0
+        # deleting 90% of a three-action sequence leaves one action, so
+        # every sequence is dropped with a warning
+        args = ["ablate-delete", "--data", str(workspace["corpus"]), "--fraction", "0.9"]
+        assert main(args + ["--out", str(tmp_path / "a.jsonl")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 30
+        assert all(re.fullmatch(r"WARNING: sequence s\d+ reduced below 2 actions; dropped",
+                                line) for line in err)
+        assert main(args + ["--out", str(tmp_path / "b.jsonl"), "--log-level", "ERROR"]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_default_train_prints_nothing_to_stderr(self, workspace, capsys, tmp_path):
+        # each template's last mark is never followed: an INFO notice, not a warning
+        assert main(["train", "--data", str(workspace["corpus"]),
+                     "--config", str(workspace["config"]), "--epochs", "1",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["train", "--data", str(workspace["corpus"]),
+                     "--config", str(workspace["config"]), "--epochs", "1",
+                     "--out", str(tmp_path / "verbose"), "-v"]) == 0
+        assert re.search(r"^INFO: mark id \d+ has no observed follower",
+                         capsys.readouterr().err, re.M)
 
     def test_unknown_level_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -31,6 +31,7 @@ from actionflow.data import (
     remap_corpus,
     split_by_goal,
     write_corpus,
+    write_record,
 )
 
 
@@ -99,14 +100,27 @@ class Saved:
     vector: np.ndarray | None = None
 
 
+@dataclass
+class VersionedOuter(Outer):
+    VERSION = 2
+
+
+@dataclass
+class VersionedSaved(Saved):
+    VERSION = 2
+
+
 class TestReadRecord:
     def test_reads_every_annotation_kind(self):
         rec = read_record(Outer, {"count": 3, "rate": 2, "flag": True, "label": None,
                                   "pairs": [[0, 1]], "inner": {"name": "a", "weights": [1.5]}},
                           "outer")
         assert rec == Outer(3, 2, True, None, [[0, 1]], Inner("a", [1.5]))
-        # an int where a float is wanted stays an int, so echoes round-trip
+        # an int where a float is wanted stays an int, so echoes round-trip,
+        # up to the largest a float64 holds
         assert type(rec.rate) is int
+        largest = int(np.finfo(np.float64).max)
+        assert read_record(Outer, {"count": 1, "rate": largest}, "outer").rate == largest
 
     @pytest.mark.parametrize("payload,message", [
         ({"count": 2.5}, "outer key 'count' must be int, got float"),
@@ -123,17 +137,30 @@ class TestReadRecord:
         ({"rate": 0.5}, "outer is missing key 'count'"),
         ([1], "outer must be a JSON object, got list"),
         ({"count": 1, "pairs": [[1, True]]}, r"outer key 'pairs'\[0\]\[1\] must be int, got bool"),
+        ({"count": 1, "rate": 10**400}, "outer key 'rate' is an integer too large for a float"),
+        ({"count": 1, "rate": -2**1024}, "outer key 'rate' is an integer too large for a float"),
     ])
     def test_rejections_name_the_key(self, payload, message):
         with pytest.raises(ValueError, match=message):
             read_record(Outer, payload, "outer")
 
     def test_version_key(self):
-        assert read_record(Outer, {"count": 1, "version": 2}, "outer", version=2).count == 1
+        assert read_record(VersionedOuter, {"count": 1, "version": 2}, "outer").count == 1
         with pytest.raises(ValueError, match="unsupported outer version 3"):
-            read_record(Outer, {"count": 1, "version": 3}, "outer", version=2)
+            read_record(VersionedOuter, {"count": 1, "version": 3}, "outer")
+        # a class without a VERSION has no version key
         with pytest.raises(ValueError, match="unknown outer key 'version'"):
             read_record(Outer, {"count": 1, "version": 2}, "outer")
+
+    def test_write_record_orders_ids_and_lists_tuples(self):
+        rec = Saved(table={10: 0.5, 2: 1}, nested={3: (4, 5)}, vector=np.array([0.5]))
+        payload = write_record(rec)
+        assert json.dumps(payload) == json.dumps(
+            {"by_id": {"2": 1, "10": 0.5}, "nested": {"3": [4, 5]},
+             "vector": encode_vector(np.array([0.5]))})
+        assert write_record(VersionedOuter(1)) == {"version": 2, **write_record(Outer(1))}
+        assert list(write_record(VersionedOuter(1))) == [
+            "version", "count", "rate", "flag", "label", "pairs", "inner"]
 
     def test_reads_ids_vectors_and_saved_keys(self):
         rec = read_record(Saved, {"by_id": {"0": 1.5, "12": 2}, "nested": {"3": [4, 5]},
@@ -175,22 +202,24 @@ class TestReadRecord:
         assert calls == [dict[int, float], np.ndarray | None, np.ndarray]
 
     def test_required_version_is_an_int_checked_first(self):
-        assert read_record(Saved, {"version": 2, "by_id": {"0": 1.5}}, "saved",
-                           version=2, require_version=True).table == {0: 1.5}
+        assert read_record(VersionedSaved, {"version": 2, "by_id": {"0": 1.5}}, "saved",
+                           require_version=True).table == {0: 1.5}
         with pytest.raises(ValueError, match="saved is missing key 'version'"):
-            read_record(Saved, {"by_id": {}}, "saved", version=2, require_version=True)
+            read_record(VersionedSaved, {"by_id": {}}, "saved", require_version=True)
         # left out, the version is only refused when required
-        assert read_record(Saved, {"by_id": {}}, "saved", version=2).table == {}
+        assert read_record(VersionedSaved, {"by_id": {}}, "saved").table == {}
         for bad in (2.0, True, "2"):
             with pytest.raises(ValueError, match="saved key 'version' must be int"):
-                read_record(Saved, {"version": bad, "by_id": {}}, "saved", version=2)
+                read_record(VersionedSaved, {"version": bad, "by_id": {}}, "saved")
         # the version is refused before any other key is read
         with pytest.raises(ValueError, match="unsupported saved version 1"):
-            read_record(Saved, {"by_id": {"x": 0}, "version": 1}, "saved", version=2)
+            read_record(VersionedSaved, {"by_id": {"x": 0}, "version": 1}, "saved")
 
     def test_unsupported_annotation_raises(self):
         with pytest.raises(TypeError, match="no reader"):
             read_record(Unsupported, {"table": {}}, "unsupported")
+        with pytest.raises(TypeError, match="no writer"):
+            write_record(Unsupported())
 
 
 class TestSequenceInvariants:
@@ -321,7 +350,7 @@ class TestVocab:
 
     def test_dict_round_trip(self):
         vocab = Vocab(["a", "b"], ["g0", "g1"], goal_marks={0: (0,), 1: (0, 1)})
-        clone = Vocab.from_dict(vocab.to_dict())
+        clone = read_record(Vocab, write_record(vocab), "vocab")
         assert clone.mark_names == vocab.mark_names
         assert clone.goal_names == vocab.goal_names
         assert clone.goal_marks == vocab.goal_marks
@@ -331,7 +360,7 @@ class TestVocab:
         # two goals and two raw marks: goal 2, mark 2 (the terminal) and -1 lie outside
         payload = {"marks": ["a", "b"], "goals": ["g0", "g1"], "goal_marks": goal_marks}
         with pytest.raises(DataError, match="goal_marks entry"):
-            Vocab.from_dict(payload)
+            read_record(Vocab, payload, "vocab")
 
     def test_marks_for_goal_requires_built_sets(self):
         vocab = Vocab(["a"], ["g"])
@@ -487,10 +516,13 @@ class TestClusters:
         # mark 1 only ever appears last
         corpus = [seq(0, 0, [0, 1], [0.0, 2.0]),
                   seq(1, 0, [0, 1], [0.0, 4.0])]
-        with caplog.at_level(logging.WARNING, logger="actionflow.data"):
+        with caplog.at_level(logging.INFO, logger="actionflow.data"):
             cm = build_clusters(corpus, 1, seed=0)
         assert cm.mark_means[1] == pytest.approx(3.0)
-        assert any("no observed follower" in r.message for r in caplog.records)
+        # every template's last mark has no follower: a notice, not a warning
+        assert [(r.levelno, r.message) for r in caplog.records
+                if "no observed follower" in r.message] == [
+            (logging.INFO, "mark id 1 has no observed follower; using global mean 3")]
 
     def test_m_above_distinct_marks_rejected(self):
         corpus = self.make_corpus_with_means([1.0, 2.0])
@@ -532,7 +564,7 @@ class TestClusters:
     def test_dict_round_trip(self):
         cm = ClusterMap(m=2, mark_to_cluster={0: 0, 1: 1, 2: 1},
                         mark_means={0: 1.0, 1: 2.0, 2: 2.5})
-        clone = ClusterMap.from_dict(cm.to_dict())
+        clone = read_record(ClusterMap, write_record(cm), "clusters")
         assert clone.m == cm.m
         assert clone.mark_to_cluster == cm.mark_to_cluster
         assert clone.mark_means == cm.mark_means
@@ -541,7 +573,7 @@ class TestClusters:
     def test_loaded_cluster_ids_must_lie_below_m(self, cluster):
         payload = {"m": 2, "assignments": {"0": 0, "1": cluster}, "means": {}}
         with pytest.raises(DataError, match=rf"mark id 1 is assigned cluster {cluster}"):
-            ClusterMap.from_dict(payload)
+            read_record(ClusterMap, payload, "clusters")
 
     def test_unassigned_mark_raises(self):
         cm = ClusterMap(m=1, mark_to_cluster={0: 0})

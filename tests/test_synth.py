@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from actionflow.data import EOS_NAME
+from actionflow.data import EOS_NAME, write_record
 from actionflow.synth import (
     GoalTemplate,
     SynthSpec,
@@ -67,11 +67,11 @@ class TestSpecValidation:
 
     def test_dict_round_trip(self):
         spec = two_goal_spec(count=7, seed=3, swap_prob=0.2)
-        clone = SynthSpec.from_dict(spec.to_dict())
-        assert clone.to_dict() == spec.to_dict()
+        clone = SynthSpec.from_dict(write_record(spec))
+        assert write_record(clone) == write_record(spec)
 
     def test_unknown_field_rejected(self):
-        payload = two_goal_spec().to_dict()
+        payload = write_record(two_goal_spec())
         payload["bogus"] = 1
         with pytest.raises(SynthSpecError, match="bogus"):
             SynthSpec.from_dict(payload)
@@ -80,7 +80,7 @@ class TestSpecValidation:
         ("count", 2.5), ("seed", "7"), ("swap_pair", [0.5, 1]), ("mu", "0.0"),
     ])
     def test_ill_typed_value_rejected(self, where, value):
-        payload = two_goal_spec().to_dict()
+        payload = write_record(two_goal_spec())
         if where == "swap_pair":
             payload["goals"][0]["swap_pairs"] = [value]
         elif where == "mu":
@@ -91,19 +91,19 @@ class TestSpecValidation:
             SynthSpec.from_dict(payload)
 
     def test_negative_seed_names_the_key(self):
-        payload = two_goal_spec().to_dict()
+        payload = write_record(two_goal_spec())
         payload["seed"] = -1
         with pytest.raises(SynthSpecError, match="seed must be non-negative, got -1"):
             SynthSpec.from_dict(payload)
 
     def test_missing_goal_field_rejected(self):
-        payload = two_goal_spec().to_dict()
+        payload = write_record(two_goal_spec())
         del payload["goals"][1]["sigma"]
         with pytest.raises(SynthSpecError, match="sigma"):
             SynthSpec.from_dict(payload)
 
     def test_unsupported_version_rejected(self):
-        payload = two_goal_spec().to_dict()
+        payload = write_record(two_goal_spec())
         payload["version"] = 99
         with pytest.raises(SynthSpecError):
             SynthSpec.from_dict(payload)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from actionflow.data import (Action, ClusterMap, Ctas, Vocab, append_eos, decode_vector,
-                             encode_vector)
+                             encode_vector, write_record)
 from actionflow.model import Model, ModelConfig
 from actionflow.objectives import total_loss
 from actionflow.numerics import (
@@ -89,7 +89,7 @@ class TestTrainConfig:
 
     def test_dict_round_trip(self):
         cfg = TrainConfig(lr=0.01, epochs=3, gamma=0.5, eos_time_term=False)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert TrainConfig.from_dict(write_record(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
@@ -455,7 +455,7 @@ class TestCheckpoints:
         assert param_bytes(ckpt.model.store) == param_bytes(model.store)
         assert ckpt.model.config == model.config
         assert ckpt.model.vocab.mark_names == model.vocab.mark_names
-        assert ckpt.model.clusters.to_dict() == model.clusters.to_dict()
+        assert ckpt.model.clusters == model.clusters
         assert ckpt.train_config == tcfg
         assert ckpt.epoch == 2
         assert ckpt.best_total == 1.25
