@@ -298,7 +298,8 @@ def cmd_sweep(args) -> int:
     if not os.path.isfile(corpus_path):
         raise CliError("E_DATA", f"no such file: {corpus_path}")
     rows, keys = sensitivity_sweep(corpus_path, write_record(cfg.model),
-                                   write_record(cfg.train), grid, workers=args.workers)
+                                   write_record(cfg.train), grid, workers=args.workers,
+                                   train_fraction=cfg.data.train_fraction)
     write_sweep_csv(rows, keys, args.out)
     failed = sum(1 for r in rows if r["status"] != "ok")
     print(f"swept {len(rows)} points ({failed} failed) -> {args.out}")

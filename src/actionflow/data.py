@@ -327,12 +327,11 @@ class ClusterMap:
     Clustering runs on a per-mark scalar: the mean gap from the mark's start
     to the next action's start across the training corpus. The reserved
     end-of-sequence mark inherits the cluster of the most frequent mark.
-    Saved, the two maps are keyed "assignments" and "means".
+    Saved, the assignment is keyed "assignments"; the mean gaps are not kept.
     """
 
     m: int
     mark_to_cluster: dict[int, int] = field(metadata={"key": "assignments"})
-    mark_means: dict[int, float] = field(default_factory=dict, metadata={"key": "means"})
 
     def validate(self) -> None:
         """Every assigned cluster id lies in [0, m)."""
@@ -614,7 +613,7 @@ def build_clusters(corpus: list[Ctas], m: int, seed: int = 0,
     if eos_id is not None:
         top = max(all_marks, key=lambda mk: (counts[mk], -mk))
         assignment[eos_id] = assignment[top]
-    return ClusterMap(m=m, mark_to_cluster=assignment, mark_means=means)
+    return ClusterMap(m=m, mark_to_cluster=assignment)
 
 
 def delete_random(corpus: list[Ctas], fraction: float, seed: int = 0) -> list[Ctas]:

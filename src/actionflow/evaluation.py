@@ -244,8 +244,7 @@ class EvalReport:
 
 def full_report(model: Model, test: list[Ctas], *, seed: int = 0,
                 prefix_fractions=DEFAULT_PREFIXES, config_echo: dict | None = None,
-                with_generation: bool = True,
-                gen_max_len: int | None = None) -> EvalReport:
+                with_generation: bool = True) -> EvalReport:
     """Run all evaluations on a raw test corpus and bundle the results."""
     if not test:
         raise ValueError("empty test corpus")
@@ -255,7 +254,7 @@ def full_report(model: Model, test: list[Ctas], *, seed: int = 0,
     gen_part = None
     cl = None
     if with_generation:
-        gen_part = generation_eval(model, test, seed=seed, max_len=gen_max_len)
+        gen_part = generation_eval(model, test, seed=seed)
         cl = gen_part["cl"]
     per_sequence = {
         "next_action": next_part["per_sequence"],
@@ -292,7 +291,7 @@ def _assign_key(model_dict: dict, train_dict: dict, key: str, value) -> None:
 
 
 def sweep_point(corpus_path: str, model_dict: dict, train_dict: dict,
-                point: dict) -> dict:
+                point: dict, train_fraction: float = 0.8) -> dict:
     """Train and evaluate one grid point; errors are captured, not raised."""
     row = dict(point)
     try:
@@ -303,7 +302,8 @@ def sweep_point(corpus_path: str, model_dict: dict, train_dict: dict,
         corpus, vocab = load_corpus(corpus_path)
         model_cfg = read_record(ModelConfig, model_dict, "model config")
         train_cfg = TrainConfig.from_dict(train_dict)
-        model, prep, _ = run_training(corpus, vocab, model_cfg, train_cfg)
+        model, prep, _ = run_training(corpus, vocab, model_cfg, train_cfg,
+                                      train_fraction=train_fraction)
         report = full_report(model, prep.test_raw, with_generation=False)
         row.update({"status": "ok", "apa": report.apa, "mae": report.mae, "error": ""})
         for f in DEFAULT_PREFIXES:
@@ -321,11 +321,12 @@ def _sweep_point_star(args) -> dict:
 
 
 def sensitivity_sweep(corpus_path: str, model_dict: dict, train_dict: dict,
-                      grid: dict[str, list], workers: int = 1) -> tuple[list[dict], list[str]]:
+                      grid: dict[str, list], workers: int = 1,
+                      train_fraction: float = 0.8) -> tuple[list[dict], list[str]]:
     """Cartesian product of grid values, one trained model per point.
 
-    Returns (rows, grid key order). Every point shares the base configs and
-    the same seed; rows keep the product order regardless of worker count.
+    Returns (rows, grid key order). Every point shares the base configs, seed
+    and train fraction; rows keep the product order regardless of worker count.
     """
     if not grid:
         raise ValueError("empty sweep grid")
@@ -335,7 +336,7 @@ def sensitivity_sweep(corpus_path: str, model_dict: dict, train_dict: dict,
             raise ValueError(f"sweep grid entry {key!r} must be a non-empty list")
         _assign_key(dict(model_dict), dict(train_dict), key, grid[key][0])
     points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
-    jobs = [(corpus_path, model_dict, train_dict, p) for p in points]
+    jobs = [(corpus_path, model_dict, train_dict, p, train_fraction) for p in points]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point_star, jobs))

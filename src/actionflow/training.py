@@ -13,18 +13,18 @@ map, the parameters' names and shapes once, then the parameter vector and
 Adam's state (its step and two moment vectors laid out like
 ``ParamStore.flat``). Each vector is one base64 string of little-endian
 float64 bytes (``data.encode_vector``), so it round-trips bit for bit. The
-file is declared once, as ``_SavedCheckpoint``: ``data.write_record`` writes
-it and ``data.read_record`` reads it back, checking every field for type and
-range, so a bad file is one ValueError. Loading compares the names and
-shapes with those the config describes before any parameter is allocated,
-refuses a file whose names, shapes or vectors do not fit, and builds the
-store over the saved parameter vector. A resumed run builds its Adam from the TrainConfig it is
-given and loads only the saved state into it; with the saved config it
-reproduces an uninterrupted run bit for bit.
+file is declared once, as ``Checkpoint``: ``data.write_record`` writes it and
+``data.read_record`` reads it back, checking every field for type and range
+and the names and shapes against those the config describes, before any
+parameter is allocated, so a bad file is one ValueError. Its ``model`` is
+built over the saved parameter vector. A resumed run builds its Adam from
+the TrainConfig it is given and loads only the saved state into it; with the
+saved config it reproduces an uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -53,7 +53,7 @@ from .objectives import LossBreakdown, total_loss
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 class TrainingDiverged(ArithmeticError):
@@ -154,7 +154,7 @@ def save_checkpoint(path, model: Model, train_cfg: TrainConfig | None = None,
                     best_total: float | None = None) -> None:
     """Write the checkpoint atomically: a crash mid-write leaves the old file."""
     store = model.store
-    saved = _SavedCheckpoint(
+    ckpt = Checkpoint(
         model_config=model.config, vocab=model.vocab, clusters=model.clusters,
         names=store.names(), shapes=[list(t.data.shape) for t in store.tensors],
         params=store.flat, train_config=train_cfg,
@@ -163,7 +163,7 @@ def save_checkpoint(path, model: Model, train_cfg: TrainConfig | None = None,
         epoch=epoch, best_total=best_total)
     # one string from the C encoder, one write: json.dump would run the
     # pure-Python encoder and write it chunk by chunk, at twice the cost
-    text = json.dumps(write_record(saved))
+    text = json.dumps(write_record(ckpt))
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -192,9 +192,9 @@ class OptimizerState:
 
 
 @dataclass
-class _SavedCheckpoint:
-    """The checkpoint file: its version, then one key per field. save_checkpoint
-    writes it with ``data.write_record`` and load_checkpoint reads it back."""
+class Checkpoint:
+    """The checkpoint file: its version, then one key per field, with the
+    model those fields describe and the resumable training state."""
 
     VERSION = CHECKPOINT_VERSION  # saved as "version"; unannotated, so not a field
 
@@ -225,40 +225,30 @@ class _SavedCheckpoint:
         if any(vector.size != size for vector in vectors):
             raise ValueError(f"checkpoint vectors hold {[v.size for v in vectors]} values, "
                              f"its names and shapes describe {size}")
+        if (self.names, self.shapes) != layout(self.model_config, self.vocab, self.clusters):
+            raise ValueError("checkpoint names and shapes do not match the parameters "
+                             "its model config builds")
 
-
-@dataclass
-class Checkpoint:
-    """A deserialized checkpoint: the model plus resumable training state."""
-
-    model: Model
-    train_config: TrainConfig | None
-    optimizer: OptimizerState | None
-    epoch: int
-    best_total: float | None
+    @functools.cached_property
+    def model(self) -> Model:
+        """The model the config describes, its store built over ``params`` itself."""
+        return Model(self.model_config, self.vocab, self.clusters,
+                     ParamStore.from_flat(self.names, self.shapes, self.params))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Rebuild the model a checkpoint's config describes, with its saved state.
+    """Read a checkpoint and build its model.
 
     Every field is read by ``data.read_record`` and type-checked against
-    ``_SavedCheckpoint``; the version must be CHECKPOINT_VERSION, every
-    vector finite and as long as the saved shapes describe, and the counts
-    and ids in range. The names and shapes must then equal those the config
-    describes, compared before any parameter is allocated; the store is then
-    built over the saved parameter vector itself. Any refusal is a ValueError.
+    ``Checkpoint``; the version must be CHECKPOINT_VERSION, every vector
+    finite and as long as the saved shapes describe, the counts and ids in
+    range, and the names and shapes those the config describes, all before
+    any parameter is allocated. Any refusal is a ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        saved = read_record(_SavedCheckpoint, json.load(fh), "checkpoint",
-                            require_version=True)
-    if (saved.names, saved.shapes) != layout(saved.model_config, saved.vocab, saved.clusters):
-        raise ValueError("checkpoint names and shapes do not match the parameters "
-                         "its model config builds")
-    model = Model(saved.model_config, saved.vocab, saved.clusters,
-                  ParamStore.from_flat(saved.names, saved.shapes, saved.params))
-    return Checkpoint(model=model, train_config=saved.train_config,
-                      optimizer=saved.optimizer, epoch=saved.epoch,
-                      best_total=saved.best_total)
+        ckpt = read_record(Checkpoint, json.load(fh), "checkpoint", require_version=True)
+    ckpt.model  # built here, so a caller gets a checkpoint whose model is ready
+    return ckpt
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +372,8 @@ def prepare(corpus: list[Ctas], vocab: Vocab, model_cfg: ModelConfig,
     only; the terminal gap is the training corpus' median inter-action gap.
     The cluster count is lowered to the number of distinct per-mark mean
     gaps when the config asks for more, since the extra clusters would stay
-    empty.
+    empty. ``vocab`` is left as it is: the returned vocabulary is a copy
+    that carries the per-goal action sets.
     """
     if do_split:
         train_raw, test_raw = split_by_goal(corpus, train_fraction, seed=train_cfg.seed)
@@ -397,7 +388,7 @@ def prepare(corpus: list[Ctas], vocab: Vocab, model_cfg: ModelConfig,
     resolved.validate()
     clusters = build_clusters(train_raw, resolved.clusters, seed=train_cfg.seed,
                               eos_id=vocab.eos_id)
-    vocab.goal_marks = observed_marks_by_goal(train_raw)
+    vocab = replace(vocab, goal_marks=observed_marks_by_goal(train_raw))
     gap = median_gap(train_raw)
     train_aug = append_eos_corpus(train_raw, gap, vocab.eos_id)
     return Prepared(train_raw=train_raw, test_raw=test_raw, train_aug=train_aug,

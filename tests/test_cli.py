@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from actionflow import cli
+from actionflow import cli, evaluation
 from actionflow.cli import RunConfig, main
-from actionflow.data import decode_vector, encode_vector, read_record
+from actionflow.data import (decode_vector, encode_vector, load_corpus, read_record,
+                             split_by_goal)
 from actionflow.training import CHECKPOINT_VERSION, TrainingDiverged
 
 SPEC = {
@@ -435,6 +436,9 @@ def write_unreadable_checkpoint(kind, workspace, tmp_path):
             payload["params"], optimizer["m"], optimizer["v"] = (
                 decode_vector(text).tolist()
                 for text in (payload["params"], optimizer["m"], optimizer["v"]))
+        elif kind == "version_4":  # this layout, with the per-mark mean gaps as well
+            payload["version"] = 4
+            payload["clusters"]["means"] = {"0": 0.5}
         else:
             edit_field(kind, payload)
         text = json.dumps(payload).replace('"HUGE"', "1e400")
@@ -443,10 +447,20 @@ def write_unreadable_checkpoint(kind, workspace, tmp_path):
     return ckpt
 
 
+OLD_VERSIONS = {"version_2": 2, "version_3": 3, "version_4": 4}
+
+
+def assert_no_ckpt_error(err, kind):
+    """E_NO_CKPT, naming the version of a file in an older format."""
+    assert err.startswith("E_NO_CKPT:")
+    if kind in OLD_VERSIONS:
+        assert f"unsupported checkpoint version {OLD_VERSIONS[kind]}" in err
+
+
 class TestUnreadableCheckpoint:
     KINDS = ("truncated", "not_an_object", "missing_fields", "ill_typed_field",
              "param_missing", "param_reshaped", *VECTOR_KINDS, "params_bad_padding",
-             "params_partial_value", "version_2", "version_3", *FIELD_EDITS,
+             "params_partial_value", *OLD_VERSIONS, *FIELD_EDITS,
              "epoch_missing", "version_missing")
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -455,7 +469,7 @@ class TestUnreadableCheckpoint:
         assert main(["eval", "--ckpt", str(ckpt),
                      "--data", str(workspace["run"] / "test.jsonl"),
                      "--report", str(tmp_path / "r.json")]) == 1
-        assert capsys.readouterr().err.startswith("E_NO_CKPT:")
+        assert_no_ckpt_error(capsys.readouterr().err, kind)
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -463,7 +477,7 @@ class TestUnreadableCheckpoint:
         write_unreadable_checkpoint(kind, workspace, tmp_path)
         assert main(["generate", "--ckpt", str(tmp_path), "--goal", "brew",
                      "--first-mark", "grind", "--out", str(tmp_path / "g.jsonl")]) == 1
-        assert capsys.readouterr().err.startswith("E_NO_CKPT:")
+        assert_no_ckpt_error(capsys.readouterr().err, kind)
         assert sorted(os.listdir(tmp_path)) == ["final.json"]
 
     def test_version_1_checkpoint_refused(self, workspace, capsys, tmp_path):
@@ -487,7 +501,6 @@ HUGE_CASES = {
     "train_margin_weight": ("config", "E_CONFIG", "'margin_weight' is an integer too large"),
     "model_alpha_mark": ("config", "E_CONFIG", "'alpha_mark' is an integer too large"),
     "best_total": ("checkpoint", "E_NO_CKPT", "'best_total' is an integer too large"),
-    "cluster_mean": ("checkpoint", "E_NO_CKPT", "'means'['0'] is an integer too large"),
     "corpus_time": ("corpus", "E_DATA", "time at index 1 is too large for a float"),
 }
 
@@ -508,10 +521,7 @@ def test_integer_beyond_any_float_is_refused_and_writes_nothing(workspace, capsy
         args = ["synth", "--spec", str(given / "spec.json"), "--out", str(out)]
     elif where == "checkpoint":
         payload = json.loads((workspace["run"] / "final.json").read_text())
-        if kind == "best_total":
-            payload["best_total"] = HUGE
-        else:
-            payload["clusters"]["means"]["0"] = HUGE
+        payload["best_total"] = HUGE
         (given / "final.json").write_text(json.dumps(payload))
         args = ["eval", "--ckpt", str(given), "--data", str(workspace["run"] / "test.jsonl"),
                 "--report", str(out)]
@@ -658,6 +668,30 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("E_CONFIG:") and "corpus" in err
 
+
+    def test_data_train_fraction_sets_the_held_out_share(self, workspace, monkeypatch,
+                                                         tmp_path):
+        held_out = []
+        run_training = evaluation.run_training
+
+        def recording(*args, **kwargs):
+            result = run_training(*args, **kwargs)
+            held_out.append(len(result[1].test_raw))
+            return result
+
+        monkeypatch.setattr(evaluation, "run_training", recording)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"epochs": [1]}))
+        fractions = (0.5, 0.8)
+        for fraction in fractions:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({**CONFIG, "data": {"train_fraction": fraction}}))
+            assert main(["sweep", "--config", str(config), "--grid", str(grid),
+                         "--data", str(workspace["corpus"]),
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        corpus, _ = load_corpus(workspace["corpus"])
+        expected = [len(split_by_goal(corpus, f, seed=0)[1]) for f in fractions]
+        assert held_out == expected and expected[0] > expected[1]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_usage_error(self, workspace, capsys, tmp_path, workers):

@@ -189,6 +189,7 @@ class TestReadRecord:
         ({"by_id": {}, "vector": encode_vector(np.array([0.5, np.nan]))},
          "saved key 'vector' holds a non-finite"),
         ({"by_id": {}, "vector": encode_vector(np.array([-np.inf]))}, "holds a non-finite value"),
+        ({"by_id": {"0": 10**400}}, r"saved key 'by_id'\['0'\] is an integer too large"),
     ])
     def test_id_object_and_vector_rejections(self, payload, message):
         with pytest.raises(ValueError, match=message):
@@ -501,24 +502,27 @@ class TestClusters:
 
     def test_mean_is_gap_to_next_action(self):
         corpus = [seq(0, 0, [0, 1, 0, 1], [0.0, 2.0, 3.0, 7.0])]
-        cm = build_clusters(corpus, 1, seed=0)
-        assert cm.mark_means[0] == pytest.approx((2.0 + 4.0) / 2.0)
-        assert cm.mark_means[1] == pytest.approx(1.0)
+        _, means, _ = data._duration_means(corpus)
+        assert means[0] == pytest.approx((2.0 + 4.0) / 2.0)
+        assert means[1] == pytest.approx(1.0)
 
     def test_final_occurrence_contributes_nothing(self):
         corpus = [seq(0, 0, [0, 1], [0.0, 1.0]),
                   seq(1, 0, [1, 0], [0.0, 3.0])]
-        cm = build_clusters(corpus, 1, seed=0)
-        assert cm.mark_means[0] == pytest.approx(1.0)
-        assert cm.mark_means[1] == pytest.approx(3.0)
+        counts, means, unfollowed = data._duration_means(corpus)
+        assert counts == {0: 2, 1: 2} and unfollowed == []
+        assert means[0] == pytest.approx(1.0)
+        assert means[1] == pytest.approx(3.0)
 
     def test_no_follower_mark_gets_global_mean(self, caplog):
         # mark 1 only ever appears last
         corpus = [seq(0, 0, [0, 1], [0.0, 2.0]),
                   seq(1, 0, [0, 1], [0.0, 4.0])]
+        _, means, unfollowed = data._duration_means(corpus)
+        assert unfollowed == [1]
+        assert means[1] == pytest.approx(3.0)
         with caplog.at_level(logging.INFO, logger="actionflow.data"):
-            cm = build_clusters(corpus, 1, seed=0)
-        assert cm.mark_means[1] == pytest.approx(3.0)
+            build_clusters(corpus, 1, seed=0)
         # every template's last mark has no follower: a notice, not a warning
         assert [(r.levelno, r.message) for r in caplog.records
                 if "no observed follower" in r.message] == [
@@ -544,8 +548,8 @@ class TestClusters:
         corpus = random_corpus(rng, 40, n_marks=6)
         a = build_clusters(corpus, 3, seed=4)
         b = build_clusters(corpus, 3, seed=4)
-        assert a.mark_to_cluster == b.mark_to_cluster
-        assert a.mark_means == b.mark_means
+        assert a == b
+        assert set(a.mark_to_cluster.values()) == {0, 1, 2}
 
     def test_terminal_inherits_most_frequent_marks_cluster(self):
         # mark 0 occurs 8 times, mark 1 and 2 occur 4 each
@@ -562,16 +566,16 @@ class TestClusters:
         assert terminal == mark0
 
     def test_dict_round_trip(self):
-        cm = ClusterMap(m=2, mark_to_cluster={0: 0, 1: 1, 2: 1},
-                        mark_means={0: 1.0, 1: 2.0, 2: 2.5})
-        clone = read_record(ClusterMap, write_record(cm), "clusters")
-        assert clone.m == cm.m
-        assert clone.mark_to_cluster == cm.mark_to_cluster
-        assert clone.mark_means == cm.mark_means
+        cm = ClusterMap(m=2, mark_to_cluster={0: 0, 1: 1, 2: 1})
+        payload = write_record(cm)
+        assert payload == {"m": 2, "assignments": {"0": 0, "1": 1, "2": 1}}
+        clone = read_record(ClusterMap, payload, "clusters")
+        assert clone == cm
+        np.testing.assert_array_equal(clone.clusters_of([2, 0, 1]), [1, 0, 1])
 
     @pytest.mark.parametrize("cluster", [2, -1])
     def test_loaded_cluster_ids_must_lie_below_m(self, cluster):
-        payload = {"m": 2, "assignments": {"0": 0, "1": cluster}, "means": {}}
+        payload = {"m": 2, "assignments": {"0": 0, "1": cluster}}
         with pytest.raises(DataError, match=rf"mark id 1 is assigned cluster {cluster}"):
             read_record(ClusterMap, payload, "clusters")
 

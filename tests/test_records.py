@@ -2,9 +2,10 @@
 
 ``data.write_record`` writes and ``data.read_record`` reads every record
 the program saves or loads, from the dataclass declarations alone. The
-golden texts pin that format byte for byte: they are what files already
-saved in this format hold, except that a saved model config now carries
-its "version" key first where those files have it last (they still load).
+golden texts pin that format byte for byte: they are what files saved in
+this format hold, except that MODEL_CONFIG_TEXT keeps a model config's
+"version" key last, where older files have it (they still load); it is now
+written first.
 The property tests check that every record class reads back what is
 written, for records drawn under fixed settings.
 """
@@ -22,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 from actionflow import data, training
 from actionflow.cli import DataSection, RunConfig
 from actionflow.data import EOS_NAME, ClusterMap, Vocab, read_record, write_record
-from actionflow.model import FFN_FORMS, VARIANTS, Model, ModelConfig
+from actionflow.model import FFN_FORMS, VARIANTS, Model, ModelConfig, layout
 from actionflow.synth import GoalTemplate, SynthSpec
 from actionflow.training import (Adam, OptimizerState, TrainConfig, load_checkpoint,
                                  save_checkpoint)
@@ -32,10 +33,8 @@ VOCAB = Vocab(["boil", "pour", "grind"], ["tea", "coffee"],
 VOCAB_TEXT = ('{"marks": ["boil", "pour", "grind"], "goals": ["tea", "coffee"], '
               '"goal_marks": {"0": [0, 1], "1": [2, 0, 1]}}')
 
-CLUSTERS = ClusterMap(m=2, mark_to_cluster={3: 1, 10: 0, 0: 0, 2: 1, 1: 0},
-                      mark_means={2: 4, 0: 0.5, 1: 1.25})
-CLUSTERS_TEXT = ('{"m": 2, "assignments": {"0": 0, "1": 0, "2": 1, "3": 1, "10": 0}, '
-                 '"means": {"0": 0.5, "1": 1.25, "2": 4}}')
+CLUSTERS = ClusterMap(m=2, mark_to_cluster={3: 1, 10: 0, 0: 0, 2: 1, 1: 0})
+CLUSTERS_TEXT = '{"m": 2, "assignments": {"0": 0, "1": 0, "2": 1, "3": 1, "10": 0}}'
 
 MODEL_CONFIG = ModelConfig(d=4, heads=2, blocks=1, clusters=2, variant="plus", alpha_mark=1,
                            ffn="standard")
@@ -55,13 +54,13 @@ SYNTH_SPEC_TEXT = (
     '"swap_pairs": [[0, 1]]}, {"name": "bake", "template": ["mix"], "mu": [1.5], '
     '"sigma": [1], "swap_pairs": []}]}')
 
-# tiny_checkpoint's file as files already saved hold it: the model config's "version" last
+# tiny_checkpoint's file
 CHECKPOINT = (
-    '{"version": 4, "model_config": {"d": 2, "heads": 1, "blocks": 1, "clusters": 1, '
-    '"max_len": 2, "variant": "base", "alpha_mark": 0.1, "alpha_time": 0.1, '
-    '"alpha_goal": 0.1, "ffn": "summed", "version": 1}, "vocab": {"marks": ["a"], '
+    '{"version": 5, "model_config": {"version": 1, "d": 2, "heads": 1, "blocks": 1, '
+    '"clusters": 1, "max_len": 2, "variant": "base", "alpha_mark": 0.1, "alpha_time": 0.1, '
+    '"alpha_goal": 0.1, "ffn": "summed"}, "vocab": {"marks": ["a"], '
     '"goals": ["g"], "goal_marks": {"0": [0]}}, "clusters": {"m": 1, '
-    '"assignments": {"0": 0, "1": 0}, "means": {"0": 0.5}}, "names": ["block0.attn.wk", '
+    '"assignments": {"0": 0, "1": 0}}, "names": ["block0.attn.wk", '
     '"block0.attn.wo", "block0.attn.wq", "block0.attn.wv", "block0.ffn.b_in", '
     '"block0.ffn.b_out", "block0.ffn.w_in", "block0.ffn.w_out", "block0.ln1.bias", '
     '"block0.ln1.gain", "block0.ln2.bias", "block0.ln2.gain", "embed.bias", "embed.marks", '
@@ -108,7 +107,7 @@ def tiny_checkpoint(path, with_state: bool = True) -> Model:
     """Save a one-mark, one-goal model whose parameters and Adam moments are
     exact binary fractions; returns the model."""
     vocab = Vocab(["a"], ["g"], goal_marks={0: (0,)})
-    clusters = ClusterMap(m=1, mark_to_cluster={0: 0, 1: 0}, mark_means={0: 0.5})
+    clusters = ClusterMap(m=1, mark_to_cluster={0: 0, 1: 0})
     config = ModelConfig(d=2, heads=1, blocks=1, clusters=1, max_len=2)
     model = Model.init(config, vocab, clusters)
     model.store.flat[:] = np.arange(model.store.flat.size) / 16 - 2
@@ -147,12 +146,7 @@ class TestGoldenFormat:
 
     def test_checkpoint(self, tmp_path):
         tiny_checkpoint(tmp_path / "ckpt.json")
-        text = (tmp_path / "ckpt.json").read_text()
-        saved = json.loads(text)
-        assert list(saved["model_config"])[0] == "version"
-        saved["model_config"] = version_last(saved["model_config"])
-        assert json.dumps(saved) == CHECKPOINT
-        assert len(text) == len(CHECKPOINT)
+        assert (tmp_path / "ckpt.json").read_text() == CHECKPOINT
 
     def test_checkpoint_without_training_state(self, tmp_path):
         tiny_checkpoint(tmp_path / "ckpt.json", with_state=False)
@@ -237,8 +231,7 @@ def vocabs(draw):
 @st.composite
 def cluster_maps(draw, marks=st.integers(0, 2**64)):
     m = draw(st.integers(1, 16))
-    return ClusterMap(m=m, mark_to_cluster=draw(st.dictionaries(marks, st.integers(0, m - 1))),
-                      mark_means=draw(st.dictionaries(marks, NUMBER)))
+    return ClusterMap(m=m, mark_to_cluster=draw(st.dictionaries(marks, st.integers(0, m - 1))))
 
 
 def vectors(size, elements=FINITE):
@@ -251,14 +244,20 @@ def optimizer_states(size):
 
 
 @st.composite
-def saved_checkpoints(draw):
-    shapes = draw(st.lists(st.lists(st.integers(0, 3), max_size=2), max_size=4))
-    size = sum(map(math.prod, shapes))
+def checkpoints(draw):
+    """A checkpoint whose names and shapes are those of a small drawn model."""
     vocab = draw(vocabs())
-    return training._SavedCheckpoint(
-        model_config=draw(model_configs()), vocab=vocab,
-        clusters=draw(cluster_maps(marks=st.integers(0, vocab.n_marks - 1))),
-        names=draw(st.lists(NAME, min_size=len(shapes), max_size=len(shapes))),
+    clusters = draw(cluster_maps(marks=st.integers(0, vocab.n_marks - 1)))
+    heads = draw(st.integers(1, 2))
+    config = ModelConfig(
+        d=heads * draw(st.integers(1, 2)), heads=heads, blocks=draw(st.integers(1, 2)),
+        clusters=clusters.m, max_len=draw(st.integers(2, 4)),
+        variant=draw(st.sampled_from(VARIANTS)), alpha_mark=draw(NUMBER),
+        alpha_time=draw(NUMBER), alpha_goal=draw(NUMBER), ffn=draw(st.sampled_from(FFN_FORMS)))
+    names, shapes = layout(config, vocab, clusters)
+    size = sum(map(math.prod, shapes))
+    return training.Checkpoint(
+        model_config=config, vocab=vocab, clusters=clusters, names=names,
         shapes=shapes, params=draw(vectors(size)),
         train_config=draw(st.none() | TRAIN_CONFIGS),
         optimizer=draw(st.none() | optimizer_states(size)),
@@ -276,7 +275,7 @@ RECORDS = {
     Vocab: vocabs(),
     ClusterMap: cluster_maps(),
     OptimizerState: st.integers(0, 5).flatmap(optimizer_states),
-    training._SavedCheckpoint: saved_checkpoints(),
+    training.Checkpoint: checkpoints(),
 }
 
 
@@ -309,7 +308,7 @@ def read_classes(cls) -> set:
 
 def test_every_read_record_class_has_a_strategy():
     # the classes the program hands to read_record, with those nested in them
-    roots = (RunConfig, ModelConfig, TrainConfig, SynthSpec, training._SavedCheckpoint)
+    roots = (RunConfig, ModelConfig, TrainConfig, SynthSpec, training.Checkpoint)
     assert set().union(*map(read_classes, roots)) == set(RECORDS)
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from actionflow.data import (Action, ClusterMap, Ctas, Vocab, append_eos, decode_vector,
-                             encode_vector, write_record)
+                             encode_vector, observed_marks_by_goal, write_record)
 from actionflow.model import Model, ModelConfig
 from actionflow.objectives import total_loss
 from actionflow.numerics import (
@@ -745,6 +745,22 @@ class TestPrepare:
             seen.update(seq.marks())
         for goal, marks in prep.vocab.goal_marks.items():
             assert set(marks) <= seen
+
+    def test_prepare_leaves_the_callers_vocab_alone(self):
+        # goal 0's second sequence holds the only "c", so whether it lands on
+        # the training side decides goal 0's action set
+        vocab = Vocab(["a", "b", "c", "d", "e"], ["g0", "g1"])
+        layouts = [(0, [0, 1]), (0, [0, 1, 2]), (1, [3, 4]), (1, [4, 3])]
+        corpus = [Ctas(id=f"s{i}", goal=goal,
+                       actions=[Action(mk, 0.5 + j * (1.0 + mk)) for j, mk in enumerate(marks)])
+                  for i, (goal, marks) in enumerate(layouts)]
+        cfg = ModelConfig(d=4, heads=2, blocks=1, clusters=1, max_len=None)
+        preps = [prepare(corpus, vocab, cfg, TrainConfig(seed=seed)) for seed in range(6)]
+        assert vocab.goal_marks is None
+        # each preparation keeps the action sets of its own training side
+        assert [prep.vocab.goal_marks for prep in preps] == [
+            observed_marks_by_goal(prep.train_raw) for prep in preps]
+        assert {prep.vocab.goal_marks[0] for prep in preps} == {(0, 1), (0, 1, 2)}
 
 
     def test_cluster_count_lowered_to_distinct_mean_gaps(self):
