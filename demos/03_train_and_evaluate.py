@@ -47,7 +47,7 @@ def main():
     print(f"\nduration clusters (marks sharing a typical gap):")
     for cluster in range(prep.clusters.m):
         members = [prep.vocab.mark_name(mk)
-                   for mk, c in prep.clusters.mark_to_cluster.items()
+                   for mk, c in enumerate(prep.clusters.assignments)
                    if c == cluster]
         print(f"  cluster {cluster}: {members}")
 

@@ -246,10 +246,9 @@ def cmd_generate(args) -> int:
 
 def _gradcheck_model(cfg: RunConfig) -> tuple[Model, Ctas]:
     """A tiny self-contained model + sequence for checking gradients."""
-    vocab = Vocab(["a", "b", "c"], ["g0", "g1"],
-                  goal_marks={0: (0, 1), 1: (1, 2)})
+    vocab = Vocab(["a", "b", "c"], ["g0", "g1"], goal_marks=[(0, 1), (1, 2)])
     m = cfg.model.clusters
-    clusters = ClusterMap(m=m, mark_to_cluster={i: i % m for i in range(vocab.n_marks)})
+    clusters = ClusterMap(m=m, assignments=[i % m for i in range(vocab.n_marks)])
     rng = np.random.default_rng([cfg.train.seed, 2])
     marks = [int(rng.integers(0, vocab.eos_id)) for _ in range(4)]
     times = np.cumsum(rng.uniform(0.2, 1.5, size=4))

@@ -12,8 +12,10 @@ sequences so the model can learn termination.
 
 Every settings and checkpoint object is a dataclass record whose declaration
 is its only schema: ``read_record`` reads all of them and ``write_record``
-writes all of them. Corpus JSONL keeps its own hand-written loader, which
-reads a corpus in about half the time the generic reader would take.
+writes all of them. A table indexed by mark or goal id (the per-goal action
+sets, the duration clusters) is a list with one entry per id. Corpus JSONL
+keeps its own hand-written loader, which reads a corpus in about half the
+time the generic reader would take.
 """
 
 from __future__ import annotations
@@ -51,13 +53,6 @@ class DataError(ValueError):
 
 # JSON types per scalar annotation; an int stays an int where a float is wanted
 _SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
-
-
-def _id_key(key, where: str) -> int:
-    """A JSON object key that spells an id: decimal digits, no sign, no leading zero."""
-    if isinstance(key, str) and key.isascii() and key.isdigit() and str(int(key)) == key:
-        return int(key)
-    raise ValueError(f"{where} has key {key!r}, which is not a decimal id")
 
 
 def encode_vector(vector: np.ndarray) -> str:
@@ -103,10 +98,6 @@ def _check(tp, value, where: str):
     elif origin in (list, tuple):
         if isinstance(value, list):
             return origin(_check(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
-    elif origin is dict and args[0] is int:
-        if isinstance(value, dict):
-            return {_id_key(k, where): _check(args[1], v, f"{where}[{k!r}]")
-                    for k, v in value.items()}
     elif origin is types.UnionType and args[1:] == (type(None),):
         return None if value is None else _check(args[0], value, where)
     else:
@@ -133,8 +124,7 @@ def read_record(cls, payload, what: str, *, require_version: bool = False):
     ValueError naming the key, e.g. ``train config key 'batch_size' must be
     int, got float``; a float field keeps an int unless no float64 holds it.
     Besides scalars, lists, tuples, ``X | None`` and nested records, a field
-    may be a ``dict[int, X]`` (a JSON object keyed by decimal ids) or an
-    ``np.ndarray`` (a string from ``encode_vector``: the base64 of
+    may be an ``np.ndarray`` (a string from ``encode_vector``: the base64 of
     little-endian float64 bytes, refused unless it decodes to a whole number
     of finite values). If ``cls`` has a ``VERSION``, the "version" key is
     checked before any other: it must be that int, and may be left out
@@ -183,11 +173,6 @@ def _writer(tp):
     elif origin in (list, tuple):
         item = _writer(args[0])
         return list if item is None else lambda value: [item(v) for v in value]
-    elif origin is dict:
-        item = _writer(args[1])
-        if item is None:
-            return lambda value: {str(k): value[k] for k in sorted(value)}
-        return lambda value: {str(k): item(value[k]) for k in sorted(value)}
     elif origin is types.UnionType:
         item = _writer(args[0])
         return item and (lambda value: None if value is None else item(value))
@@ -197,8 +182,7 @@ def _writer(tp):
 def write_record(record) -> dict:
     """The JSON object that ``read_record`` reads back as ``record``: a
     "version" first if the class has a ``VERSION``, then each field under its
-    saved key, id-keyed objects in ascending id order, tuples as lists and
-    float vectors through ``encode_vector``."""
+    saved key, tuples as lists and float vectors through ``encode_vector``."""
     cls = type(record)
     out = {} if getattr(cls, "VERSION", None) is None else {"version": cls.VERSION}
     for key, (name, tp, _) in _schema(cls).items():
@@ -255,13 +239,14 @@ class Vocab:
 
     Ids are dense and assigned by first appearance. The end-of-sequence mark
     is reserved: it has id ``len(mark_names)``, never appears in raw files,
-    and is excluded from the per-goal action sets. Saved, the names are
-    listed under "marks" and "goals".
+    and is excluded from the per-goal action sets. ``goal_marks``, once
+    built, holds one set per goal id. Saved, the names are listed under
+    "marks" and "goals".
     """
 
     mark_names: list[str] = field(metadata={"key": "marks"})
     goal_names: list[str] = field(metadata={"key": "goals"})
-    goal_marks: dict[int, tuple[int, ...]] | None = None
+    goal_marks: list[tuple[int, ...]] | None = None
 
     def __post_init__(self):
         if len(set(self.mark_names)) != len(self.mark_names):
@@ -276,11 +261,16 @@ class Vocab:
         self._goal_ids = {n: i for i, n in enumerate(self.goal_names)}
 
     def validate(self) -> None:
-        """Every goal_marks entry names a goal and raw marks of this vocabulary."""
-        for goal, marks in (self.goal_marks or {}).items():
-            if not 0 <= goal < self.n_goals or not all(0 <= mk < self.eos_id for mk in marks):
+        """goal_marks, if built, holds one set of raw marks per goal."""
+        if self.goal_marks is None:
+            return
+        if len(self.goal_marks) != self.n_goals:
+            raise DataError(f"goal_marks needs one entry per goal ({self.n_goals}), "
+                            f"got {len(self.goal_marks)}")
+        for goal, marks in enumerate(self.goal_marks):
+            if not all(0 <= mk < self.eos_id for mk in marks):
                 raise DataError(f"goal_marks entry {goal}: {list(marks)} lies outside "
-                                f"{self.n_goals} goals and {self.eos_id} marks")
+                                f"{self.eos_id} raw marks")
 
     @property
     def eos_id(self) -> int:
@@ -315,8 +305,6 @@ class Vocab:
     def marks_for_goal(self, goal: int) -> tuple[int, ...]:
         if self.goal_marks is None:
             raise DataError("per-goal action sets not built; derive them from a training split")
-        if goal not in self.goal_marks:
-            raise DataError(f"goal id {goal} absent from the training split")
         return self.goal_marks[goal]
 
 
@@ -325,42 +313,36 @@ class ClusterMap:
     """Assignment of marks to duration clusters.
 
     Clustering runs on a per-mark scalar: the mean gap from the mark's start
-    to the next action's start across the training corpus. The reserved
-    end-of-sequence mark inherits the cluster of the most frequent mark.
-    Saved, the assignment is keyed "assignments"; the mean gaps are not kept.
+    to the next action's start across the training corpus. ``assignments``
+    holds the cluster of every mark id, the reserved end-of-sequence mark
+    last; it inherits the cluster of the most frequent mark. The mean gaps
+    are not kept.
     """
 
     m: int
-    mark_to_cluster: dict[int, int] = field(metadata={"key": "assignments"})
+    assignments: list[int]
 
     def validate(self) -> None:
         """Every assigned cluster id lies in [0, m)."""
-        for mark, cluster in self.mark_to_cluster.items():
+        for mark, cluster in enumerate(self.assignments):
             if not 0 <= cluster < self.m:
                 raise DataError(f"mark id {mark} is assigned cluster {cluster}, "
                                 f"outside [0, {self.m})")
 
     @functools.cached_property
     def _lookup(self) -> np.ndarray:
-        """Cluster id by mark id; -1 where a mark has no cluster. Mark ids
-        are vocabulary indices, so a negative key names no mark."""
-        table = np.full(max(self.mark_to_cluster, default=0) + 1, -1, dtype=np.intp)
-        for mark, cluster in self.mark_to_cluster.items():
-            if mark >= 0:
-                table[mark] = cluster
-        return table
+        """``assignments`` as an array, built on the first lookup."""
+        return np.array(self.assignments, dtype=np.intp)
 
     def clusters_of(self, marks) -> np.ndarray:
         """The cluster of every mark id in an array, as one table lookup;
-        a mark with no cluster raises DataError."""
+        a mark id outside the table raises DataError."""
         marks = np.asarray(marks, dtype=np.intp)
         table = self._lookup
-        known = (marks >= 0) & (marks < table.size)
-        ids = table[np.where(known, marks, 0)]
-        missing = ~known | (ids < 0)
-        if missing.any():
-            raise DataError(f"mark id {int(marks[missing][0])} has no duration cluster")
-        return ids
+        outside = (marks < 0) | (marks >= table.size)
+        if outside.any():
+            raise DataError(f"mark id {int(marks[outside][0])} has no duration cluster")
+        return table[marks]
 
 
 # ---------------------------------------------------------------------------
@@ -539,81 +521,78 @@ def median_gap(corpus: list[Ctas]) -> float:
     return float(np.median(gaps))
 
 
-def observed_marks_by_goal(corpus: list[Ctas]) -> dict[int, tuple[int, ...]]:
-    """Marks observed per goal, for the action-margin candidate sets."""
-    sets: dict[int, set[int]] = {}
+def observed_marks_by_goal(corpus: list[Ctas], n_goals: int) -> list[tuple[int, ...]]:
+    """Marks observed per goal id in [0, n_goals), for the action-margin
+    candidate sets; a goal absent from the corpus gets an empty set."""
+    sets: list[set[int]] = [set() for _ in range(n_goals)]
     for seq in corpus:
-        bucket = sets.setdefault(seq.goal, set())
-        bucket.update(a.mark for a in seq.actions)
-    return {g: tuple(sorted(ms)) for g, ms in sorted(sets.items())}
+        sets[seq.goal].update(a.mark for a in seq.actions)
+    return [tuple(sorted(ms)) for ms in sets]
 
 
-def _duration_means(corpus: list[Ctas]) -> tuple[dict[int, int], dict[int, float], list[int]]:
-    """Per-mark occurrence counts and mean gap to the following action.
+def _duration_means(corpus: list[Ctas], n_raw: int) -> tuple[list[int], list[float], list[int]]:
+    """Occurrence count and mean gap to the following action of every raw
+    mark id in [0, n_raw).
 
     A sequence's final action contributes nothing. Marks never observed with
-    a follower fall back to the global mean gap and are listed third.
+    a follower, including those absent from the corpus, fall back to the
+    global mean gap and are listed third.
     """
     gaps_by_mark: dict[int, list[float]] = {}
-    counts: dict[int, int] = {}
+    counts = [0] * n_raw
     for seq in corpus:
         t = seq.times()
         marks = seq.marks()
         for i, mk in enumerate(marks):
             mk = int(mk)
-            counts[mk] = counts.get(mk, 0) + 1
+            counts[mk] += 1
             if i + 1 < len(marks):
                 gaps_by_mark.setdefault(mk, []).append(float(t[i + 1] - t[i]))
-    if not counts:
+    if not any(counts):
         raise DataError("cannot build clusters from an empty corpus")
     pooled = [g for gs in gaps_by_mark.values() for g in gs]
     if not pooled:
         raise DataError("no mark is ever followed by another action")
     global_mean = float(np.mean(pooled))
-    all_marks = sorted(counts)
-    means = {mk: float(np.mean(gaps_by_mark[mk])) if mk in gaps_by_mark else global_mean
-             for mk in all_marks}
-    return counts, means, [mk for mk in all_marks if mk not in gaps_by_mark]
+    means = [float(np.mean(gaps_by_mark[mk])) if mk in gaps_by_mark else global_mean
+             for mk in range(n_raw)]
+    return counts, means, [mk for mk in range(n_raw) if mk not in gaps_by_mark]
 
 
-def distinct_durations(corpus: list[Ctas]) -> int:
-    """Number of distinct per-mark duration proxies: the most clusters
-    build_clusters can fill."""
-    return len(set(_duration_means(corpus)[1].values()))
+def distinct_durations(corpus: list[Ctas], eos_id: int) -> int:
+    """Number of distinct duration proxies of the raw marks [0, eos_id):
+    the most clusters build_clusters can fill."""
+    return len(set(_duration_means(corpus, eos_id)[1]))
 
 
-def build_clusters(corpus: list[Ctas], m: int, seed: int = 0,
-                   eos_id: int | None = None) -> ClusterMap:
-    """Cluster marks by their mean gap to the following action.
+def build_clusters(corpus: list[Ctas], m: int, seed: int = 0, *, eos_id: int) -> ClusterMap:
+    """Cluster the raw marks [0, eos_id) by their mean gap to the following action.
 
     A mark's duration proxy is the mean of t_{i+1} - t_i over its training
     occurrences; a sequence's final action contributes nothing. Marks never
-    observed with a follower fall back to the global mean. 1-D k-means with
-    seeded k-means++ initialization and 100 refinement iterations produces
-    the assignment. m may not exceed the number of distinct proxies, since
-    marks sharing a proxy always share a cluster and extra clusters would
-    stay empty.
+    observed with a follower, or never observed at all, fall back to the
+    global mean. 1-D k-means with seeded k-means++ initialization and 100
+    refinement iterations produces the assignment; the terminal mark eos_id
+    takes the cluster of the most frequent mark. m may not exceed the number
+    of distinct proxies, since marks sharing a proxy always share a cluster
+    and extra clusters would stay empty.
     """
-    counts, means, unfollowed = _duration_means(corpus)
-    all_marks = sorted(counts)
-    distinct = len(set(means.values()))
+    counts, means, unfollowed = _duration_means(corpus, eos_id)
+    distinct = len(set(means))
     if not 1 <= m <= distinct:
         raise DataError(
-            f"cluster count {m} outside [1, {distinct}]: {len(all_marks)} marks "
+            f"cluster count {m} outside [1, {distinct}]: {eos_id} marks "
             f"have {distinct} distinct mean gaps")
     for mk in unfollowed:
         log.info("mark id %d has no observed follower; using global mean %.6g",
                  mk, means[mk])
-    values = np.array([means[mk] for mk in all_marks], dtype=np.float64)[:, None]
     if m == 1:
-        labels = np.zeros(len(all_marks), dtype=int)
+        labels = [0] * eos_id
     else:
-        _, labels = kmeans2(values, m, iter=100, minit="++", seed=seed)
-    assignment = {mk: int(lbl) for mk, lbl in zip(all_marks, labels)}
-    if eos_id is not None:
-        top = max(all_marks, key=lambda mk: (counts[mk], -mk))
-        assignment[eos_id] = assignment[top]
-    return ClusterMap(m=m, mark_to_cluster=assignment)
+        _, labels = kmeans2(np.array(means)[:, None], m, iter=100, minit="++", seed=seed)
+        labels = labels.tolist()
+    top = max(range(eos_id), key=lambda mk: (counts[mk], -mk))
+    return ClusterMap(m=m, assignments=labels + [labels[top]])
 
 
 def delete_random(corpus: list[Ctas], fraction: float, seed: int = 0) -> list[Ctas]:

@@ -94,26 +94,21 @@ def generate(model: Model, request: GenRequest, *,
     pred = model.step(cache, request.first_mark, actions[0].t)
     while True:
         mark = _draw_mark(pred.mark_prob.data[0], request.mode, rng)
-        gap = _draw_gap(model.time_density_at(pred, 0), request.mode, rng)
-        t_next = actions[-1].t + gap
+        t = actions[-1].t + _draw_gap(model.time_density_at(pred, 0), request.mode, rng)
         if mark == eos:
-            actions.append(Action(mark=eos, t=t_next))
             reason = "eos_sampled"
             break
-        actions.append(Action(mark=mark, t=t_next))
-        pred = model.step(cache, mark, t_next)
-        predicted_goal = int(np.argmax(pred.goal_prob.data[0]))
-        if predicted_goal != request.goal:
-            # the candidate revealed the mismatch; it does not survive
-            actions.pop()
-            actions.append(Action(mark=eos, t=t_next))
+        pred = model.step(cache, mark, t)
+        if int(np.argmax(pred.goal_prob.data[0])) != request.goal:
+            # the candidate revealed the mismatch; the terminal mark takes its time
             reason = "goal_mismatch"
             break
+        actions.append(Action(mark=mark, t=t))
         if len(actions) >= max_len:
-            tail_gap = _draw_gap(model.time_density_at(pred, 0), request.mode, rng)
-            actions.append(Action(mark=eos, t=actions[-1].t + tail_gap))
+            t += _draw_gap(model.time_density_at(pred, 0), request.mode, rng)
             reason = "max_len"
             break
+    actions.append(Action(mark=eos, t=t))
     return Ctas(id=seq_id, goal=request.goal, actions=actions), reason
 
 

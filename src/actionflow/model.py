@@ -101,19 +101,23 @@ def pack(seqs: list[Ctas]) -> tuple[np.ndarray, np.ndarray, Segments]:
             Segments(marks.size, [len(s.actions) for s in seqs]))
 
 
-def _check(config: ModelConfig, clusters: ClusterMap) -> None:
+def _check(config: ModelConfig, vocab: Vocab, clusters: ClusterMap) -> None:
     config.validate()
     if config.max_len is None:
         raise ValueError("model needs a concrete max_len; resolve it from the corpus first")
     if clusters.m != config.clusters:
         raise ValueError(
             f"cluster map has {clusters.m} clusters but config expects {config.clusters}")
+    if len(clusters.assignments) != vocab.n_marks:
+        raise ValueError(f"cluster map needs one assignment per mark ({vocab.n_marks}), "
+                         f"got {len(clusters.assignments)}")
+    vocab.validate()
 
 
 def param_specs(config: ModelConfig, vocab: Vocab, clusters: ClusterMap) -> list[ParamSpec]:
     """Every parameter as (name, shape, draw), in the order Model.init draws
     them; nothing is drawn or allocated."""
-    _check(config, clusters)  # init_encoder_params needs max_len
+    _check(config, vocab, clusters)  # init_encoder_params needs max_len
     specs = enc.init_encoder_params(config, vocab.n_marks)
     specs += heads.init_head_params(config.d, config.clusters, vocab.n_marks, vocab.n_goals)
     if config.variant == "plus":
@@ -134,7 +138,7 @@ class Model:
 
     def __init__(self, config: ModelConfig, vocab: Vocab, clusters: ClusterMap,
                  store: ParamStore):
-        _check(config, clusters)
+        _check(config, vocab, clusters)
         self.config = config
         self.vocab = vocab
         self.clusters = clusters

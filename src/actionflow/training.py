@@ -8,8 +8,9 @@ epoch's last step (global gradient norm and update-to-parameter ratio) and
 wall time; a fresh run starts the log over, a resumed run appends to it.
 Adam is built for the model's store and steps its one flat parameter vector
 in one vectorized pass.
-A checkpoint is one versioned JSON record: model config, vocabulary, cluster
-map, the parameters' names and shapes once, then the parameter vector and
+A checkpoint is one versioned JSON record: model config, vocabulary (with one
+action set per goal id), cluster map (one cluster per mark id, the terminal
+mark last), the parameters' names and shapes once, then the parameter vector and
 Adam's state (its step and two moment vectors laid out like
 ``ParamStore.flat``). Each vector is one base64 string of little-endian
 float64 bytes (``data.encode_vector``), so it round-trips bit for bit. The
@@ -53,7 +54,7 @@ from .objectives import LossBreakdown, total_loss
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 class TrainingDiverged(ArithmeticError):
@@ -214,10 +215,6 @@ class Checkpoint:
             raise ValueError(f"checkpoint epoch must be non-negative, got {self.epoch}")
         if self.best_total is not None and not math.isfinite(self.best_total):
             raise ValueError(f"checkpoint best_total must be finite, got {self.best_total}")
-        top = max(self.clusters.mark_to_cluster, default=0)
-        if top >= self.vocab.n_marks:
-            raise ValueError(f"checkpoint clusters assign mark id {top}, outside the "
-                             f"vocabulary's {self.vocab.n_marks} marks")
         size = sum(math.prod(shape) for shape in self.shapes)
         vectors = [self.params]
         if self.optimizer is not None:
@@ -242,8 +239,9 @@ def load_checkpoint(path) -> Checkpoint:
     Every field is read by ``data.read_record`` and type-checked against
     ``Checkpoint``; the version must be CHECKPOINT_VERSION, every vector
     finite and as long as the saved shapes describe, the counts and ids in
-    range, and the names and shapes those the config describes, all before
-    any parameter is allocated. Any refusal is a ValueError.
+    range, the per-goal and per-mark tables one entry per id, and the names
+    and shapes those the config describes, all before any parameter is
+    allocated. Any refusal is a ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         ckpt = read_record(Checkpoint, json.load(fh), "checkpoint", require_version=True)
@@ -379,7 +377,7 @@ def prepare(corpus: list[Ctas], vocab: Vocab, model_cfg: ModelConfig,
         train_raw, test_raw = split_by_goal(corpus, train_fraction, seed=train_cfg.seed)
     else:
         train_raw, test_raw = list(corpus), []
-    distinct = distinct_durations(train_raw)
+    distinct = distinct_durations(train_raw, vocab.eos_id)
     resolved = resolve_max_len(model_cfg, train_raw)
     if resolved.clusters > distinct:
         log.info("lowering the cluster count from %d to %d, the number of distinct "
@@ -388,7 +386,7 @@ def prepare(corpus: list[Ctas], vocab: Vocab, model_cfg: ModelConfig,
     resolved.validate()
     clusters = build_clusters(train_raw, resolved.clusters, seed=train_cfg.seed,
                               eos_id=vocab.eos_id)
-    vocab = replace(vocab, goal_marks=observed_marks_by_goal(train_raw))
+    vocab = replace(vocab, goal_marks=observed_marks_by_goal(train_raw, vocab.n_goals))
     gap = median_gap(train_raw)
     train_aug = append_eos_corpus(train_raw, gap, vocab.eos_id)
     return Prepared(train_raw=train_raw, test_raw=test_raw, train_aug=train_aug,

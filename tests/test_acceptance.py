@@ -96,10 +96,10 @@ def small_model(variant="base", seed=0, d=4, heads=2, blocks=1, clusters=2,
                 max_len=8, n_marks=3, **kwargs):
     names = [f"m{i}" for i in range(n_marks)]
     vocab = Vocab(names, ["g0", "g1"],
-                  goal_marks={0: tuple(range(n_marks // 2 + 1)),
-                              1: tuple(range(n_marks // 2, n_marks))})
+                  goal_marks=[tuple(range(n_marks // 2 + 1)),
+                              tuple(range(n_marks // 2, n_marks))])
     cm = ClusterMap(m=clusters,
-                    mark_to_cluster={i: i % clusters for i in range(vocab.n_marks)})
+                    assignments=[i % clusters for i in range(vocab.n_marks)])
     cfg = ModelConfig(d=d, heads=heads, blocks=blocks, clusters=clusters,
                       max_len=max_len, variant=variant, **kwargs)
     return Model.init(cfg, vocab, cm, seed=seed)
@@ -271,12 +271,12 @@ def test_criterion_06_parameter_recovery(trained, announce):
         marks = seq.marks()
         fwd = forward_one(model, seq)
         for k in range(len(marks) - 1):
-            cluster = prep.clusters.mark_to_cluster[int(marks[k])]
+            cluster = prep.clusters.assignments[int(marks[k])]
             per_cluster[cluster].append(float(np.exp(fwd.mu.data[k, 0])))
     errors = {}
     for cluster, predictions in per_cluster.items():
         members = [prep.vocab.mark_name(mk)
-                   for mk, c in prep.clusters.mark_to_cluster.items()
+                   for mk, c in enumerate(prep.clusters.assignments)
                    if c == cluster and mk != prep.vocab.eos_id]
         truths = {MARK_MEDIANS[m] for m in members}
         assert len(truths) == 1, f"cluster {cluster} mixes durations {truths}"

@@ -349,10 +349,9 @@ FIELD_EDITS = {
     "best_total_string": (("best_total",), "low"),
     "best_total_nan": (("best_total",), math.nan),
     "unknown_key": (("bogus",), 1),
-    "goal_marks_string": (("vocab", "goal_marks", "0"), "ab"),
-    "cluster_id_string": (("clusters", "assignments", "0"), "1"),
-    "cluster_out_of_range": (("clusters", "assignments", "0"), 99),
-    "assignment_key_out_of_range": (("clusters", "assignments", "100000000000"), 0),
+    "goal_marks_string": (("vocab", "goal_marks", 0), "ab"),
+    "cluster_id_string": (("clusters", "assignments", 0), "1"),
+    "cluster_out_of_range": (("clusters", "assignments", 0), 99),
     # parameters this wide would need terabytes if they were built
     "model_config_huge_width": (("model_config", "d"), 10**12),
 }
@@ -436,9 +435,20 @@ def write_unreadable_checkpoint(kind, workspace, tmp_path):
             payload["params"], optimizer["m"], optimizer["v"] = (
                 decode_vector(text).tolist()
                 for text in (payload["params"], optimizer["m"], optimizer["v"]))
-        elif kind == "version_4":  # this layout, with the per-mark mean gaps as well
+        elif kind == "version_4":  # version 5 with the per-mark mean gaps as well
             payload["version"] = 4
             payload["clusters"]["means"] = {"0": 0.5}
+        elif kind == "version_5":  # this layout with the per-id tables keyed by decimal ids
+            payload["version"] = 5
+            for record, key in ((payload["vocab"], "goal_marks"),
+                                (payload["clusters"], "assignments")):
+                record[key] = {str(i): entry for i, entry in enumerate(record[key])}
+        elif kind == "assignment_key_out_of_range":  # a cluster for a mark id past the vocabulary
+            payload["clusters"]["assignments"].append(0)
+        elif kind == "assignments_short":
+            payload["clusters"]["assignments"].pop()
+        elif kind == "goal_marks_short":
+            payload["vocab"]["goal_marks"].pop()
         else:
             edit_field(kind, payload)
         text = json.dumps(payload).replace('"HUGE"', "1e400")
@@ -447,7 +457,7 @@ def write_unreadable_checkpoint(kind, workspace, tmp_path):
     return ckpt
 
 
-OLD_VERSIONS = {"version_2": 2, "version_3": 3, "version_4": 4}
+OLD_VERSIONS = {"version_2": 2, "version_3": 3, "version_4": 4, "version_5": 5}
 
 
 def assert_no_ckpt_error(err, kind):
@@ -461,6 +471,7 @@ class TestUnreadableCheckpoint:
     KINDS = ("truncated", "not_an_object", "missing_fields", "ill_typed_field",
              "param_missing", "param_reshaped", *VECTOR_KINDS, "params_bad_padding",
              "params_partial_value", *OLD_VERSIONS, *FIELD_EDITS,
+             "assignment_key_out_of_range", "assignments_short", "goal_marks_short",
              "epoch_missing", "version_missing")
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -605,6 +616,52 @@ class TestGenerate:
                      "--first-mark", "grind", "--seed", seed, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("E_USAGE: --seed must be non-negative")
         assert not out.exists() and not (tmp_path / "g.jsonl.reasons.json").exists()
+
+
+def write_held_out_mark_corpus(path):
+    """13 sequences; mark zz occurs only in k5, which a seed-0 split holds out."""
+    records = [{"id": f"b{i}", "goal": "brew", "actions": [
+        {"mark": "grind", "t": 0.0}, {"mark": "boil", "t": 0.5 + 0.1 * i},
+        {"mark": "pour", "t": 3.0 + 0.1 * i}]} for i in range(7)]
+    for i in range(6):
+        actions = [{"mark": "mix", "t": 0.0}, {"mark": "proof", "t": 2.0 + 0.1 * i},
+                   {"mark": "oven", "t": 2.5 + 0.1 * i}]
+        if i == 5:
+            actions.append({"mark": "zz", "t": 4.0})
+        records.append({"id": f"k{i}", "goal": "bake", "actions": actions})
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+class TestHeldOutMark:
+    """A mark seen only in the held-out split still has a duration cluster."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("held_out")
+        write_held_out_mark_corpus(root / "corpus.jsonl")
+        (root / "config.json").write_text(json.dumps(CONFIG))
+        assert main(["train", "--data", str(root / "corpus.jsonl"), "--config",
+                     str(root / "config.json"), "--out", str(root / "run")]) == 0
+        return root / "run"
+
+    def test_split_holds_the_mark_out(self, run):
+        held = [json.loads(line) for line in (run / "test.jsonl").read_text().splitlines()]
+        assert [r["id"] for r in held if "zz" in {a["mark"] for a in r["actions"]}] == ["k5"]
+        payload = json.loads((run / "final.json").read_text())
+        vocab = payload["vocab"]
+        assert len(payload["clusters"]["assignments"]) == len(vocab["marks"]) + 1
+        assert "zz" not in {vocab["marks"][mk] for marks in vocab["goal_marks"] for mk in marks}
+
+    def test_eval_on_the_written_split(self, run, tmp_path):
+        assert main(["eval", "--ckpt", str(run), "--data", str(run / "test.jsonl"),
+                     "--report", str(tmp_path / "r.json")]) == 0
+
+    def test_generate_from_the_held_out_mark(self, run, tmp_path):
+        out = tmp_path / "g.jsonl"
+        assert main(["generate", "--ckpt", str(run), "--goal", "bake", "--first-mark", "zz",
+                     "--count", "2", "--out", str(out)]) == 0
+        assert all(json.loads(line)["actions"][0]["mark"] == "zz"
+                   for line in out.read_text().splitlines())
 
 
 class TestGradcheck:

@@ -91,12 +91,17 @@ class Unsupported:
 
 
 @dataclass
-class Saved:
-    """A record with id-keyed objects, a float vector and a tuple, one field
-    saved under another key."""
+class IdKeyed:
+    table: dict[int, int] = field(default_factory=dict)
 
-    table: dict[int, float] = field(metadata={"key": "by_id"})
-    nested: dict[int, tuple[int, ...]] = field(default_factory=dict)
+
+@dataclass
+class Saved:
+    """A record with tables indexed by id, a float vector and tuples, one
+    field saved under another key."""
+
+    table: list[float] = field(metadata={"key": "by_id"})
+    nested: list[tuple[int, ...]] = field(default_factory=list)
     vector: np.ndarray | None = None
 
 
@@ -153,43 +158,44 @@ class TestReadRecord:
             read_record(Outer, {"count": 1, "version": 2}, "outer")
 
     def test_write_record_orders_ids_and_lists_tuples(self):
-        rec = Saved(table={10: 0.5, 2: 1}, nested={3: (4, 5)}, vector=np.array([0.5]))
+        rec = Saved(table=[0.5, 1], nested=[(), (4, 5)], vector=np.array([0.5]))
         payload = write_record(rec)
         assert json.dumps(payload) == json.dumps(
-            {"by_id": {"2": 1, "10": 0.5}, "nested": {"3": [4, 5]},
+            {"by_id": [0.5, 1], "nested": [[], [4, 5]],
              "vector": encode_vector(np.array([0.5]))})
         assert write_record(VersionedOuter(1)) == {"version": 2, **write_record(Outer(1))}
         assert list(write_record(VersionedOuter(1))) == [
             "version", "count", "rate", "flag", "label", "pairs", "inner"]
 
     def test_reads_ids_vectors_and_saved_keys(self):
-        rec = read_record(Saved, {"by_id": {"0": 1.5, "12": 2}, "nested": {"3": [4, 5]},
+        rec = read_record(Saved, {"by_id": [1.5, 2], "nested": [[], [4, 5]],
                                   "vector": encode_vector(np.array([0.5, -1.0]))}, "saved")
-        assert rec.table == {0: 1.5, 12: 2} and rec.nested == {3: (4, 5)}
+        assert rec.table == [1.5, 2] and rec.nested == [(), (4, 5)]
         assert rec.vector.dtype == np.float64 and rec.vector.tolist() == [0.5, -1.0]
         with pytest.raises(ValueError, match="unknown saved key 'table'"):
-            read_record(Saved, {"table": {}}, "saved")
+            read_record(Saved, {"table": []}, "saved")
 
     @pytest.mark.parametrize("key", ["01", "-1", "+1", "1.0", " 1", "a", "", "\u0661"])
     def test_malformed_id_key_rejected(self, key):
-        with pytest.raises(ValueError, match="is not a decimal id"):
-            read_record(Saved, {"by_id": {key: 1.0}}, "saved")
+        # an id is a JSON integer: its decimal spelling as a string is refused
+        with pytest.raises(ValueError, match=r"saved key 'nested'\[0\]\[0\] must be int, got str"):
+            read_record(Saved, {"by_id": [], "nested": [[key]]}, "saved")
 
     @pytest.mark.parametrize("payload,message", [
-        ({"by_id": {"0": "1.5"}}, r"saved key 'by_id'\['0'\] must be float, got str"),
-        ({"by_id": {}, "nested": {"0": "ab"}}, r"saved key 'nested'\['0'\] must be tuple"),
-        ({"by_id": {}, "nested": {"0": [1, 2.5]}}, r"saved key 'nested'\['0'\]\[1\] must be int"),
-        ({"by_id": {}, "vector": [0.5]}, "saved key 'vector' must be a base64 string, got list"),
-        ({"by_id": {}, "vector": 0.5}, "must be a base64 string, got float"),
+        ({"by_id": ["1.5"]}, r"saved key 'by_id'\[0\] must be float, got str"),
+        ({"by_id": [], "nested": ["ab"]}, r"saved key 'nested'\[0\] must be tuple"),
+        ({"by_id": [], "nested": [[1, 2.5]]}, r"saved key 'nested'\[0\]\[1\] must be int"),
+        ({"by_id": [], "vector": [0.5]}, "saved key 'vector' must be a base64 string, got list"),
+        ({"by_id": [], "vector": 0.5}, "must be a base64 string, got float"),
         # without the '*' this is valid base64 for one float64
-        ({"by_id": {}, "vector": "AAAA*AAAAAAA="}, "saved key 'vector' is not valid base64"),
-        ({"by_id": {}, "vector": "AAAAAAAAAAA"}, "is not valid base64: Incorrect padding"),
-        ({"by_id": {}, "vector": "AAAAAAAA\u00e9AAA"}, "is not valid base64"),
-        ({"by_id": {}, "vector": "AAAAAAAAAAAAAAAA"}, "holds 12 bytes, not a whole number"),
-        ({"by_id": {}, "vector": encode_vector(np.array([0.5, np.nan]))},
+        ({"by_id": [], "vector": "AAAA*AAAAAAA="}, "saved key 'vector' is not valid base64"),
+        ({"by_id": [], "vector": "AAAAAAAAAAA"}, "is not valid base64: Incorrect padding"),
+        ({"by_id": [], "vector": "AAAAAAAA\u00e9AAA"}, "is not valid base64"),
+        ({"by_id": [], "vector": "AAAAAAAAAAAAAAAA"}, "holds 12 bytes, not a whole number"),
+        ({"by_id": [], "vector": encode_vector(np.array([0.5, np.nan]))},
          "saved key 'vector' holds a non-finite"),
-        ({"by_id": {}, "vector": encode_vector(np.array([-np.inf]))}, "holds a non-finite value"),
-        ({"by_id": {"0": 10**400}}, r"saved key 'by_id'\['0'\] is an integer too large"),
+        ({"by_id": [], "vector": encode_vector(np.array([-np.inf]))}, "holds a non-finite value"),
+        ({"by_id": [10**400]}, r"saved key 'by_id'\[0\] is an integer too large"),
     ])
     def test_id_object_and_vector_rejections(self, payload, message):
         with pytest.raises(ValueError, match=message):
@@ -199,28 +205,30 @@ class TestReadRecord:
         calls = []
         check = data._check
         monkeypatch.setattr(data, "_check", lambda *a: calls.append(a[0]) or check(*a))
-        read_record(Saved, {"by_id": {}, "vector": encode_vector(np.full(1000, 0.25))}, "saved")
-        assert calls == [dict[int, float], np.ndarray | None, np.ndarray]
+        read_record(Saved, {"by_id": [], "vector": encode_vector(np.full(1000, 0.25))}, "saved")
+        assert calls == [list[float], np.ndarray | None, np.ndarray]
 
     def test_required_version_is_an_int_checked_first(self):
-        assert read_record(VersionedSaved, {"version": 2, "by_id": {"0": 1.5}}, "saved",
-                           require_version=True).table == {0: 1.5}
+        assert read_record(VersionedSaved, {"version": 2, "by_id": [1.5]}, "saved",
+                           require_version=True).table == [1.5]
         with pytest.raises(ValueError, match="saved is missing key 'version'"):
-            read_record(VersionedSaved, {"by_id": {}}, "saved", require_version=True)
+            read_record(VersionedSaved, {"by_id": []}, "saved", require_version=True)
         # left out, the version is only refused when required
-        assert read_record(VersionedSaved, {"by_id": {}}, "saved").table == {}
+        assert read_record(VersionedSaved, {"by_id": []}, "saved").table == []
         for bad in (2.0, True, "2"):
             with pytest.raises(ValueError, match="saved key 'version' must be int"):
-                read_record(VersionedSaved, {"version": bad, "by_id": {}}, "saved")
+                read_record(VersionedSaved, {"version": bad, "by_id": []}, "saved")
         # the version is refused before any other key is read
         with pytest.raises(ValueError, match="unsupported saved version 1"):
-            read_record(VersionedSaved, {"by_id": {"x": 0}, "version": 1}, "saved")
+            read_record(VersionedSaved, {"by_id": ["x"], "version": 1}, "saved")
 
     def test_unsupported_annotation_raises(self):
-        with pytest.raises(TypeError, match="no reader"):
-            read_record(Unsupported, {"table": {}}, "unsupported")
-        with pytest.raises(TypeError, match="no writer"):
-            write_record(Unsupported())
+        # a JSON object keyed by ids is not a saved form: such a table is a list
+        for cls in (Unsupported, IdKeyed):
+            with pytest.raises(TypeError, match="no reader"):
+                read_record(cls, {"table": {}}, "unsupported")
+            with pytest.raises(TypeError, match="no writer"):
+                write_record(cls())
 
 
 class TestSequenceInvariants:
@@ -350,17 +358,23 @@ class TestVocab:
         assert vocab.mark_name(vocab.eos_id) == EOS_NAME
 
     def test_dict_round_trip(self):
-        vocab = Vocab(["a", "b"], ["g0", "g1"], goal_marks={0: (0,), 1: (0, 1)})
+        vocab = Vocab(["a", "b"], ["g0", "g1"], goal_marks=[(0,), (0, 1)])
         clone = read_record(Vocab, write_record(vocab), "vocab")
         assert clone.mark_names == vocab.mark_names
         assert clone.goal_names == vocab.goal_names
         assert clone.goal_marks == vocab.goal_marks
 
-    @pytest.mark.parametrize("goal_marks", [{"2": [0]}, {"0": [2]}, {"0": [-1]}])
-    def test_loaded_goal_marks_must_lie_inside_the_vocabulary(self, goal_marks):
-        # two goals and two raw marks: goal 2, mark 2 (the terminal) and -1 lie outside
+    @pytest.mark.parametrize("goal_marks,message", [
+        ([[0], [0], [0]], r"goal_marks needs one entry per goal \(2\), got 3"),
+        ([[0], [2]], r"goal_marks entry 1: \[2\] lies outside 2 raw marks"),
+        ([[-1], [0]], r"goal_marks entry 0: \[-1\] lies outside"),
+        ([[0]], r"goal_marks needs one entry per goal \(2\), got 1"),
+    ], ids=["goal_marks0", "goal_marks1", "goal_marks2", "one_goal_short"])
+    def test_loaded_goal_marks_must_lie_inside_the_vocabulary(self, goal_marks, message):
+        # two goals and two raw marks: a third goal, mark 2 (the terminal)
+        # and -1 lie outside, and the second goal needs a set
         payload = {"marks": ["a", "b"], "goals": ["g0", "g1"], "goal_marks": goal_marks}
-        with pytest.raises(DataError, match="goal_marks entry"):
+        with pytest.raises(DataError, match=message):
             read_record(Vocab, payload, "vocab")
 
     def test_marks_for_goal_requires_built_sets(self):
@@ -456,7 +470,8 @@ class TestAppendEos:
 
 class TestClusters:
     def make_corpus_with_means(self, means, reps=4):
-        # mark i always followed (gap means[i]) by a closing mark len(means)
+        # mark i always followed (gap means[i]) by a closing mark len(means);
+        # the terminal mark is len(means) + 1
         corpus = []
         idx = 0
         for i, mu in enumerate(means):
@@ -467,12 +482,12 @@ class TestClusters:
 
     def test_m1_all_in_cluster_zero(self):
         corpus = self.make_corpus_with_means([1.0, 2.0, 3.0])
-        cm = build_clusters(corpus, 1, seed=0)
-        assert set(cm.mark_to_cluster.values()) == {0}
+        cm = build_clusters(corpus, 1, seed=0, eos_id=4)
+        assert cm.assignments == [0] * 5
 
     def test_singleton_clusters_when_m_equals_marks(self):
         corpus = self.make_corpus_with_means([1.0, 5.0, 25.0])
-        cm = build_clusters(corpus, 4, seed=0)
+        cm = build_clusters(corpus, 4, seed=0, eos_id=4)
         labels = cm.clusters_of(range(4))
         assert sorted(labels) == [0, 1, 2, 3]
 
@@ -481,7 +496,7 @@ class TestClusters:
         # unique 2-cluster split minimizing within-cluster squared error
         means = [1.0, 1.1, 9.0, 9.2]
         corpus = self.make_corpus_with_means(means)
-        cm = build_clusters(corpus, 2, seed=0)
+        cm = build_clusters(corpus, 2, seed=0, eos_id=5)
         c0, c1, c2, c3 = cm.clusters_of([0, 1, 2, 3])
         assert c0 == c1
         assert c2 == c3
@@ -502,15 +517,15 @@ class TestClusters:
 
     def test_mean_is_gap_to_next_action(self):
         corpus = [seq(0, 0, [0, 1, 0, 1], [0.0, 2.0, 3.0, 7.0])]
-        _, means, _ = data._duration_means(corpus)
+        _, means, _ = data._duration_means(corpus, 2)
         assert means[0] == pytest.approx((2.0 + 4.0) / 2.0)
         assert means[1] == pytest.approx(1.0)
 
     def test_final_occurrence_contributes_nothing(self):
         corpus = [seq(0, 0, [0, 1], [0.0, 1.0]),
                   seq(1, 0, [1, 0], [0.0, 3.0])]
-        counts, means, unfollowed = data._duration_means(corpus)
-        assert counts == {0: 2, 1: 2} and unfollowed == []
+        counts, means, unfollowed = data._duration_means(corpus, 2)
+        assert counts == [2, 2] and unfollowed == []
         assert means[0] == pytest.approx(1.0)
         assert means[1] == pytest.approx(3.0)
 
@@ -518,38 +533,50 @@ class TestClusters:
         # mark 1 only ever appears last
         corpus = [seq(0, 0, [0, 1], [0.0, 2.0]),
                   seq(1, 0, [0, 1], [0.0, 4.0])]
-        _, means, unfollowed = data._duration_means(corpus)
+        _, means, unfollowed = data._duration_means(corpus, 2)
         assert unfollowed == [1]
         assert means[1] == pytest.approx(3.0)
         with caplog.at_level(logging.INFO, logger="actionflow.data"):
-            build_clusters(corpus, 1, seed=0)
+            build_clusters(corpus, 1, seed=0, eos_id=2)
         # every template's last mark has no follower: a notice, not a warning
         assert [(r.levelno, r.message) for r in caplog.records
                 if "no observed follower" in r.message] == [
             (logging.INFO, "mark id 1 has no observed follower; using global mean 3")]
 
+    def test_absent_mark_gets_global_mean(self):
+        # mark 2 never occurs, so, like mark 1, which is never followed, it
+        # takes the global mean gap 5 and shares mark 1's cluster
+        corpus = [seq(0, 0, [0, 1], [0.0, 2.0]), seq(1, 0, [0, 1], [0.0, 4.0]),
+                  seq(2, 0, [3, 0], [0.0, 9.0])]
+        counts, means, unfollowed = data._duration_means(corpus, 4)
+        assert counts == [3, 2, 0, 1] and unfollowed == [1, 2]
+        assert means == pytest.approx([3.0, 5.0, 5.0, 9.0])
+        cm = build_clusters(corpus, 3, seed=0, eos_id=4)
+        c0, c1, c2, c3, terminal = cm.assignments
+        assert c2 == c1 and terminal == c0 and len({c0, c1, c3}) == 3
+
     def test_m_above_distinct_marks_rejected(self):
         corpus = self.make_corpus_with_means([1.0, 2.0])
         with pytest.raises(DataError):
-            build_clusters(corpus, 4, seed=0)
+            build_clusters(corpus, 4, seed=0, eos_id=3)
         with pytest.raises(DataError):
-            build_clusters(corpus, 0, seed=0)
+            build_clusters(corpus, 0, seed=0, eos_id=3)
 
     def test_m_above_distinct_mean_gaps_rejected(self):
         # marks 0 and 1 share a mean gap, and mark 2 falls back to the global
         # mean, which is the same 2.0
         corpus = self.make_corpus_with_means([2.0, 2.0])
-        build_clusters(corpus, 1, seed=0)
+        build_clusters(corpus, 1, seed=0, eos_id=3)
         with pytest.raises(DataError, match=r"cluster count 2 outside \[1, 1\]: 3 marks"):
-            build_clusters(corpus, 2, seed=0)
+            build_clusters(corpus, 2, seed=0, eos_id=3)
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(9)
         corpus = random_corpus(rng, 40, n_marks=6)
-        a = build_clusters(corpus, 3, seed=4)
-        b = build_clusters(corpus, 3, seed=4)
+        a = build_clusters(corpus, 3, seed=4, eos_id=6)
+        b = build_clusters(corpus, 3, seed=4, eos_id=6)
         assert a == b
-        assert set(a.mark_to_cluster.values()) == {0, 1, 2}
+        assert set(a.assignments) == {0, 1, 2}
 
     def test_terminal_inherits_most_frequent_marks_cluster(self):
         # mark 0 occurs 8 times, mark 1 and 2 occur 4 each
@@ -566,36 +593,36 @@ class TestClusters:
         assert terminal == mark0
 
     def test_dict_round_trip(self):
-        cm = ClusterMap(m=2, mark_to_cluster={0: 0, 1: 1, 2: 1})
+        cm = ClusterMap(m=2, assignments=[0, 1, 1])
         payload = write_record(cm)
-        assert payload == {"m": 2, "assignments": {"0": 0, "1": 1, "2": 1}}
+        assert payload == {"m": 2, "assignments": [0, 1, 1]}
         clone = read_record(ClusterMap, payload, "clusters")
         assert clone == cm
         np.testing.assert_array_equal(clone.clusters_of([2, 0, 1]), [1, 0, 1])
 
     @pytest.mark.parametrize("cluster", [2, -1])
     def test_loaded_cluster_ids_must_lie_below_m(self, cluster):
-        payload = {"m": 2, "assignments": {"0": 0, "1": cluster}}
+        payload = {"m": 2, "assignments": [0, cluster]}
         with pytest.raises(DataError, match=rf"mark id 1 is assigned cluster {cluster}"):
             read_record(ClusterMap, payload, "clusters")
 
     def test_unassigned_mark_raises(self):
-        cm = ClusterMap(m=1, mark_to_cluster={0: 0})
+        cm = ClusterMap(m=1, assignments=[0])
         with pytest.raises(DataError, match="mark id 3 has no duration cluster"):
             cm.clusters_of([3])
 
     def test_clusters_of_matches_cluster_of(self):
-        cm = ClusterMap(m=3, mark_to_cluster={0: 2, 1: 0, 3: 1, 4: 2})
+        cm = ClusterMap(m=3, assignments=[2, 0, 1, 1, 2])
         marks = np.array([4, 0, 0, 3, 1, 4])
         np.testing.assert_array_equal(cm.clusters_of(marks),
-                                      [cm.mark_to_cluster[int(m)] for m in marks])
+                                      [cm.assignments[int(m)] for m in marks])
         assert cm.clusters_of(marks).dtype == np.intp
 
     @pytest.mark.parametrize("bad", [2, 5, 17, -1])
     def test_clusters_of_names_an_unassigned_mark(self, bad):
-        cm = ClusterMap(m=3, mark_to_cluster={0: 2, 1: 0, 3: 1, 4: 2})
+        cm = ClusterMap(m=3, assignments=[2, 0])
         with pytest.raises(DataError, match=f"mark id {bad} has no duration cluster"):
-            cm.clusters_of([0, 1, bad, 3])
+            cm.clusters_of([0, 1, bad, 0])
 
 
 class TestDeleteRandom:
@@ -663,8 +690,8 @@ class TestMiscDerivations:
         corpus = [seq(0, 0, [0, 1], [0.0, 1.0]),
                   seq(1, 1, [2, 2], [0.0, 1.0]),
                   seq(2, 0, [3], [0.0])]
-        sets = observed_marks_by_goal(corpus)
-        assert sets == {0: (0, 1, 3), 1: (2,)}
+        # goal 2 has no sequence, so no marks
+        assert observed_marks_by_goal(corpus, 3) == [(0, 1, 3), (2,), ()]
 
     def test_remap_corpus_by_name(self):
         src = Vocab(["a", "b"], ["g0", "g1"])

@@ -30,8 +30,8 @@ from actionflow.synth import GoalTemplate, SynthSpec, generate as synth_generate
 
 def make_model(seed=0, max_len=16):
     vocab = Vocab(["a", "b", "c"], ["g0", "g1"],
-                  goal_marks={0: (0, 1), 1: (1, 2)})
-    cm = ClusterMap(m=2, mark_to_cluster={i: i % 2 for i in range(vocab.n_marks)})
+                  goal_marks=[(0, 1), (1, 2)])
+    cm = ClusterMap(m=2, assignments=[i % 2 for i in range(vocab.n_marks)])
     cfg = ModelConfig(d=4, heads=2, blocks=1, clusters=2, max_len=max_len)
     return Model.init(cfg, vocab, cm, seed=seed)
 

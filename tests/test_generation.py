@@ -21,8 +21,8 @@ from actionflow.numerics import NumericError, Segments
 
 def make_model(seed=0, max_len=8, **arch):
     vocab = Vocab(["a", "b", "c"], ["g0", "g1"],
-                  goal_marks={0: (0, 1), 1: (1, 2)})
-    cm = ClusterMap(m=2, mark_to_cluster={i: i % 2 for i in range(vocab.n_marks)})
+                  goal_marks=[(0, 1), (1, 2)])
+    cm = ClusterMap(m=2, assignments=[i % 2 for i in range(vocab.n_marks)])
     cfg = ModelConfig(**{"d": 4, "heads": 2, "blocks": 1, "clusters": 2, "max_len": max_len,
                          **arch})
     return Model.init(cfg, vocab, cm, seed=seed)
@@ -290,10 +290,13 @@ class TestCachedStep:
         assert self.run_both(model, marks, times, capacity=8) == (error, error)
 
     def test_mark_without_cluster(self):
-        vocab = Vocab(["a", "b", "c"], ["g0", "g1"], goal_marks={0: (0, 1), 1: (1, 2)})
-        clusters = ClusterMap(m=2, mark_to_cluster={0: 0, 1: 1})
+        vocab = Vocab(["a", "b", "c"], ["g0", "g1"], goal_marks=[(0, 1), (1, 2)])
+        clusters = ClusterMap(m=2, assignments=[0, 1, 0, 1])
         model = Model.init(ModelConfig(d=4, heads=2, blocks=1, clusters=2, max_len=6),
                            vocab, clusters, seed=0)
+        # a model refuses a short table when built; swapped in afterwards,
+        # the table's own range check stops both paths
+        model.clusters = ClusterMap(m=2, assignments=[0, 1])
         assert self.run_both(model, [0, 2], [0.0, 1.0], 6) == (DataError, DataError)
 
     def test_non_finite_is_numeric_error(self):

@@ -35,9 +35,9 @@ import reference
 
 def make_model(variant="base", seed=0, clusters=2, ffn="summed", max_len=8, blocks=1):
     vocab = Vocab(["a", "b", "c"], ["g0", "g1"],
-                  goal_marks={0: (0, 1), 1: (1, 2)})
+                  goal_marks=[(0, 1), (1, 2)])
     cm = ClusterMap(m=clusters,
-                    mark_to_cluster={i: i % clusters for i in range(vocab.n_marks)})
+                    assignments=[i % clusters for i in range(vocab.n_marks)])
     cfg = ModelConfig(d=4, heads=2, blocks=blocks, clusters=clusters, max_len=max_len,
                       variant=variant, ffn=ffn)
     return Model.init(cfg, vocab, cm, seed=seed)

@@ -29,12 +29,12 @@ from actionflow.training import (Adam, OptimizerState, TrainConfig, load_checkpo
                                  save_checkpoint)
 
 VOCAB = Vocab(["boil", "pour", "grind"], ["tea", "coffee"],
-              goal_marks={1: (2, 0, 1), 0: (0, 1)})
+              goal_marks=[(0, 1), (2, 0, 1)])
 VOCAB_TEXT = ('{"marks": ["boil", "pour", "grind"], "goals": ["tea", "coffee"], '
-              '"goal_marks": {"0": [0, 1], "1": [2, 0, 1]}}')
+              '"goal_marks": [[0, 1], [2, 0, 1]]}')
 
-CLUSTERS = ClusterMap(m=2, mark_to_cluster={3: 1, 10: 0, 0: 0, 2: 1, 1: 0})
-CLUSTERS_TEXT = '{"m": 2, "assignments": {"0": 0, "1": 0, "2": 1, "3": 1, "10": 0}}'
+CLUSTERS = ClusterMap(m=2, assignments=[0, 0, 1, 1, 0])
+CLUSTERS_TEXT = '{"m": 2, "assignments": [0, 0, 1, 1, 0]}'
 
 MODEL_CONFIG = ModelConfig(d=4, heads=2, blocks=1, clusters=2, variant="plus", alpha_mark=1,
                            ffn="standard")
@@ -56,11 +56,11 @@ SYNTH_SPEC_TEXT = (
 
 # tiny_checkpoint's file
 CHECKPOINT = (
-    '{"version": 5, "model_config": {"version": 1, "d": 2, "heads": 1, "blocks": 1, '
+    '{"version": 6, "model_config": {"version": 1, "d": 2, "heads": 1, "blocks": 1, '
     '"clusters": 1, "max_len": 2, "variant": "base", "alpha_mark": 0.1, "alpha_time": 0.1, '
     '"alpha_goal": 0.1, "ffn": "summed"}, "vocab": {"marks": ["a"], '
-    '"goals": ["g"], "goal_marks": {"0": [0]}}, "clusters": {"m": 1, '
-    '"assignments": {"0": 0, "1": 0}}, "names": ["block0.attn.wk", '
+    '"goals": ["g"], "goal_marks": [[0]]}, "clusters": {"m": 1, '
+    '"assignments": [0, 0]}, "names": ["block0.attn.wk", '
     '"block0.attn.wo", "block0.attn.wq", "block0.attn.wv", "block0.ffn.b_in", '
     '"block0.ffn.b_out", "block0.ffn.w_in", "block0.ffn.w_out", "block0.ln1.bias", '
     '"block0.ln1.gain", "block0.ln2.bias", "block0.ln2.gain", "embed.bias", "embed.marks", '
@@ -106,8 +106,8 @@ CHECKPOINT = (
 def tiny_checkpoint(path, with_state: bool = True) -> Model:
     """Save a one-mark, one-goal model whose parameters and Adam moments are
     exact binary fractions; returns the model."""
-    vocab = Vocab(["a"], ["g"], goal_marks={0: (0,)})
-    clusters = ClusterMap(m=1, mark_to_cluster={0: 0, 1: 0})
+    vocab = Vocab(["a"], ["g"], goal_marks=[(0,)])
+    clusters = ClusterMap(m=1, assignments=[0, 0])
     config = ModelConfig(d=2, heads=1, blocks=1, clusters=1, max_len=2)
     model = Model.init(config, vocab, clusters)
     model.store.flat[:] = np.arange(model.store.flat.size) / 16 - 2
@@ -223,15 +223,16 @@ def vocabs(draw):
     goals = draw(st.lists(NAME, max_size=3, unique=True))
     mark_sets = st.lists(st.integers(0, len(marks) - 1) if marks else st.nothing(),
                          max_size=4 if marks else 0).map(tuple)
-    goal_marks = (st.dictionaries(st.integers(0, len(goals) - 1), mark_sets, max_size=3)
-                  if goals else st.just({}))
+    goal_marks = st.lists(mark_sets, min_size=len(goals), max_size=len(goals))
     return Vocab(marks, goals, goal_marks=draw(st.none() | goal_marks))
 
 
 @st.composite
-def cluster_maps(draw, marks=st.integers(0, 2**64)):
+def cluster_maps(draw, sizes=st.integers(0, 6)):
     m = draw(st.integers(1, 16))
-    return ClusterMap(m=m, mark_to_cluster=draw(st.dictionaries(marks, st.integers(0, m - 1))))
+    size = draw(sizes)
+    return ClusterMap(m=m, assignments=draw(st.lists(st.integers(0, m - 1),
+                                                     min_size=size, max_size=size)))
 
 
 def vectors(size, elements=FINITE):
@@ -247,7 +248,7 @@ def optimizer_states(size):
 def checkpoints(draw):
     """A checkpoint whose names and shapes are those of a small drawn model."""
     vocab = draw(vocabs())
-    clusters = draw(cluster_maps(marks=st.integers(0, vocab.n_marks - 1)))
+    clusters = draw(cluster_maps(sizes=st.just(vocab.n_marks)))
     heads = draw(st.integers(1, 2))
     config = ModelConfig(
         d=heads * draw(st.integers(1, 2)), heads=heads, blocks=draw(st.integers(1, 2)),

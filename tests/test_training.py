@@ -44,9 +44,9 @@ from actionflow.training import (
 
 def tiny_setup(clusters=2, max_len=8):
     vocab = Vocab(["a", "b", "c"], ["g0", "g1"],
-                  goal_marks={0: (0, 1), 1: (1, 2)})
+                  goal_marks=[(0, 1), (1, 2)])
     cm = ClusterMap(m=clusters,
-                    mark_to_cluster={i: i % clusters for i in range(vocab.n_marks)})
+                    assignments=[i % clusters for i in range(vocab.n_marks)])
     cfg = ModelConfig(d=4, heads=2, blocks=1, clusters=clusters, max_len=max_len)
     return vocab, cm, cfg
 
@@ -531,11 +531,14 @@ class TestCheckpoints:
         save_checkpoint(path, model)
         load_checkpoint(path)  # the terminal mark, the last id, is assigned too
         payload = json.loads(path.read_text())
-        assert max(map(int, payload["clusters"]["assignments"])) == model.vocab.eos_id
-        payload["clusters"]["assignments"][str(model.vocab.n_marks)] = 0
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"mark id {model.vocab.n_marks}, outside"):
-            load_checkpoint(path)
+        assignments = payload["clusters"]["assignments"]
+        assert len(assignments) == model.vocab.n_marks == model.vocab.eos_id + 1
+        for edited in (assignments + [0], assignments[:-1]):
+            payload["clusters"]["assignments"] = edited
+            path.write_text(json.dumps(payload))
+            message = rf"one assignment per mark \({len(assignments)}\), got {len(edited)}"
+            with pytest.raises(ValueError, match=message):
+                load_checkpoint(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "final.json"
@@ -727,7 +730,7 @@ class TestPrepare:
         assert prep.eos_gap > 0.0
         assert prep.model_config.max_len is not None
         assert prep.clusters.m == cfg.clusters
-        assert set(prep.vocab.goal_marks) == {0, 1}
+        assert len(prep.vocab.goal_marks) == vocab.n_goals == 2
 
     def test_prepare_without_split_uses_everything(self):
         corpus, vocab = self.two_goal_corpus(count=12)
@@ -743,7 +746,7 @@ class TestPrepare:
         seen = set()
         for seq in prep.train_raw:
             seen.update(seq.marks())
-        for goal, marks in prep.vocab.goal_marks.items():
+        for marks in prep.vocab.goal_marks:
             assert set(marks) <= seen
 
     def test_prepare_leaves_the_callers_vocab_alone(self):
@@ -759,7 +762,7 @@ class TestPrepare:
         assert vocab.goal_marks is None
         # each preparation keeps the action sets of its own training side
         assert [prep.vocab.goal_marks for prep in preps] == [
-            observed_marks_by_goal(prep.train_raw) for prep in preps]
+            observed_marks_by_goal(prep.train_raw, vocab.n_goals) for prep in preps]
         assert {prep.vocab.goal_marks[0] for prep in preps} == {(0, 1), (0, 1, 2)}
 
 
