@@ -13,7 +13,7 @@ exits nonzero; the codes are stable so scripts can branch on them:
               type or out of range, a vector that is not base64 of a whole
               number of finite float64 values, or parameters that do not
               fit the model its config builds
-* E_NUMERIC   non-finite loss or divergent training
+* E_NUMERIC   a non-finite value in training, evaluation or generation
 * E_GRADCHECK gradient check exceeded tolerance
 
 Configuration comes from one JSON file with three optional sections:

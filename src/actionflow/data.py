@@ -530,7 +530,21 @@ def observed_marks_by_goal(corpus: list[Ctas], n_goals: int) -> list[tuple[int, 
     return [tuple(sorted(ms)) for ms in sets]
 
 
-def _duration_means(corpus: list[Ctas], n_raw: int) -> tuple[list[int], list[float], list[int]]:
+class DurationMeans(typing.NamedTuple):
+    """Per raw mark id: occurrence count and mean gap to the following
+    action, plus the ids that fell back to the global mean gap."""
+
+    counts: list[int]
+    means: list[float]
+    unfollowed: list[int]
+
+    @property
+    def distinct(self) -> int:
+        """Number of distinct mean gaps: the most clusters build_clusters can fill."""
+        return len(set(self.means))
+
+
+def duration_means(corpus: list[Ctas], n_raw: int) -> DurationMeans:
     """Occurrence count and mean gap to the following action of every raw
     mark id in [0, n_raw).
 
@@ -556,20 +570,16 @@ def _duration_means(corpus: list[Ctas], n_raw: int) -> tuple[list[int], list[flo
     global_mean = float(np.mean(pooled))
     means = [float(np.mean(gaps_by_mark[mk])) if mk in gaps_by_mark else global_mean
              for mk in range(n_raw)]
-    return counts, means, [mk for mk in range(n_raw) if mk not in gaps_by_mark]
+    return DurationMeans(counts, means,
+                         [mk for mk in range(n_raw) if mk not in gaps_by_mark])
 
 
-def distinct_durations(corpus: list[Ctas], eos_id: int) -> int:
-    """Number of distinct duration proxies of the raw marks [0, eos_id):
-    the most clusters build_clusters can fill."""
-    return len(set(_duration_means(corpus, eos_id)[1]))
+def build_clusters(durations: DurationMeans, m: int, seed: int = 0) -> ClusterMap:
+    """Cluster the raw marks by their mean gap to the following action.
 
-
-def build_clusters(corpus: list[Ctas], m: int, seed: int = 0, *, eos_id: int) -> ClusterMap:
-    """Cluster the raw marks [0, eos_id) by their mean gap to the following action.
-
-    A mark's duration proxy is the mean of t_{i+1} - t_i over its training
-    occurrences; a sequence's final action contributes nothing. Marks never
+    durations holds every raw mark id [0, eos_id) (duration_means of the
+    training corpus, with n_raw = eos_id): a mark's duration proxy is the
+    mean of t_{i+1} - t_i over its training occurrences, and marks never
     observed with a follower, or never observed at all, fall back to the
     global mean. 1-D k-means with seeded k-means++ initialization and 100
     refinement iterations produces the assignment; the terminal mark eos_id
@@ -577,8 +587,8 @@ def build_clusters(corpus: list[Ctas], m: int, seed: int = 0, *, eos_id: int) ->
     of distinct proxies, since marks sharing a proxy always share a cluster
     and extra clusters would stay empty.
     """
-    counts, means, unfollowed = _duration_means(corpus, eos_id)
-    distinct = len(set(means))
+    counts, means, unfollowed = durations
+    eos_id, distinct = len(means), durations.distinct
     if not 1 <= m <= distinct:
         raise DataError(
             f"cluster count {m} outside [1, {distinct}]: {eos_id} marks "

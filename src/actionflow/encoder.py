@@ -39,6 +39,7 @@ import numpy as np
 
 from .data import DataError
 from .numerics import (
+    NumericError,
     ParamSpec,
     ParamStore,
     Segments,
@@ -126,16 +127,24 @@ def init_set_params(cfg: ModelConfig) -> list[ParamSpec]:
 # ---------------------------------------------------------------------------
 
 def _embed_rows(store: ParamStore, marks: np.ndarray, times: np.ndarray,
-                gaps: np.ndarray) -> Tensor:
-    """Mark row + time and gap features + bias, one row per action."""
+                prev: np.ndarray | float) -> Tensor:
+    """Mark row + time and gap features + bias, one row per action; each
+    action's gap is measured from its prev time (a number or one per row).
+
+    A non-finite time raises no floating-point flag where it is used, so
+    it is refused here. Checking the order before subtracting keeps every
+    gap of finite, non-negative times finite.
+    """
     n_rows = store["embed.marks"].data.shape[0]
     if marks.min() < 0 or marks.max() >= n_rows:
         raise DataError(f"mark id outside vocabulary of size {n_rows}")
-    if np.any(gaps < 0.0):
+    if not np.isfinite(times).all():
+        raise NumericError("times must be finite")
+    if np.any(times < prev):
         raise DataError("times must be non-decreasing from zero")
     y = take_rows(store["embed.marks"], marks)
     y = add(y, matmul(Tensor(times[:, None]), store["embed.w_time"]))
-    y = add(y, matmul(Tensor(gaps[:, None]), store["embed.w_gap"]))
+    y = add(y, matmul(Tensor((times - prev)[:, None]), store["embed.w_gap"]))
     return add(y, store["embed.bias"])
 
 
@@ -155,9 +164,9 @@ def embed_actions(store: ParamStore, marks, times, segs: Segments) -> Tensor:
     segs.check("embed_actions", marks.size)
     if segs.lens.min() == 0:
         raise ValueError("empty prefix")
-    gaps = np.diff(times, prepend=0.0)
-    gaps[segs.starts] = times[segs.starts]
-    return _embed_rows(store, marks, times, gaps)
+    prev = np.roll(times, 1)
+    prev[segs.starts] = 0.0
+    return _embed_rows(store, marks, times, prev)
 
 
 def _add_positions(store: ParamStore, y: Tensor, pos: np.ndarray, length: int) -> Tensor:
@@ -307,7 +316,7 @@ def encode_next(store: ParamStore, cfg: ModelConfig, cache: DecodeCache, mark: i
         raise CapacityError(f"prefix length {capacity + 1} exceeds the cache's capacity {capacity}")
     marks = np.array([mark], dtype=np.intp)
     times = np.array([t], dtype=np.float64)
-    y = _embed_rows(store, marks, times, times - cache.last_t)
+    y = _embed_rows(store, marks, times, cache.last_t)
     x = _add_positions(store, y, np.array([cache.length]), cache.length + 1)
     s = _blocks(store, cfg, x, cache)
     summary = cache.running_sum("set", _set_rows(store, y)) if cfg.variant == "plus" else None

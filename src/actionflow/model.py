@@ -21,7 +21,16 @@ import numpy as np
 from . import encoder as enc
 from . import heads
 from .data import ClusterMap, Ctas, Vocab
-from .numerics import ParamSpec, ParamStore, Segments, Tensor, draw_params, exp, log_softmax
+from .numerics import (
+    ParamSpec,
+    ParamStore,
+    Segments,
+    Tensor,
+    draw_params,
+    exp,
+    guarded,
+    log_softmax,
+)
 
 VARIANTS = ("base", "plus")
 
@@ -152,14 +161,17 @@ class Model:
         store = ParamStore(draw_params(specs, np.random.default_rng([seed, 0])))
         return cls(config, vocab, clusters, store)
 
+    @guarded
     def forward(self, marks, times, segs: Segments) -> ForwardPass:
         """Encode once and evaluate every head at every prefix index.
 
         marks and times are packed, one segment of segs per sequence (pack's
         layout, or Segments(n) for a lone prefix). The gap parameters at index
         i are gated by the duration cluster of the action at index i (the
-        current action when predicting what follows it).
+        current action when predicting what follows it). Runs under the
+        floating-point guard, after checking the parameters and times.
         """
+        self.store.check_finite()
         marks = np.asarray(marks, dtype=np.intp)
         times = np.asarray(times, dtype=np.float64)
         y = enc.embed_actions(self.store, marks, times, segs)
@@ -167,12 +179,15 @@ class Model:
         x = enc.set_embed(self.store, y, segs) if self.config.variant == "plus" else None
         return ForwardPass(*self._heads(s, x, marks), marks=marks, times=times, segs=segs)
 
+    @guarded
     def step(self, cache: enc.DecodeCache, mark: int, t: float) -> Predictions:
         """Append one action to the cache's sequence and predict what follows.
 
         The one row returned is the last row of forward on the whole
-        sequence, up to rounding, at the cost of encoding one action.
+        sequence, up to rounding, at the cost of encoding one action. Runs
+        under the floating-point guard, as forward does.
         """
+        self.store.check_finite()
         s, x = enc.encode_next(self.store, self.config, cache, mark, t)
         return Predictions(*self._heads(s, x, np.array([mark], dtype=np.intp)))
 

@@ -34,10 +34,29 @@ each named tensor a view into it; that layout never changes, so whole-store
 passes (the L2 term, an Adam step) are single vectorized operations. The
 store has no saved form of its own: a checkpoint (``training``) writes its
 names, shapes and ``flat``.
+
+Non-finite values are caught by one floating-point guard per call, not by a
+scan after every op. The outermost guarded call (an entry point such as
+Model.forward, Model.step, objectives.total_loss, GradTape.backward or
+Adam.update, marked with ``guarded``) runs inside one
+``np.errstate(over="raise", invalid="raise", divide="raise",
+under="ignore")``, so numpy's own IEEE flags stop the first op that
+overflows, divides by zero or makes a NaN; a guard opened inside another
+passes straight through. The FloatingPointError leaves the innermost guard
+as a NumericError that names it: every primitive is a guard too, so the
+message reads like ``attend: overflow encountered in matmul``. A value that
+is already non-finite raises no flag, so each entry point checks what can
+arrive that way once (the parameters, the times). Two kinds of work raise no
+flag of their own and are scanned instead: a float ``np.bincount`` total,
+and a product large enough for BLAS to split over threads (a worker
+thread's flags never reach numpy). A primitive called with no guard open
+opens its own and scans its output once, since its inputs are unchecked.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping
@@ -54,6 +73,56 @@ class ShapeError(ValueError):
 
 class NumericError(ArithmeticError):
     """An op produced (or was handed) a non-finite or out-of-domain value."""
+
+
+# ---------------------------------------------------------------------------
+# the floating-point guard
+# ---------------------------------------------------------------------------
+
+# True while a guarded call runs in this context; numpy keeps its errstate in
+# a context variable too, so the two share one scope per thread and task
+_GUARD_OPEN = contextvars.ContextVar("actionflow_guard_open", default=False)
+
+
+def _guard(fn, name: str, scan_output: bool):
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        if _GUARD_OPEN.get():
+            try:
+                return fn(*args, **kwargs)
+            except FloatingPointError as e:
+                raise NumericError(f"{name}: {e}") from None
+        token = _GUARD_OPEN.set(True)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+                out = call(*args, **kwargs)  # now the open-guard branch above
+        finally:
+            _GUARD_OPEN.reset(token)
+        if scan_output and not np.isfinite(out.data).all():
+            raise NumericError(f"{name}: non-finite output")
+        return out
+    return call
+
+
+def guarded(fn):
+    """Run fn under the floating-point guard (see the module docstring).
+
+    The outermost guarded call turns numpy's overflow, invalid and
+    divide-by-zero flags into FloatingPointError for its whole duration and
+    restores the caller's errstate when it returns or raises; a guarded call
+    inside it passes straight through. A FloatingPointError leaves the
+    innermost guard it crosses as a NumericError prefixed with that guard's
+    name (fn's qualified name), so one raised inside a primitive names the
+    primitive. fn must not return non-finite values it was handed: check
+    such inputs where they enter.
+    """
+    return _guard(fn, fn.__qualname__, scan_output=False)
+
+
+def primitive(fn):
+    """A guarded op whose output, a Tensor, is scanned once when no guard was
+    open: its inputs then come from outside any checked entry point."""
+    return _guard(fn, fn.__name__, scan_output=True)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +229,7 @@ class GradTape:
     def __len__(self) -> int:
         return len(self._records)
 
+    @guarded
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(param) into every reachable parameter's .grad.
 
@@ -193,9 +263,13 @@ def _active_tape() -> GradTape | None:
 
 
 def _emit(op: str, out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
+    """Wrap an op's output and record it on the active tape, if any.
+
+    op is the primitive's name; the record does not keep it. Nothing is
+    scanned here: the op ran under the floating-point guard, so a result
+    that overflowed or came out NaN has already raised.
+    """
     out = Tensor(out_data)
-    if not np.isfinite(out.data).all():
-        raise NumericError(f"{op}: non-finite output")
     tape = _active_tape()
     if tape is not None:
         tape._records.append((out, inputs, vjp))
@@ -203,10 +277,36 @@ def _emit(op: str, out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     return out
 
 
+#: The fewest multiply-adds in a product that OpenBLAS splits over threads
+#: (dgemv's threshold, 2304 * 4; dgemm's is higher). A flag raised on a
+#: worker thread never reaches numpy, so such a product's output is scanned.
+_THREADED_PRODUCT = 2304 * 4
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.matmul(a, b), raising FloatingPointError for a non-finite output
+    that BLAS may have computed off this thread."""
+    out = np.matmul(a, b)
+    rows, inner = a.shape[-2:]
+    if rows * inner * b.shape[-1] >= _THREADED_PRODUCT and not np.isfinite(out).all():
+        raise FloatingPointError("non-finite value in a threaded matmul")
+    return out
+
+
+def _bincount(index: np.ndarray, weights: np.ndarray, minlength: int) -> np.ndarray:
+    """np.bincount of float weights, which adds in C without setting a
+    floating-point flag: a total that overflows raises here instead."""
+    out = np.bincount(index, weights=weights, minlength=minlength)
+    if not np.isfinite(out).all():
+        raise FloatingPointError("overflow encountered in bincount")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
 
+@primitive
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two rank-2 operands."""
     ad, bd = a.data, b.data
@@ -216,9 +316,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
 
     def vjp(g):
-        return (g @ bd.T, ad.T @ g)
+        return (_product(g, bd.T), _product(ad.T, g))
 
-    return _emit("matmul", ad @ bd, (a, b), vjp)
+    return _emit("matmul", _product(ad, bd), (a, b), vjp)
 
 
 def _operand(op: str, a: Tensor, b) -> np.ndarray | float:
@@ -247,22 +347,26 @@ def _binary(op: str, out: np.ndarray, a: Tensor, b, grad_a, grad_b) -> Tensor:
                  lambda g: (grad_a(g), grad_b(g).sum(axis=0) if rows else grad_b(g)))
 
 
+@primitive
 def add(a: Tensor, b) -> Tensor:
     """a + b; b may be a number, a tensor of a's shape or a rank-1 row bias."""
     return _binary("add", a.data + _operand("add", a, b), a, b, lambda g: g, lambda g: g)
 
 
+@primitive
 def sub(a: Tensor, b) -> Tensor:
     """a - b; same operand rules as add."""
     return _binary("sub", a.data - _operand("sub", a, b), a, b, lambda g: g, lambda g: -g)
 
 
+@primitive
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise a * b; same operand rules as add."""
     ad, bd = a.data, _operand("mul", a, b)
     return _binary("mul", ad * bd, a, b, lambda g: g * bd, lambda g: g * ad)
 
 
+@primitive
 def div(a: Tensor, b) -> Tensor:
     """Elementwise a / b for a nonzero number or a same-shape tensor b."""
     ad, bd = a.data, _operand("div", a, b)
@@ -274,6 +378,7 @@ def div(a: Tensor, b) -> Tensor:
     return _binary("div", ad / bd, a, b, lambda g: g / bd, lambda g: -g * ad / (bd * bd))
 
 
+@primitive
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
 
@@ -283,6 +388,7 @@ def relu(a: Tensor) -> Tensor:
     return _emit("relu", np.where(mask, a.data, 0.0), (a,), vjp)
 
 
+@primitive
 def log_softmax(a: Tensor) -> Tensor:
     """Log of softmax over the last axis, computed without underflow."""
     if a.data.ndim not in (1, 2):
@@ -298,6 +404,7 @@ def log_softmax(a: Tensor) -> Tensor:
     return _emit("log_softmax", out, (a,), vjp)
 
 
+@primitive
 def log(a: Tensor) -> Tensor:
     """Natural log; rejects non-positive inputs instead of returning -inf."""
     if np.any(a.data <= 0.0):
@@ -310,9 +417,9 @@ def log(a: Tensor) -> Tensor:
     return _emit("log", np.log(ad), (a,), vjp)
 
 
+@primitive
 def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
+    out = np.exp(a.data)
 
     def vjp(g):
         return (g * out,)
@@ -320,6 +427,7 @@ def exp(a: Tensor) -> Tensor:
     return _emit("exp", out, (a,), vjp)
 
 
+@primitive
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x) computed stably for large |x|."""
     ad = a.data
@@ -330,6 +438,7 @@ def softplus(a: Tensor) -> Tensor:
     return _emit("softplus", np.logaddexp(0.0, ad), (a,), vjp)
 
 
+@primitive
 def sum_all(a: Tensor) -> Tensor:
     shape = a.data.shape
 
@@ -339,6 +448,7 @@ def sum_all(a: Tensor) -> Tensor:
     return _emit("sum_all", a.data.sum(), (a,), vjp)
 
 
+@primitive
 def mean_all(a: Tensor) -> Tensor:
     if a.data.size == 0:
         raise ShapeError("mean_all: empty tensor")
@@ -353,10 +463,11 @@ def mean_all(a: Tensor) -> Tensor:
 def _scatter_add(index: np.ndarray, values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Zeros of ``shape`` with each value added at its flat index, in input
     order from 0.0: np.add.at on zeros, bit for bit, in one bincount."""
-    out = np.bincount(index, weights=values.ravel(), minlength=math.prod(shape))
+    out = _bincount(index, values.ravel(), math.prod(shape))
     return out.astype(np.float64, copy=False).reshape(shape)  # integer zeros if no values
 
 
+@primitive
 def take_rows(a: Tensor, idx) -> Tensor:
     """Gather rows of a rank-2 tensor (or entries of a rank-1 tensor)."""
     idx = np.asarray(idx, dtype=np.intp)
@@ -374,6 +485,7 @@ def take_rows(a: Tensor, idx) -> Tensor:
     return _emit("take_rows", a.data[idx], (a,), vjp)
 
 
+@primitive
 def pick(a: Tensor, rows, cols) -> Tensor:
     """Select a[rows[i], cols[i]] for each i, producing a rank-1 tensor."""
     if a.data.ndim != 2:
@@ -492,6 +604,7 @@ class Segments:
                      for a, b in zip(cuts, cuts[1:]))
 
 
+@primitive
 def cumsum(a: Tensor, segs: Segments) -> Tensor:
     """Running sum down axis 0, restarting at every segment."""
     segs.check("cumsum", a.data.shape[0])
@@ -502,6 +615,7 @@ def cumsum(a: Tensor, segs: Segments) -> Tensor:
     return _emit("cumsum", segs.unpad(np.cumsum(segs.pad(a.data), axis=1)), (a,), vjp)
 
 
+@primitive
 def shifted_prefix_max(a: Tensor, segs: Segments) -> Tensor:
     """Strictly-previous running max down axis 0, restarting at every segment.
 
@@ -544,6 +658,7 @@ def shifted_prefix_max(a: Tensor, segs: Segments) -> Tensor:
     return _emit("shifted_prefix_max", out, (a,), vjp)
 
 
+@primitive
 def segment_sum(a: Tensor, segs: Segments) -> Tensor:
     """Per-segment totals: out[b] sums every entry of segment b's rows.
 
@@ -560,8 +675,7 @@ def segment_sum(a: Tensor, segs: Segments) -> Tensor:
         per_row = g[segs.seg]
         return (per_row if len(shape) == 1 else np.repeat(per_row[:, None], shape[1], axis=1),)
 
-    return _emit("segment_sum", np.bincount(segs.seg, weights=rows, minlength=segs.count),
-                 (a,), vjp)
+    return _emit("segment_sum", _bincount(segs.seg, rows, segs.count), (a,), vjp)
 
 
 def _softmax_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, scale: float,
@@ -569,22 +683,35 @@ def _softmax_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, scale: fl
     """Scaled dot-product attention on [..., heads, rows, dh] blocks: the
     heads' outputs and their weights. A causal block is square, and its row
     i gives exactly zero weight to the keys after it."""
-    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
+    # no _product scan here: a +inf score turns NaN (invalid, so it raises) in
+    # the max subtraction, a NaN reaches the output product, which is as large
+    # and so scanned, and a -inf only zeroes a weight, as a masked score does
+    scores = np.matmul(qh, kh.swapaxes(-1, -2))
+    scores *= scale
     if causal:
         cols = np.arange(scores.shape[-1])
         np.copyto(scores, -np.inf, where=cols > cols[:, None])
     scores -= scores.max(axis=-1, keepdims=True)
     w = np.exp(scores, out=scores)
     w /= w.sum(axis=-1, keepdims=True)
-    return np.matmul(w, vh), w
+    return _product(w, vh), w
 
 
 def _softmax_attention_vjp(gh, qh, kh, vh, w, scale: float):
-    """Gradients of _softmax_attention's output with respect to qh, kh, vh."""
+    """Gradients of _softmax_attention's output with respect to qh, kh, vh.
+
+    The score gradient w * (gw - rowsum) * scale is built in place on the
+    gw product, in that order of operations, so no other temporary of the
+    score block's size is made."""
+    # no _product scan here, as for the scores: an inf turns NaN (invalid) in
+    # the lines below, and a NaN reaches the products returned, which are scanned
     gw = np.matmul(gh, vh.swapaxes(-1, -2))
-    gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
-    return (np.matmul(gs, kh), np.matmul(gs.swapaxes(-1, -2), qh),
-            np.matmul(w.swapaxes(-1, -2), gh))
+    rowsum = (gw * w).sum(axis=-1, keepdims=True)
+    gw -= rowsum
+    gw *= w
+    gw *= scale
+    return (_product(gw, kh), _product(gw.swapaxes(-1, -2), qh),
+            _product(w.swapaxes(-1, -2), gh))
 
 
 def _attention_scale(op: str, d: int, heads: int) -> float:
@@ -594,6 +721,7 @@ def _attention_scale(op: str, d: int, heads: int) -> float:
     return 1.0 / np.sqrt(d // heads)
 
 
+@primitive
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, segs: Segments, heads: int) -> Tensor:
     """Multi-head causal self-attention over packed sequences, in one record.
 
@@ -622,15 +750,13 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, segs: Segments, heads: int
 
     out = np.empty((n, d))
     blocks = []
-    # overflowing scores end in a non-finite output, which _emit reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows, sub in segs.groups:
-            # a real row's padding keys lie above the diagonal too; a padding
-            # row's output is dropped and its gradient is zero
-            qh, kh, vh = (split(x.data[rows], sub) for x in (q, k, v))
-            oh, w = _softmax_attention(qh, kh, vh, scale, causal=True)
-            out[rows] = merge(oh, sub)
-            blocks.append((rows, sub, qh, kh, vh, w))
+    for rows, sub in segs.groups:
+        # a real row's padding keys lie above the diagonal too; a padding
+        # row's output is dropped and its gradient is zero
+        qh, kh, vh = (split(x.data[rows], sub) for x in (q, k, v))
+        oh, w = _softmax_attention(qh, kh, vh, scale, causal=True)
+        out[rows] = merge(oh, sub)
+        blocks.append((rows, sub, qh, kh, vh, w))
 
     def vjp(g):
         gq, gk, gv = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
@@ -642,6 +768,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, segs: Segments, heads: int
     return _emit("causal_attention", out, (q, k, v), vjp)
 
 
+@primitive
 def attend(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head attention of every row of q over every row of k and v.
 
@@ -664,8 +791,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         return x.transpose(1, 0, 2).reshape(-1, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    with np.errstate(over="ignore", invalid="ignore"):
-        oh, w = _softmax_attention(qh, kh, vh, scale, causal=False)
+    oh, w = _softmax_attention(qh, kh, vh, scale, causal=False)
 
     def vjp(g):
         return tuple(merge(x) for x in _softmax_attention_vjp(split(g), qh, kh, vh, w, scale))
@@ -673,6 +799,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return _emit("attend", merge(oh), (q, k, v), vjp)
 
 
+@primitive
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
     """Row-wise normalization to zero mean / unit variance, then gain and bias."""
     if x.data.ndim != 2:
@@ -794,6 +921,16 @@ class ParamStore:
     def split(self, vector: np.ndarray) -> list[np.ndarray]:
         """Views into a vector laid out like ``flat``, one per parameter in its shape."""
         return [vector[at].reshape(t.data.shape) for t, at in zip(self.tensors, self.slices)]
+
+    def check_finite(self) -> None:
+        """Raise NumericError naming the first parameter that holds a
+        non-finite value. Such a value raises no floating-point flag where
+        it is used, so a guarded entry point checks the store before it runs."""
+        finite = np.isfinite(self.flat)
+        if not finite.all():
+            at = int(np.argmin(finite))
+            name = next(t.name for t, part in zip(self.tensors, self.slices) if at < part.stop)
+            raise NumericError(f"parameter {name} holds a non-finite value")
 
     def grad(self, name: str) -> np.ndarray:
         """Accumulated gradient for a parameter; zeros if never reached."""

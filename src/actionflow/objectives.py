@@ -37,10 +37,12 @@ from .numerics import (
     Tensor,
     _emit,
     add,
+    guarded,
     div,
     log,
     mul,
     pick,
+    primitive,
     relu,
     segment_sum,
     shifted_prefix_max,
@@ -161,6 +163,7 @@ def margin_action(model: Model, batch: list[Ctas], *, fwd: ForwardPass) -> Tenso
     return hinge_sum(mul(fwd.mark_prob, keep), fwd.segs)
 
 
+@primitive
 def l2_penalty(store: ParamStore) -> Tensor:
     """Squared norm of every parameter, as one tape record.
 
@@ -169,8 +172,7 @@ def l2_penalty(store: ParamStore) -> Tensor:
     bit for bit), and the gradient is 2 * flat split back into parameters.
     """
     flat = store.flat
-    with np.errstate(over="ignore"):  # _emit reports an overflow as non-finite
-        total = sum(part.sum() for part in store.split(flat * flat))
+    total = sum(part.sum() for part in store.split(flat * flat))
     return _emit("l2_penalty", total, store.tensors, lambda g: store.split(2.0 * g * flat))
 
 
@@ -187,18 +189,21 @@ def sequence_terms(model: Model, batch: list[Ctas], *, gamma: float,
     }
 
 
+@guarded
 def total_loss(model: Model, batch: list[Ctas], *, gamma: float,
                margin_weight: float, l2_coeff: float,
                eos_time_term: bool = True) -> tuple[Tensor, LossBreakdown]:
     """Batch objective: mean of per-sequence totals plus one L2 term.
 
     Returns the taped scalar to differentiate and a float breakdown whose
-    components are batch means (l2 is the raw squared norm). A non-finite
-    value aborts with the offending sequence id in the error: the batch is
-    then re-run one sequence at a time to find it.
+    components are batch means (l2 is the raw squared norm). Runs under the
+    floating-point guard. A non-finite parameter aborts first; any other
+    non-finite value aborts with the offending sequence id in the error: the
+    batch is then re-run one sequence at a time to find it.
     """
     if not batch:
         raise ValueError("empty batch")
+    model.store.check_finite()
     try:
         terms = sequence_terms(model, batch, gamma=gamma, eos_time_term=eos_time_term)
     except NumericError:

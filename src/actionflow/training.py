@@ -41,7 +41,7 @@ from .data import (
     Vocab,
     append_eos_corpus,
     build_clusters,
-    distinct_durations,
+    duration_means,
     median_gap,
     observed_marks_by_goal,
     read_record,
@@ -49,7 +49,7 @@ from .data import (
     write_record,
 )
 from .model import Model, ModelConfig, layout
-from .numerics import GradTape, NumericError, ParamStore
+from .numerics import GradTape, NumericError, ParamStore, guarded
 from .objectives import LossBreakdown, total_loss
 
 log = logging.getLogger(__name__)
@@ -126,11 +126,14 @@ class Adam:
     def from_config(cls, store: ParamStore, cfg: TrainConfig) -> "Adam":
         return cls(store, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
 
+    @guarded
     def update(self) -> tuple[float, float]:
         """Apply one step using the gradients currently on the store.
 
         Returns the step's health: the global L2 norm of the gradient, and
         the update ratio ||delta|| / ||params|| (params before the step).
+        Runs under the floating-point guard: a step that overflows raises
+        NumericError and leaves the optimizer and the parameters unusable.
         """
         flat = self.store.flat
         g = self.store.flat_grad()
@@ -306,9 +309,9 @@ def train(corpus: list[Ctas], vocab: Vocab, clusters: ClusterMap,
                         eos_time_term=train_cfg.eos_time_term,
                     )
                     tape.backward(total)
+                health = optimizer.update()
             except NumericError as e:
                 raise TrainingDiverged(f"epoch {epoch}: {e}") from None
-            health = optimizer.update()
             for key in sums:
                 sums[key] += getattr(bd, key) * len(batch)
             last_l2 = bd.l2
@@ -377,15 +380,15 @@ def prepare(corpus: list[Ctas], vocab: Vocab, model_cfg: ModelConfig,
         train_raw, test_raw = split_by_goal(corpus, train_fraction, seed=train_cfg.seed)
     else:
         train_raw, test_raw = list(corpus), []
-    distinct = distinct_durations(train_raw, vocab.eos_id)
+    durations = duration_means(train_raw, vocab.eos_id)
+    distinct = durations.distinct
     resolved = resolve_max_len(model_cfg, train_raw)
     if resolved.clusters > distinct:
         log.info("lowering the cluster count from %d to %d, the number of distinct "
                  "per-mark mean gaps", resolved.clusters, distinct)
         resolved = replace(resolved, clusters=distinct)
     resolved.validate()
-    clusters = build_clusters(train_raw, resolved.clusters, seed=train_cfg.seed,
-                              eos_id=vocab.eos_id)
+    clusters = build_clusters(durations, resolved.clusters, seed=train_cfg.seed)
     vocab = replace(vocab, goal_marks=observed_marks_by_goal(train_raw, vocab.n_goals))
     gap = median_gap(train_raw)
     train_aug = append_eos_corpus(train_raw, gap, vocab.eos_id)

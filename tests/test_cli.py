@@ -609,6 +609,24 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith("E_USAGE: --count must be at least 1")
         assert not out.exists() and not (tmp_path / "g.jsonl.reasons.json").exists()
 
+    def test_overflowing_first_time_is_numeric_error(self, capsys, tmp_path):
+        # a demos/02 checkpoint: times near 1e300 overflow the attention scores
+        script = tmp_path / "02_synthetic_corpus.py"
+        script.write_bytes((Path(__file__).parent.parent / "demos" / script.name).read_bytes())
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+        subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env, check=True,
+                       capture_output=True, timeout=300)
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(tmp_path / "demo_corpus.jsonl"),
+                     "--out", str(run), "--epochs", "1"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "g.jsonl"
+        assert main(["generate", "--ckpt", str(run), "--goal", "brew_coffee",
+                     "--first-mark", "grind", "--first-t", "1e300", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "E_NUMERIC: attend: overflow encountered in matmul")
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", "-7"])
     def test_negative_seed_is_usage_error(self, workspace, capsys, tmp_path, seed):
         out = tmp_path / "g.jsonl"

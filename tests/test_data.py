@@ -21,6 +21,7 @@ from actionflow.data import (
     append_eos,
     append_eos_corpus,
     build_clusters,
+    duration_means,
     decode_vector,
     delete_random,
     encode_vector,
@@ -482,12 +483,12 @@ class TestClusters:
 
     def test_m1_all_in_cluster_zero(self):
         corpus = self.make_corpus_with_means([1.0, 2.0, 3.0])
-        cm = build_clusters(corpus, 1, seed=0, eos_id=4)
+        cm = build_clusters(duration_means(corpus, 4), 1, seed=0)
         assert cm.assignments == [0] * 5
 
     def test_singleton_clusters_when_m_equals_marks(self):
         corpus = self.make_corpus_with_means([1.0, 5.0, 25.0])
-        cm = build_clusters(corpus, 4, seed=0, eos_id=4)
+        cm = build_clusters(duration_means(corpus, 4), 4, seed=0)
         labels = cm.clusters_of(range(4))
         assert sorted(labels) == [0, 1, 2, 3]
 
@@ -496,7 +497,7 @@ class TestClusters:
         # unique 2-cluster split minimizing within-cluster squared error
         means = [1.0, 1.1, 9.0, 9.2]
         corpus = self.make_corpus_with_means(means)
-        cm = build_clusters(corpus, 2, seed=0, eos_id=5)
+        cm = build_clusters(duration_means(corpus, 5), 2, seed=0)
         c0, c1, c2, c3 = cm.clusters_of([0, 1, 2, 3])
         assert c0 == c1
         assert c2 == c3
@@ -517,14 +518,14 @@ class TestClusters:
 
     def test_mean_is_gap_to_next_action(self):
         corpus = [seq(0, 0, [0, 1, 0, 1], [0.0, 2.0, 3.0, 7.0])]
-        _, means, _ = data._duration_means(corpus, 2)
+        _, means, _ = data.duration_means(corpus, 2)
         assert means[0] == pytest.approx((2.0 + 4.0) / 2.0)
         assert means[1] == pytest.approx(1.0)
 
     def test_final_occurrence_contributes_nothing(self):
         corpus = [seq(0, 0, [0, 1], [0.0, 1.0]),
                   seq(1, 0, [1, 0], [0.0, 3.0])]
-        counts, means, unfollowed = data._duration_means(corpus, 2)
+        counts, means, unfollowed = data.duration_means(corpus, 2)
         assert counts == [2, 2] and unfollowed == []
         assert means[0] == pytest.approx(1.0)
         assert means[1] == pytest.approx(3.0)
@@ -533,11 +534,11 @@ class TestClusters:
         # mark 1 only ever appears last
         corpus = [seq(0, 0, [0, 1], [0.0, 2.0]),
                   seq(1, 0, [0, 1], [0.0, 4.0])]
-        _, means, unfollowed = data._duration_means(corpus, 2)
+        _, means, unfollowed = data.duration_means(corpus, 2)
         assert unfollowed == [1]
         assert means[1] == pytest.approx(3.0)
         with caplog.at_level(logging.INFO, logger="actionflow.data"):
-            build_clusters(corpus, 1, seed=0, eos_id=2)
+            build_clusters(duration_means(corpus, 2), 1, seed=0)
         # every template's last mark has no follower: a notice, not a warning
         assert [(r.levelno, r.message) for r in caplog.records
                 if "no observed follower" in r.message] == [
@@ -548,47 +549,47 @@ class TestClusters:
         # takes the global mean gap 5 and shares mark 1's cluster
         corpus = [seq(0, 0, [0, 1], [0.0, 2.0]), seq(1, 0, [0, 1], [0.0, 4.0]),
                   seq(2, 0, [3, 0], [0.0, 9.0])]
-        counts, means, unfollowed = data._duration_means(corpus, 4)
+        counts, means, unfollowed = data.duration_means(corpus, 4)
         assert counts == [3, 2, 0, 1] and unfollowed == [1, 2]
         assert means == pytest.approx([3.0, 5.0, 5.0, 9.0])
-        cm = build_clusters(corpus, 3, seed=0, eos_id=4)
+        cm = build_clusters(duration_means(corpus, 4), 3, seed=0)
         c0, c1, c2, c3, terminal = cm.assignments
         assert c2 == c1 and terminal == c0 and len({c0, c1, c3}) == 3
 
     def test_m_above_distinct_marks_rejected(self):
         corpus = self.make_corpus_with_means([1.0, 2.0])
         with pytest.raises(DataError):
-            build_clusters(corpus, 4, seed=0, eos_id=3)
+            build_clusters(duration_means(corpus, 3), 4, seed=0)
         with pytest.raises(DataError):
-            build_clusters(corpus, 0, seed=0, eos_id=3)
+            build_clusters(duration_means(corpus, 3), 0, seed=0)
 
     def test_m_above_distinct_mean_gaps_rejected(self):
         # marks 0 and 1 share a mean gap, and mark 2 falls back to the global
         # mean, which is the same 2.0
         corpus = self.make_corpus_with_means([2.0, 2.0])
-        build_clusters(corpus, 1, seed=0, eos_id=3)
+        build_clusters(duration_means(corpus, 3), 1, seed=0)
         with pytest.raises(DataError, match=r"cluster count 2 outside \[1, 1\]: 3 marks"):
-            build_clusters(corpus, 2, seed=0, eos_id=3)
+            build_clusters(duration_means(corpus, 3), 2, seed=0)
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(9)
         corpus = random_corpus(rng, 40, n_marks=6)
-        a = build_clusters(corpus, 3, seed=4, eos_id=6)
-        b = build_clusters(corpus, 3, seed=4, eos_id=6)
+        a = build_clusters(duration_means(corpus, 6), 3, seed=4)
+        b = build_clusters(duration_means(corpus, 6), 3, seed=4)
         assert a == b
         assert set(a.assignments) == {0, 1, 2}
 
     def test_terminal_inherits_most_frequent_marks_cluster(self):
         # mark 0 occurs 8 times, mark 1 and 2 occur 4 each
         corpus = [seq(i, 0, [0, 1, 0, 2], [0.0, 1.0, 2.0, 10.0]) for i in range(4)]
-        cm = build_clusters(corpus, 2, seed=0, eos_id=3)
+        cm = build_clusters(duration_means(corpus, 3), 2, seed=0)
         terminal, mark0 = cm.clusters_of([3, 0])
         assert terminal == mark0
 
     def test_terminal_tie_breaks_to_lowest_id(self):
         corpus = [seq(0, 0, [1, 0], [0.0, 1.0]),
                   seq(1, 0, [0, 1], [0.0, 8.0])]
-        cm = build_clusters(corpus, 2, seed=0, eos_id=2)
+        cm = build_clusters(duration_means(corpus, 2), 2, seed=0)
         terminal, mark0 = cm.clusters_of([2, 0])
         assert terminal == mark0
 
