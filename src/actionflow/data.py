@@ -16,6 +16,12 @@ writes all of them. A table indexed by mark or goal id (the per-goal action
 sets, the duration clusters) is a list with one entry per id. Corpus JSONL
 keeps its own hand-written loader, which reads a corpus in about half the
 time the generic reader would take.
+
+Duration clusters group the marks by their mean gap to the next action in
+the training corpus. ``build_clusters`` finds the split with the least
+within-cluster squared error exactly, by dynamic programming over the sorted
+distinct gaps: it draws nothing, so it needs no seed, and it numbers the
+clusters by ascending mean gap.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ import typing
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 log = logging.getLogger(__name__)
 
@@ -313,10 +318,11 @@ class ClusterMap:
     """Assignment of marks to duration clusters.
 
     Clustering runs on a per-mark scalar: the mean gap from the mark's start
-    to the next action's start across the training corpus. ``assignments``
-    holds the cluster of every mark id, the reserved end-of-sequence mark
-    last; it inherits the cluster of the most frequent mark. The mean gaps
-    are not kept.
+    to the next action's start across the training corpus; build_clusters
+    numbers the clusters by ascending mean gap. ``assignments`` holds
+    the cluster of every mark id, the reserved end-of-sequence mark last; it
+    inherits the cluster of the most frequent mark. The mean gaps are not
+    kept.
     """
 
     m: int
@@ -510,13 +516,21 @@ def append_eos_corpus(corpus: list[Ctas], eos_gap: float, eos_id: int) -> list[C
     return [append_eos(seq, eos_gap, eos_id) for seq in corpus]
 
 
+def _transitions(corpus: list[Ctas]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mark of every action in corpus order, a mask of the actions that
+    have a successor in their own sequence, and the gap to that successor
+    of each action the mask keeps."""
+    marks = np.array([a.mark for seq in corpus for a in seq.actions], dtype=np.intp)
+    times = np.array([a.t for seq in corpus for a in seq.actions], dtype=np.float64)
+    followed = np.ones(marks.size, dtype=bool)
+    followed[np.cumsum([len(seq.actions) for seq in corpus], dtype=np.intp) - 1] = False
+    return marks, followed, np.diff(times)[followed[:-1]]
+
+
 def median_gap(corpus: list[Ctas]) -> float:
     """Median inter-action gap across the corpus; the default terminal gap."""
-    gaps: list[float] = []
-    for seq in corpus:
-        t = seq.times()
-        gaps.extend(np.diff(t).tolist())
-    if not gaps:
+    gaps = _transitions(corpus)[2]
+    if not gaps.size:
         raise DataError("corpus has no transitions to take a median gap from")
     return float(np.median(gaps))
 
@@ -552,40 +566,69 @@ def duration_means(corpus: list[Ctas], n_raw: int) -> DurationMeans:
     a follower, including those absent from the corpus, fall back to the
     global mean gap and are listed third.
     """
-    gaps_by_mark: dict[int, list[float]] = {}
-    counts = [0] * n_raw
-    for seq in corpus:
-        t = seq.times()
-        marks = seq.marks()
-        for i, mk in enumerate(marks):
-            mk = int(mk)
-            counts[mk] += 1
-            if i + 1 < len(marks):
-                gaps_by_mark.setdefault(mk, []).append(float(t[i + 1] - t[i]))
-    if not any(counts):
+    marks, followed, gaps = _transitions(corpus)
+    if not marks.size:
         raise DataError("cannot build clusters from an empty corpus")
-    pooled = [g for gs in gaps_by_mark.values() for g in gs]
-    if not pooled:
+    if not gaps.size:
         raise DataError("no mark is ever followed by another action")
-    global_mean = float(np.mean(pooled))
-    means = [float(np.mean(gaps_by_mark[mk])) if mk in gaps_by_mark else global_mean
-             for mk in range(n_raw)]
-    return DurationMeans(counts, means,
-                         [mk for mk in range(n_raw) if mk not in gaps_by_mark])
+    leaders = marks[followed]
+    follows = np.bincount(leaders, minlength=n_raw)
+    unfollowed = follows == 0
+    sums = np.bincount(leaders, weights=gaps, minlength=n_raw)
+    means = np.where(unfollowed, gaps.mean(), sums / np.maximum(follows, 1))
+    return DurationMeans(np.bincount(marks, minlength=n_raw).tolist(), means.tolist(),
+                         np.flatnonzero(unfollowed).tolist())
 
 
-def build_clusters(durations: DurationMeans, m: int, seed: int = 0) -> ClusterMap:
+def _optimal_runs(values: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
+    """Exact weighted 1-D k-means of sorted distinct values (Wang & Song
+    2011, Ckmeans.1d.dp): the cluster of each value, numbered left to right.
+
+    A least-error split of sorted values into m clusters cuts them into m
+    runs, so a dynamic programme over where each run ends finds it in
+    O(m n^2). The sums of each run are taken relative to its first value:
+    then the error of a tight run of gaps near 1e6 keeps its spread even
+    when the other gaps are near 1. The values are first scaled by a power
+    of two, which is exact, so that the largest is below 1 and the squares
+    of gaps near 1e300 stay finite.
+    """
+    n = values.size
+    values = np.ldexp(values, -np.frexp(values[-1])[1])
+    shift = np.triu(values - values[:, None])  # [j, i]: values[i] - values[j], i >= j
+    total = np.cumsum(weights * shift, axis=1)
+    square = np.cumsum(weights * shift * shift, axis=1)
+    ends = np.cumsum(weights)
+    count = np.maximum(ends - (ends - weights)[:, None], 1.0)
+    error = square - total * total / count  # [j, i]: error of the run j..i
+    error[np.tril_indices(n, -1)] = np.inf
+    best, starts = error[0], []
+    for _ in range(1, m):
+        # values 0..j-1 in the clusters so far, then j..i as one more
+        joined = best[:-1, None] + error[1:]
+        starts.append(joined.argmin(axis=0) + 1)
+        best = joined.min(axis=0)
+    labels = np.zeros(n, dtype=np.intp)
+    end = n
+    for cluster in range(m - 1, 0, -1):
+        start = starts[cluster - 1][end - 1]
+        labels[start:end] = cluster
+        end = start
+    return labels
+
+
+def build_clusters(durations: DurationMeans, m: int) -> ClusterMap:
     """Cluster the raw marks by their mean gap to the following action.
 
     durations holds every raw mark id [0, eos_id) (duration_means of the
     training corpus, with n_raw = eos_id): a mark's duration proxy is the
     mean of t_{i+1} - t_i over its training occurrences, and marks never
     observed with a follower, or never observed at all, fall back to the
-    global mean. 1-D k-means with seeded k-means++ initialization and 100
-    refinement iterations produces the assignment; the terminal mark eos_id
-    takes the cluster of the most frequent mark. m may not exceed the number
-    of distinct proxies, since marks sharing a proxy always share a cluster
-    and extra clusters would stay empty.
+    global mean. The assignment is the exact 1-D k-means optimum over the
+    distinct proxies, each weighted by the number of marks that share it:
+    no seed, no iterations, and clusters are numbered by ascending mean
+    gap. Marks sharing a proxy share a cluster, so m may not exceed the
+    number of distinct proxies; up to that, every cluster is non-empty. The
+    terminal mark eos_id takes the cluster of the most frequent mark.
     """
     counts, means, unfollowed = durations
     eos_id, distinct = len(means), durations.distinct
@@ -596,11 +639,8 @@ def build_clusters(durations: DurationMeans, m: int, seed: int = 0) -> ClusterMa
     for mk in unfollowed:
         log.info("mark id %d has no observed follower; using global mean %.6g",
                  mk, means[mk])
-    if m == 1:
-        labels = [0] * eos_id
-    else:
-        _, labels = kmeans2(np.array(means)[:, None], m, iter=100, minit="++", seed=seed)
-        labels = labels.tolist()
+    values, which, shared = np.unique(means, return_inverse=True, return_counts=True)
+    labels = _optimal_runs(values, shared, m)[which].tolist()
     top = max(range(eos_id), key=lambda mk: (counts[mk], -mk))
     return ClusterMap(m=m, assignments=labels + [labels[top]])
 

@@ -64,7 +64,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 
 class ShapeError(ValueError):
@@ -431,11 +430,13 @@ def exp(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x) computed stably for large |x|."""
     ad = a.data
+    out = np.logaddexp(0.0, ad)
 
     def vjp(g):
-        return (g * expit(ad),)
+        # the sigmoid e^x / (1 + e^x) = e^(x - out): no overflow at any x
+        return (g * np.exp(ad - out),)
 
-    return _emit("softplus", np.logaddexp(0.0, ad), (a,), vjp)
+    return _emit("softplus", out, (a,), vjp)
 
 
 @primitive

@@ -388,7 +388,7 @@ def prepare(corpus: list[Ctas], vocab: Vocab, model_cfg: ModelConfig,
                  "per-mark mean gaps", resolved.clusters, distinct)
         resolved = replace(resolved, clusters=distinct)
     resolved.validate()
-    clusters = build_clusters(durations, resolved.clusters, seed=train_cfg.seed)
+    clusters = build_clusters(durations, resolved.clusters)
     vocab = replace(vocab, goal_marks=observed_marks_by_goal(train_raw, vocab.n_goals))
     gap = median_gap(train_raw)
     train_aug = append_eos_corpus(train_raw, gap, vocab.eos_id)

@@ -1,13 +1,13 @@
 """Tests for corpus I/O, splitting, terminal augmentation, clustering,
 and the random-deletion transform."""
 
-import itertools
 import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actionflow import data
 from actionflow.data import (
@@ -16,6 +16,7 @@ from actionflow.data import (
     ClusterMap,
     Ctas,
     DataError,
+    DurationMeans,
     ParseError,
     Vocab,
     append_eos,
@@ -34,6 +35,8 @@ from actionflow.data import (
     write_corpus,
     write_record,
 )
+from actionflow.model import ModelConfig
+from actionflow.training import TrainConfig, prepare
 
 
 def seq(idx, goal, marks, times):
@@ -469,6 +472,30 @@ class TestAppendEos:
             s.validate()
 
 
+def splits(n, m):
+    """Every split of n items into m non-empty clusters, once each: the
+    labellings in which each cluster first appears after the ones before it."""
+    def grow(labels, used):
+        if len(labels) == n:
+            if used == m:
+                yield labels
+            return
+        for c in range(min(used + 1, m)):
+            yield from grow(labels + [c], max(used, c + 1))
+    return grow([], 0)
+
+
+def within_cluster_error(values, labels):
+    """Sum of squared distances to the cluster means, each cluster taken
+    relative to one of its values so that gaps near 1e6 keep their spread."""
+    total = 0.0
+    for c in set(labels):
+        v = np.array([x for x, label in zip(values, labels) if label == c])
+        v -= v[0]
+        total += float(((v - v.mean()) ** 2).sum())
+    return total
+
+
 class TestClusters:
     def make_corpus_with_means(self, means, reps=4):
         # mark i always followed (gap means[i]) by a closing mark len(means);
@@ -483,12 +510,12 @@ class TestClusters:
 
     def test_m1_all_in_cluster_zero(self):
         corpus = self.make_corpus_with_means([1.0, 2.0, 3.0])
-        cm = build_clusters(duration_means(corpus, 4), 1, seed=0)
+        cm = build_clusters(duration_means(corpus, 4), 1)
         assert cm.assignments == [0] * 5
 
     def test_singleton_clusters_when_m_equals_marks(self):
         corpus = self.make_corpus_with_means([1.0, 5.0, 25.0])
-        cm = build_clusters(duration_means(corpus, 4), 4, seed=0)
+        cm = build_clusters(duration_means(corpus, 4), 4)
         labels = cm.clusters_of(range(4))
         assert sorted(labels) == [0, 1, 2, 3]
 
@@ -497,24 +524,65 @@ class TestClusters:
         # unique 2-cluster split minimizing within-cluster squared error
         means = [1.0, 1.1, 9.0, 9.2]
         corpus = self.make_corpus_with_means(means)
-        cm = build_clusters(duration_means(corpus, 5), 2, seed=0)
+        cm = build_clusters(duration_means(corpus, 5), 2)
         c0, c1, c2, c3 = cm.clusters_of([0, 1, 2, 3])
         assert c0 == c1
         assert c2 == c3
         assert c0 != c2
 
-    def test_partition_oracle_matches_kmeans_on_random_means(self):
-        best = None
-        means = [1.0, 1.1, 9.0, 9.2]
-        values = np.array(means)
-        for size in range(1, 4):
-            for combo in itertools.combinations(range(4), size):
-                left = values[list(combo)]
-                right = np.delete(values, list(combo))
-                sse = np.sum((left - left.mean()) ** 2) + np.sum((right - right.mean()) ** 2)
-                if best is None or sse < best[0]:
-                    best = (sse, set(combo))
-        assert best[1] in ({0, 1}, {2, 3})
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(drawn=st.data())
+    def test_partition_oracle_matches_kmeans_on_random_means(self, drawn):
+        # up to 7 marks drawn from a pool of gaps, so that marks can tie; the
+        # gaps near 1e6 differ in their last digits
+        gap = st.one_of(st.floats(1e-3, 1e3), st.floats(1e6 - 1e-3, 1e6 + 1e-3))
+        pool = drawn.draw(st.lists(gap, min_size=1, max_size=7))
+        means = drawn.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+        counts = drawn.draw(st.lists(st.integers(1, 3), min_size=len(means),
+                                    max_size=len(means)))
+        durations = DurationMeans(counts, means, [])
+        for m in range(1, durations.distinct + 1):
+            labels = build_clusters(durations, m).assignments
+            terminal, labels = labels[-1], labels[:-1]
+            best = min(within_cluster_error(means, split)
+                       for split in splits(len(means), m))
+            assert within_cluster_error(means, labels) <= best * (1 + 1e-9)
+            order = sorted(range(len(means)), key=lambda mk: means[mk])
+            assert [labels[mk] for mk in order] == sorted(labels)
+            assert set(labels) == set(range(m))
+            assert all(labels[i] == labels[j] for i in range(len(means))
+                       for j in range(len(means)) if means[i] == means[j])
+            assert terminal == labels[max(range(len(means)),
+                                          key=lambda mk: (counts[mk], -mk))]
+
+    def test_means_match_the_per_action_loop(self):
+        # the loop duration_means replaced; numpy sums in another order, so
+        # the means agree to rounding and everything else exactly
+        rng = np.random.default_rng(3)
+        for trial in range(20):
+            corpus = random_corpus(rng, int(rng.integers(1, 12)), n_marks=6, min_len=1)
+            if all(len(s) == 1 for s in corpus):
+                continue
+            gaps = {}
+            counts = [0] * 7
+            for s in corpus:
+                for a, b in zip(s.actions, s.actions[1:] + [None]):
+                    counts[a.mark] += 1
+                    if b is not None:
+                        gaps.setdefault(a.mark, []).append(b.t - a.t)
+            pooled = np.mean([g for mk in sorted(gaps) for g in gaps[mk]])
+            got = duration_means(corpus, 7)
+            assert got.counts == counts
+            assert got.unfollowed == [mk for mk in range(7) if mk not in gaps]
+            want = [np.mean(gaps[mk]) if mk in gaps else pooled for mk in range(7)]
+            np.testing.assert_allclose(got.means, want, rtol=1e-13)
+            all_gaps = [g for s in corpus for g in np.diff(s.times()).tolist()]
+            assert median_gap(corpus) == float(np.median(all_gaps))
+
+    def test_huge_gaps_fill_every_cluster(self):
+        # squares of gaps near 1e200 overflow unless the gaps are scaled first
+        durations = DurationMeans([1] * 4, [1e200, 2e200, 5e200, 5.5e200], [])
+        assert build_clusters(durations, 3).assignments == [0, 1, 2, 2, 0]
 
     def test_mean_is_gap_to_next_action(self):
         corpus = [seq(0, 0, [0, 1, 0, 1], [0.0, 2.0, 3.0, 7.0])]
@@ -538,7 +606,7 @@ class TestClusters:
         assert unfollowed == [1]
         assert means[1] == pytest.approx(3.0)
         with caplog.at_level(logging.INFO, logger="actionflow.data"):
-            build_clusters(duration_means(corpus, 2), 1, seed=0)
+            build_clusters(duration_means(corpus, 2), 1)
         # every template's last mark has no follower: a notice, not a warning
         assert [(r.levelno, r.message) for r in caplog.records
                 if "no observed follower" in r.message] == [
@@ -552,44 +620,47 @@ class TestClusters:
         counts, means, unfollowed = data.duration_means(corpus, 4)
         assert counts == [3, 2, 0, 1] and unfollowed == [1, 2]
         assert means == pytest.approx([3.0, 5.0, 5.0, 9.0])
-        cm = build_clusters(duration_means(corpus, 4), 3, seed=0)
+        cm = build_clusters(duration_means(corpus, 4), 3)
         c0, c1, c2, c3, terminal = cm.assignments
         assert c2 == c1 and terminal == c0 and len({c0, c1, c3}) == 3
 
     def test_m_above_distinct_marks_rejected(self):
         corpus = self.make_corpus_with_means([1.0, 2.0])
         with pytest.raises(DataError):
-            build_clusters(duration_means(corpus, 3), 4, seed=0)
+            build_clusters(duration_means(corpus, 3), 4)
         with pytest.raises(DataError):
-            build_clusters(duration_means(corpus, 3), 0, seed=0)
+            build_clusters(duration_means(corpus, 3), 0)
 
     def test_m_above_distinct_mean_gaps_rejected(self):
         # marks 0 and 1 share a mean gap, and mark 2 falls back to the global
         # mean, which is the same 2.0
         corpus = self.make_corpus_with_means([2.0, 2.0])
-        build_clusters(duration_means(corpus, 3), 1, seed=0)
+        build_clusters(duration_means(corpus, 3), 1)
         with pytest.raises(DataError, match=r"cluster count 2 outside \[1, 1\]: 3 marks"):
-            build_clusters(duration_means(corpus, 3), 2, seed=0)
+            build_clusters(duration_means(corpus, 3), 2)
 
     def test_deterministic_under_seed(self):
+        # the clustering draws nothing: the train seed does not move it
         rng = np.random.default_rng(9)
         corpus = random_corpus(rng, 40, n_marks=6)
-        a = build_clusters(duration_means(corpus, 6), 3, seed=4)
-        b = build_clusters(duration_means(corpus, 6), 3, seed=4)
+        vocab = Vocab([f"m{i}" for i in range(6)], ["g0", "g1"])
+        a, b = (prepare(corpus, vocab, ModelConfig(d=8, heads=2, blocks=1, clusters=3),
+                        TrainConfig(seed=seed), do_split=False).clusters
+                for seed in (0, 5))
         assert a == b
         assert set(a.assignments) == {0, 1, 2}
 
     def test_terminal_inherits_most_frequent_marks_cluster(self):
         # mark 0 occurs 8 times, mark 1 and 2 occur 4 each
         corpus = [seq(i, 0, [0, 1, 0, 2], [0.0, 1.0, 2.0, 10.0]) for i in range(4)]
-        cm = build_clusters(duration_means(corpus, 3), 2, seed=0)
+        cm = build_clusters(duration_means(corpus, 3), 2)
         terminal, mark0 = cm.clusters_of([3, 0])
         assert terminal == mark0
 
     def test_terminal_tie_breaks_to_lowest_id(self):
         corpus = [seq(0, 0, [1, 0], [0.0, 1.0]),
                   seq(1, 0, [0, 1], [0.0, 8.0])]
-        cm = build_clusters(duration_means(corpus, 2), 2, seed=0)
+        cm = build_clusters(duration_means(corpus, 2), 2)
         terminal, mark0 = cm.clusters_of([2, 0])
         assert terminal == mark0
 

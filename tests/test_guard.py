@@ -2,6 +2,8 @@
 flags in place of a finite scan after every op, and the checks on what can
 arrive already non-finite (the parameters and the times)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,9 @@ from actionflow.numerics import (
     exp,
     guarded,
     matmul,
+    mean_all,
     segment_sum,
+    softplus,
     sum_all,
 )
 from actionflow.objectives import total_loss
@@ -174,6 +178,40 @@ def test_threaded_size_product_is_scanned():
     a[-1, 0] = np.nan
     with pytest.raises(NumericError, match=r"^matmul: non-finite value in a threaded matmul$"):
         guarded(lambda: matmul(Tensor(a), Tensor(np.ones((16, 16)))))()
+
+
+# the softplus gradient is the sigmoid, taken from the forward's own output
+SIGMOID_AT = [-1e300, -1e3, -40.0, 0.0, 40.0, 1e3, 1e300]
+
+
+def _check_sigmoid(raw, grad):
+    assert np.isfinite(grad).all() and ((0.0 <= grad) & (grad <= 1.0)).all()
+    for x, g in zip(raw, grad):
+        if abs(x) <= 700:
+            assert g == pytest.approx(1.0 / (1.0 + math.exp(-x)), rel=1e-14)
+
+
+def test_softplus_gradient_at_extremes():
+    store = ParamStore({"x": SIGMOID_AT})
+
+    @guarded
+    def backward():
+        with GradTape() as tape:
+            tape.backward(sum_all(softplus(store["x"])))
+
+    backward()
+    _check_sigmoid(SIGMOID_AT, store.grad("x"))
+
+
+@pytest.mark.parametrize("raw", SIGMOID_AT)
+def test_softplus_gradient_at_extremes_through_a_forward(raw):
+    # with time.w_var zero, every row's raw variance is time.b_var
+    model = make_model()
+    model.store["time.w_var"].data[:] = 0.0
+    model.store["time.b_var"].data[:] = raw
+    with GradTape() as tape:
+        tape.backward(mean_all(model.forward([0, 1], [0.0, 1.0], Segments(2)).sigma2))
+    _check_sigmoid([raw], model.store.grad("time.b_var"))
 
 
 # ---------------------------------------------------------------------------
