@@ -57,7 +57,7 @@ class DataError(ValueError):
 # ---------------------------------------------------------------------------
 
 # JSON types per scalar annotation; an int stays an int where a float is wanted
-_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+_SCALARS = {int: (int,), float: (int, float), str: (str,)}
 
 
 def encode_vector(vector: np.ndarray) -> str:
@@ -90,7 +90,7 @@ def _check(tp, value, where: str):
     string, decoded in one call.
     """
     if tp in _SCALARS:
-        if isinstance(value, _SCALARS[tp]) and (tp is bool or not isinstance(value, bool)):
+        if isinstance(value, _SCALARS[tp]) and not isinstance(value, bool):
             if tp is float and isinstance(value, int) and abs(value) > sys.float_info.max:
                 raise ValueError(f"{where} is an integer too large for a float")
             return value
@@ -580,37 +580,56 @@ def duration_means(corpus: list[Ctas], n_raw: int) -> DurationMeans:
                          np.flatnonzero(unfollowed).tolist())
 
 
+#: Start rows of the run-error table that _optimal_runs builds at once: its
+#: working memory is a few [RUN_BLOCK, n] float64 tables, not n x n ones.
+RUN_BLOCK = 128
+
+
 def _optimal_runs(values: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
     """Exact weighted 1-D k-means of sorted distinct values (Wang & Song
     2011, Ckmeans.1d.dp): the cluster of each value, numbered left to right.
 
     A least-error split of sorted values into m clusters cuts them into m
     runs, so a dynamic programme over where each run ends finds it in
-    O(m n^2). The sums of each run are taken relative to its first value:
-    then the error of a tight run of gaps near 1e6 keeps its spread even
-    when the other gaps are near 1. The values are first scaled by a power
-    of two, which is exact, so that the largest is below 1 and the squares
-    of gaps near 1e300 stay finite.
+    O(m n^2). The errors of the runs that start at RUN_BLOCK consecutive
+    values are built together, and every cluster count takes them in before
+    the next block, in ascending start order; a later start replaces an
+    earlier one only when strictly better, so ties go to the first start.
+    The sums of each run are taken relative to its first value: then the
+    error of a tight run of gaps near 1e6 keeps its spread even when the
+    other gaps are near 1. The values are first scaled by a power of two,
+    which is exact, so that the largest is below 1 and the squares of gaps
+    near 1e300 stay finite.
     """
     n = values.size
     values = np.ldexp(values, -np.frexp(values[-1])[1])
-    shift = np.triu(values - values[:, None])  # [j, i]: values[i] - values[j], i >= j
-    total = np.cumsum(weights * shift, axis=1)
-    square = np.cumsum(weights * shift * shift, axis=1)
     ends = np.cumsum(weights)
-    count = np.maximum(ends - (ends - weights)[:, None], 1.0)
-    error = square - total * total / count  # [j, i]: error of the run j..i
-    error[np.tril_indices(n, -1)] = np.inf
-    best, starts = error[0], []
-    for _ in range(1, m):
-        # values 0..j-1 in the clusters so far, then j..i as one more
-        joined = best[:-1, None] + error[1:]
-        starts.append(joined.argmin(axis=0) + 1)
-        best = joined.min(axis=0)
+    best = np.full((m, n), np.inf)  # [k, i]: least error of values 0..i in k + 1 clusters
+    starts = np.zeros((m, n), dtype=np.intp)  # [k, i]: where the last of those clusters starts
+    for lo in range(0, n, RUN_BLOCK):
+        rows = np.arange(lo, min(lo + RUN_BLOCK, n))
+        # [r, i]: values[i] - values[rows[r]] where i >= rows[r], else 0
+        shift = np.triu(values - values[rows, None], lo)
+        total = np.cumsum(weights * shift, axis=1)
+        square = np.cumsum(weights * shift * shift, axis=1)
+        count = np.maximum(ends - (ends - weights)[rows, None], 1.0)
+        error = square - total * total / count  # [r, i]: error of the run rows[r]..i
+        error[np.arange(n) < rows[:, None]] = np.inf
+        if lo == 0:
+            best[0] = error[0]
+        first = max(lo, 1)  # a second or later cluster starts at value 1 or beyond
+        for k in range(1, m):
+            # values 0..j-1 in k clusters, then j..i as one more
+            joined = best[k - 1, first - 1:rows[-1], None] + error[first - lo:]
+            low, at = joined.min(axis=0), joined.argmin(axis=0) + first
+            if lo:  # the first block meets only inf and takes its minima as they are
+                better = low < best[k]
+                low, at = np.where(better, low, best[k]), np.where(better, at, starts[k])
+            best[k], starts[k] = low, at
     labels = np.zeros(n, dtype=np.intp)
     end = n
     for cluster in range(m - 1, 0, -1):
-        start = starts[cluster - 1][end - 1]
+        start = starts[cluster, end - 1]
         labels[start:end] = cluster
         end = start
     return labels

@@ -7,10 +7,9 @@ the previous action, plus a trainable positional table. Stacked blocks of
 causally masked multi-head attention and a feed-forward stage, each followed
 by a residual add and layer normalization, refine the vectors.
 
-Two feed-forward forms are available. The default accumulates an
-elementwise-gated transform of every earlier index (a causal running sum),
-so each output position mixes all positions up to it once more; "standard"
-is the usual per-position two-layer ReLU network with inner width 4 * d.
+The feed-forward stage accumulates an elementwise-gated transform of every
+earlier index (a causal running sum), so each output position mixes all
+positions up to it once more.
 
 A separate order-free summary runs alongside for the fused model variant:
 each action's pre-positional embedding passes through a small ReLU network
@@ -89,21 +88,12 @@ def init_encoder_params(cfg: ModelConfig, n_marks: int) -> list[ParamSpec]:
     for b in range(cfg.blocks):
         params += [(f"block{b}.attn.{proj}", (d, d), uniform) for proj in ("wq", "wk", "wv", "wo")]
         params += [(f"block{b}.ln1.gain", (d,), ones), (f"block{b}.ln1.bias", (d,), zeros)]
-        if cfg.ffn == "summed":
-            params += [
-                (f"block{b}.ffn.w_in", (d,), uniform),
-                (f"block{b}.ffn.b_in", (d,), zeros),
-                (f"block{b}.ffn.w_out", (d,), uniform),
-                (f"block{b}.ffn.b_out", (d,), zeros),
-            ]
-        else:
-            inner = 4 * d
-            params += [
-                (f"block{b}.ffn.w1", (d, inner), uniform),
-                (f"block{b}.ffn.b1", (inner,), zeros),
-                (f"block{b}.ffn.w2", (inner, d), uniform_draw(1.0 / math.sqrt(inner))),
-                (f"block{b}.ffn.b2", (d,), zeros),
-            ]
+        params += [
+            (f"block{b}.ffn.w_in", (d,), uniform),
+            (f"block{b}.ffn.b_in", (d,), zeros),
+            (f"block{b}.ffn.w_out", (d,), uniform),
+            (f"block{b}.ffn.b_out", (d,), zeros),
+        ]
         params += [(f"block{b}.ln2.gain", (d,), ones), (f"block{b}.ln2.bias", (d,), zeros)]
     return params
 
@@ -162,8 +152,6 @@ def embed_actions(store: ParamStore, marks, times, segs: Segments) -> Tensor:
     if marks.ndim != 1 or times.shape != marks.shape:
         raise ValueError(f"marks {marks.shape} and times {times.shape} must be equal-length vectors")
     segs.check("embed_actions", marks.size)
-    if segs.lens.min() == 0:
-        raise ValueError("empty prefix")
     prev = np.roll(times, 1)
     prev[segs.starts] = 0.0
     return _embed_rows(store, marks, times, prev)
@@ -184,18 +172,13 @@ def positional_add(store: ParamStore, y: Tensor, segs: Segments) -> Tensor:
     return _add_positions(store, y, segs.pos, segs.width)
 
 
-def _feed_forward(store: ParamStore, cfg: ModelConfig, x: Tensor, block: int) -> Tensor:
-    """The feed-forward stage of each row on its own: for the summed form,
-    the per-index terms that its running sum accumulates."""
-    if cfg.ffn == "summed":
-        gated = relu(add(mul(x, store[f"block{block}.ffn.w_in"]),
-                         store[f"block{block}.ffn.b_in"]))
-        return add(mul(gated, store[f"block{block}.ffn.w_out"]),
-                   store[f"block{block}.ffn.b_out"])
-    hidden = relu(add(matmul(x, store[f"block{block}.ffn.w1"]),
-                      store[f"block{block}.ffn.b1"]))
-    return add(matmul(hidden, store[f"block{block}.ffn.w2"]),
-               store[f"block{block}.ffn.b2"])
+def _feed_forward(store: ParamStore, x: Tensor, block: int) -> Tensor:
+    """The feed-forward stage of each row on its own: the per-index terms
+    that its running sum accumulates."""
+    gated = relu(add(mul(x, store[f"block{block}.ffn.w_in"]),
+                     store[f"block{block}.ffn.b_in"]))
+    return add(mul(gated, store[f"block{block}.ffn.w_out"]),
+               store[f"block{block}.ffn.b_out"])
 
 
 def _set_rows(store: ParamStore, y: Tensor) -> Tensor:
@@ -231,14 +214,12 @@ def _blocks(store: ParamStore, cfg: ModelConfig, x: Tensor, context) -> Tensor:
     Everything here works row by row except the two calls into context
     (_Packed or DecodeCache), the only places a row meets earlier ones:
     context.attend(block, q, k, v) for attention and
-    context.running_sum(key, a) for the summed feed-forward.
+    context.running_sum(key, a) for the feed-forward.
     """
     for b in range(cfg.blocks):
         attn = _attention(store, x, b, context)
         x = layer_norm(add(x, attn), store[f"block{b}.ln1.gain"], store[f"block{b}.ln1.bias"])
-        ffn = _feed_forward(store, cfg, x, b)
-        if cfg.ffn == "summed":
-            ffn = context.running_sum(("ffn", b), ffn)
+        ffn = context.running_sum(("ffn", b), _feed_forward(store, x, b))
         x = layer_norm(add(x, ffn), store[f"block{b}.ln2.gain"], store[f"block{b}.ln2.bias"])
     return x
 
@@ -250,8 +231,6 @@ def encode(store: ParamStore, cfg: ModelConfig, y: Tensor, segs: Segments) -> Te
     depends only on rows 0..j of that sequence's input; the summed
     feed-forward keeps that property via its per-sequence running sum.
     """
-    if y.data.shape[0] == 0:
-        raise ValueError("empty prefix")
     return _blocks(store, cfg, positional_add(store, y, segs), _Packed(segs, cfg.heads))
 
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Ctas, load_corpus, read_record
+from .data import Ctas, DataError, load_corpus, read_record
 from .generation import TERMINATION_REASONS, GenRequest, core_actions, generate
 from .model import Model, ModelConfig, pack
 from .training import TrainConfig, run_training
@@ -245,9 +245,16 @@ class EvalReport:
 def full_report(model: Model, test: list[Ctas], *, seed: int = 0,
                 prefix_fractions=DEFAULT_PREFIXES, config_echo: dict | None = None,
                 with_generation: bool = True) -> EvalReport:
-    """Run all evaluations on a raw test corpus and bundle the results."""
+    """Run all evaluations on a raw test corpus and bundle the results.
+
+    Every test sequence needs a transition; one without is refused, by id,
+    before the model runs.
+    """
     if not test:
         raise ValueError("empty test corpus")
+    for seq in test:
+        if len(seq.actions) < 2:
+            raise DataError(f"sequence {seq.id!r} has no transitions to evaluate")
     passes = teacher_forced(model, test)
     next_part = next_action_eval(passes)
     goal_part = goal_eval(passes, prefix_fractions)

@@ -34,8 +34,6 @@ from .numerics import (
 
 VARIANTS = ("base", "plus")
 
-FFN_FORMS = ("summed", "standard")
-
 
 @dataclass
 class ModelConfig:
@@ -47,7 +45,7 @@ class ModelConfig:
     the corpus (1.5 times the longest raw training sequence, rounded up).
     """
 
-    VERSION = 1  # saved as "version"; unannotated, so not a field
+    VERSION = 2  # saved as "version"; unannotated, so not a field
 
     d: int = 16
     heads: int = 2
@@ -58,7 +56,6 @@ class ModelConfig:
     alpha_mark: float = 0.1
     alpha_time: float = 0.1
     alpha_goal: float = 0.1
-    ffn: str = "summed"
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
@@ -77,8 +74,6 @@ class ModelConfig:
                 f"width {self.d} must be divisible by head count {self.heads}")
         if self.blocks < 1:
             raise ValueError(f"block count must be positive, got {self.blocks}")
-        if self.ffn not in FFN_FORMS:
-            raise ValueError(f"feed-forward form must be one of {FFN_FORMS}, got {self.ffn!r}")
 
 
 @dataclass

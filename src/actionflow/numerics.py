@@ -541,7 +541,8 @@ class Segments:
     packed rows out as a zero-padded [segments, longest, ...] block so that
     per-segment scans run along axis 1; ``unpad`` reads them back. Padding
     sits after each segment's rows, so it never enters a scan of the rows
-    before it. A segment may own no rows; Segments(n) is one over all n rows.
+    before it. Every segment owns at least one row; Segments(n) is one over
+    all n rows.
     ``groups`` splits the segments into runs of similar length for ops whose
     cost grows with the square of the padded width.
     """
@@ -549,7 +550,7 @@ class Segments:
     def __init__(self, n: int, lens=None):
         lens = np.array([n] if lens is None else lens, dtype=np.intp)
         sizes = lens.tolist()
-        if lens.ndim != 1 or not sizes or min(sizes) < 0 or sum(sizes) != n:
+        if lens.ndim != 1 or not sizes or min(sizes) < 1 or sum(sizes) != n:
             raise ShapeError(f"segment lengths {sizes} do not tile {n} rows")
         self.n = n
         self.lens = lens
@@ -592,9 +593,7 @@ class Segments:
             return ((slice(None), self),)
         order = np.argsort(self.lens, kind="stable")
         sizes = self.lens[order].tolist()
-        # segments that own no rows join the first block, never one of width 0
-        empty = sizes.count(0)
-        cuts = [0, *(empty + c for c in _length_cuts(sizes[empty:])[1:])]
+        cuts = _length_cuts(sizes)
         if len(cuts) <= 2:
             return ((slice(None), self),)
         rank = np.empty(self.count, dtype=np.intp)
@@ -663,8 +662,7 @@ def shifted_prefix_max(a: Tensor, segs: Segments) -> Tensor:
 def segment_sum(a: Tensor, segs: Segments) -> Tensor:
     """Per-segment totals: out[b] sums every entry of segment b's rows.
 
-    a has rank 1 or 2; a segment that owns no rows totals zero. Rows are
-    added in order, one segment at a time.
+    a has rank 1 or 2. Rows are added in order, one segment at a time.
     """
     if a.data.ndim not in (1, 2):
         raise ShapeError(f"segment_sum: need rank 1 or 2, got {a.data.shape}")

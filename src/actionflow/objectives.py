@@ -7,8 +7,9 @@ computed (see model.pack) and returns one value per sequence; none runs the
 model itself or re-derives the packed layout: the pass carries its marks,
 times and Segments. The per-sequence values cover:
 
-* nll: negative log-likelihood of every transition, combining the next-mark
-  log-probability with the lognormal log-density of the observed gap.
+* nll: negative log-likelihood of every transition, the one into the
+  terminal mark included, combining the next-mark log-probability with the
+  lognormal log-density of the observed gap.
 * discounted_goal_ce: cross-entropy of the goal at each prefix index k,
   weighted by gamma**k (k starting at 1), so late certainty earns less.
 * margin_goal / margin_action: hinge penalties whenever a probability drops
@@ -97,13 +98,11 @@ def _goal_rows(batch: list[Ctas], fwd: ForwardPass) -> np.ndarray:
     return np.array([seq.goal for seq in batch], dtype=np.intp)[fwd.segs.seg]
 
 
-def nll(model: Model, batch: list[Ctas], eos_time_term: bool = True, *,
-        fwd: ForwardPass) -> Tensor:
+def nll(model: Model, batch: list[Ctas], *, fwd: ForwardPass) -> Tensor:
     """Negative log-likelihood of all transitions, one value per sequence.
 
-    The terminal transition's mark term always participates; its time term
-    can be dropped with eos_time_term=False since the terminal gap is a
-    synthetic constant.
+    Every transition, the one into a terminal mark included, scores both its
+    mark and its gap.
     """
     for seq in batch:
         if len(seq.actions) < 2:
@@ -115,13 +114,6 @@ def nll(model: Model, batch: list[Ctas], eos_time_term: bool = True, *,
         raise NumericError("non-positive gap")
     steps = Segments(src.size, segs.lens - 1)
     mark_ll = segment_sum(pick(fwd.mark_logprob, src, marks[src + 1]), steps)
-    if not eos_time_term:
-        # drop each terminal-mark sequence's last transition ([a, EOS] keeps none)
-        ends_eos = marks[segs.last] == model.vocab.eos_id
-        timed = np.ones(src.size, dtype=bool)
-        timed[steps.last[ends_eos]] = False
-        src, gaps = src[timed], gaps[timed]
-        steps = Segments(src.size, steps.lens - ends_eos)
     mu = take_rows(fwd.mu, src)
     sigma2 = take_rows(fwd.sigma2, src)
     log_gap = Tensor(np.log(gaps)[:, None])
@@ -176,13 +168,12 @@ def l2_penalty(store: ParamStore) -> Tensor:
     return _emit("l2_penalty", total, store.tensors, lambda g: store.split(2.0 * g * flat))
 
 
-def sequence_terms(model: Model, batch: list[Ctas], *, gamma: float,
-                   eos_time_term: bool = True) -> dict[str, Tensor]:
+def sequence_terms(model: Model, batch: list[Ctas], *, gamma: float) -> dict[str, Tensor]:
     """Every loss term of a batch from one packed forward pass; each term
     holds one value per sequence, in batch order."""
     fwd = model.forward(*pack(batch))
     return {
-        "nll": nll(model, batch, eos_time_term, fwd=fwd),
+        "nll": nll(model, batch, fwd=fwd),
         "goal_ce": discounted_goal_ce(model, batch, gamma, fwd=fwd),
         "margin_goal": margin_goal(model, batch, fwd=fwd),
         "margin_action": margin_action(model, batch, fwd=fwd),
@@ -191,8 +182,7 @@ def sequence_terms(model: Model, batch: list[Ctas], *, gamma: float,
 
 @guarded
 def total_loss(model: Model, batch: list[Ctas], *, gamma: float,
-               margin_weight: float, l2_coeff: float,
-               eos_time_term: bool = True) -> tuple[Tensor, LossBreakdown]:
+               margin_weight: float, l2_coeff: float) -> tuple[Tensor, LossBreakdown]:
     """Batch objective: mean of per-sequence totals plus one L2 term.
 
     Returns the taped scalar to differentiate and a float breakdown whose
@@ -205,11 +195,11 @@ def total_loss(model: Model, batch: list[Ctas], *, gamma: float,
         raise ValueError("empty batch")
     model.store.check_finite()
     try:
-        terms = sequence_terms(model, batch, gamma=gamma, eos_time_term=eos_time_term)
+        terms = sequence_terms(model, batch, gamma=gamma)
     except NumericError:
         for seq in batch:
             try:
-                sequence_terms(model, [seq], gamma=gamma, eos_time_term=eos_time_term)
+                sequence_terms(model, [seq], gamma=gamma)
             except NumericError as e:
                 raise NumericError(f"sequence {seq.id!r}: {e}") from None
         raise

@@ -54,7 +54,7 @@ from .objectives import LossBreakdown, total_loss
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 class TrainingDiverged(ArithmeticError):
@@ -75,7 +75,6 @@ class TrainConfig:
     margin_weight: float = 0.1
     l2_coeff: float = 0.001
     gamma: float = 0.9
-    eos_time_term: bool = True
 
     def validate(self) -> None:
         # lr == 0 is allowed: it freezes parameters, which is useful in tests
@@ -306,7 +305,6 @@ def train(corpus: list[Ctas], vocab: Vocab, clusters: ClusterMap,
                         gamma=train_cfg.gamma,
                         margin_weight=train_cfg.margin_weight,
                         l2_coeff=train_cfg.l2_coeff,
-                        eos_time_term=train_cfg.eos_time_term,
                     )
                     tape.backward(total)
                 health = optimizer.update()

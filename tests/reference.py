@@ -130,9 +130,7 @@ def encode(store, cfg, y: Tensor, segs: Segments) -> Tensor:
     for b in range(cfg.blocks):
         x = layer_norm(add(x, attention(store, cfg, x, b)),
                        store[f"block{b}.ln1.gain"], store[f"block{b}.ln1.bias"])
-        ffn = enc._feed_forward(store, cfg, x, b)
-        if cfg.ffn == "summed":
-            ffn = cumsum(ffn, segs)
+        ffn = cumsum(enc._feed_forward(store, x, b), segs)
         x = layer_norm(add(x, ffn), store[f"block{b}.ln2.gain"], store[f"block{b}.ln2.bias"])
     return x
 
@@ -164,7 +162,7 @@ def hinge_sum(probs: Tensor) -> Tensor:
     return sum_all(relu(sub(shifted_prefix_max(probs, segs), probs)))
 
 
-def terms(model, seq, *, gamma: float, eos_time_term: bool = True) -> dict[str, Tensor]:
+def terms(model, seq, *, gamma: float) -> dict[str, Tensor]:
     """The four loss terms of one sequence, each a scalar tensor."""
     fwd = forward(model, seq.marks(), seq.times())
     n = len(seq.actions)
@@ -172,19 +170,14 @@ def terms(model, seq, *, gamma: float, eos_time_term: bool = True) -> dict[str, 
     gaps = np.diff(seq.times())
     idx = np.arange(n - 1, dtype=np.intp)
     mark_ll = sum_all(pick(fwd.mark_logprob, idx, marks[1:]))
-    if not eos_time_term and marks[-1] == model.vocab.eos_id:
-        idx, gaps = idx[:-1], gaps[:-1]
-    if idx.size == 0:
-        seq_nll = mul(mark_ll, -1.0)
-    else:
-        mu = take_rows(fwd.mu, idx)
-        sigma2 = take_rows(fwd.sigma2, idx)
-        log_gap = Tensor(np.log(gaps)[:, None])
-        centered = sub(log_gap, mu)
-        quad = div(mul(centered, centered), mul(sigma2, 2.0))
-        half_log = mul(log(mul(sigma2, 2.0 * math.pi)), 0.5)
-        per_step = sub(sub(mul(log_gap, -1.0), half_log), quad)
-        seq_nll = mul(add(mark_ll, sum_all(per_step)), -1.0)
+    mu = take_rows(fwd.mu, idx)
+    sigma2 = take_rows(fwd.sigma2, idx)
+    log_gap = Tensor(np.log(gaps)[:, None])
+    centered = sub(log_gap, mu)
+    quad = div(mul(centered, centered), mul(sigma2, 2.0))
+    half_log = mul(log(mul(sigma2, 2.0 * math.pi)), 0.5)
+    per_step = sub(sub(mul(log_gap, -1.0), half_log), quad)
+    seq_nll = mul(add(mark_ll, sum_all(per_step)), -1.0)
     rows = np.arange(n, dtype=np.intp)
     goal = np.full(n, seq.goal, dtype=np.intp)
     weights = gamma ** np.arange(1, n + 1, dtype=np.float64)
@@ -197,14 +190,14 @@ def terms(model, seq, *, gamma: float, eos_time_term: bool = True) -> dict[str, 
     }
 
 
-def total_loss(model, batch, *, gamma: float, margin_weight: float, l2_coeff: float,
-               eos_time_term: bool = True) -> tuple[Tensor, list[dict[str, float]]]:
+def total_loss(model, batch, *, gamma: float, margin_weight: float,
+               l2_coeff: float) -> tuple[Tensor, list[dict[str, float]]]:
     """Mean of per-sequence totals plus the L2 term, summed one sequence at a
     time; also returns every sequence's terms as floats."""
     acc = None
     per_seq = []
     for seq in batch:
-        t = terms(model, seq, gamma=gamma, eos_time_term=eos_time_term)
+        t = terms(model, seq, gamma=gamma)
         per_seq.append({name: float(v.data) for name, v in t.items()})
         seq_total = add(add(t["nll"], t["goal_ce"]),
                         mul(add(t["margin_goal"], t["margin_action"]), margin_weight))

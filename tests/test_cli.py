@@ -120,6 +120,20 @@ class TestTrain:
         log_lines = (out / "train_log.jsonl").read_text().splitlines()
         assert len(log_lines) == 1
 
+    @pytest.mark.parametrize("payload,key", [
+        ({"model": {"ffn": "summed"}}, "ffn"),
+        ({"train": {"eos_time_term": True}}, "eos_time_term"),
+    ], ids=["ffn", "eos_time_term"])
+    def test_removed_switch_is_config_error(self, workspace, capsys, tmp_path, payload, key):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "x"
+        assert main(["train", "--data", str(workspace["corpus"]),
+                     "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG:") and f"key {key!r}" in err
+        assert not out.exists()
+
     def test_unknown_config_section(self, workspace, capsys, tmp_path):
         bad = tmp_path / "cfg.json"
         bad.write_text(json.dumps({"model": {}, "bogus": {}}))
@@ -136,12 +150,10 @@ class TestTrain:
         {"model": {"d": 8.0}},
         {"train": {"batch_size": 2.5}},
         {"train": {"epochs": True}},
-        {"train": {"eos_time_term": "no"}},
         {"data": {"train_fraction": "0.8"}},
         {"train": {"lr": float("nan")}},
     ], ids=["model_not_object", "epochs_string", "width_string", "config_not_object",
-            "width_float", "batch_size_float", "epochs_bool", "switch_string",
-            "fraction_string", "lr_nan"])
+            "width_float", "batch_size_float", "epochs_bool", "fraction_string", "lr_nan"])
     def test_ill_typed_config_is_config_error(self, workspace, capsys, tmp_path, payload):
         bad = tmp_path / "cfg.json"
         bad.write_text(json.dumps(payload))
@@ -291,6 +303,25 @@ class TestEval:
                      "--report", str(tmp_path / "r.json"), "--prefixes", prefixes]) == 2
         assert capsys.readouterr().err.startswith("E_USAGE:")
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--skip-generation"]], ids=["full", "skip_gen"])
+    def test_sequence_without_transition_is_data_error(self, workspace, capsys, tmp_path,
+                                                       monkeypatch, flags):
+        def no_forward_pass(*args):
+            raise AssertionError("the model ran before the data were checked")
+
+        monkeypatch.setattr("actionflow.evaluation.teacher_forced", no_forward_pass)
+        lines = (workspace["run"] / "test.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        record.update(id="t1", actions=record["actions"][:1])
+        data = tmp_path / "test.jsonl"
+        data.write_text("\n".join([*lines, json.dumps(record)]) + "\n")
+        report = tmp_path / "r.json"
+        assert main(["eval", "--ckpt", str(workspace["run"]), "--data", str(data),
+                     "--report", str(report), *flags]) == 1
+        assert capsys.readouterr().err.startswith(
+            "E_DATA: sequence 't1' has no transitions to evaluate")
+        assert not report.exists()
 
     @pytest.mark.parametrize("seed", ["-1", "-7"])
     def test_negative_seed_is_usage_error(self, workspace, capsys, tmp_path, seed):
@@ -443,6 +474,10 @@ def write_unreadable_checkpoint(kind, workspace, tmp_path):
             for record, key in ((payload["vocab"], "goal_marks"),
                                 (payload["clusters"], "assignments")):
                 record[key] = {str(i): entry for i, entry in enumerate(record[key])}
+        elif kind == "version_6":  # this layout with the two switches of model and train config
+            payload["version"] = 6
+            payload["model_config"].update(version=1, ffn="summed")
+            payload["train_config"]["eos_time_term"] = True
         elif kind == "assignment_key_out_of_range":  # a cluster for a mark id past the vocabulary
             payload["clusters"]["assignments"].append(0)
         elif kind == "assignments_short":
@@ -457,7 +492,8 @@ def write_unreadable_checkpoint(kind, workspace, tmp_path):
     return ckpt
 
 
-OLD_VERSIONS = {"version_2": 2, "version_3": 3, "version_4": 4, "version_5": 5}
+OLD_VERSIONS = {"version_2": 2, "version_3": 3, "version_4": 4, "version_5": 5,
+                "version_6": 6}
 
 
 def assert_no_ckpt_error(err, kind):

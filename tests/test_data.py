@@ -3,6 +3,7 @@ and the random-deletion transform."""
 
 import json
 import logging
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +84,6 @@ class Inner:
 class Outer:
     count: int
     rate: float = 0.5
-    flag: bool = False
     label: str | None = None
     pairs: list[list[int]] = field(default_factory=list)
     inner: Inner = field(default_factory=lambda: Inner("x"))
@@ -121,10 +121,10 @@ class VersionedSaved(Saved):
 
 class TestReadRecord:
     def test_reads_every_annotation_kind(self):
-        rec = read_record(Outer, {"count": 3, "rate": 2, "flag": True, "label": None,
+        rec = read_record(Outer, {"count": 3, "rate": 2, "label": None,
                                   "pairs": [[0, 1]], "inner": {"name": "a", "weights": [1.5]}},
                           "outer")
-        assert rec == Outer(3, 2, True, None, [[0, 1]], Inner("a", [1.5]))
+        assert rec == Outer(3, 2, None, [[0, 1]], Inner("a", [1.5]))
         # an int where a float is wanted stays an int, so echoes round-trip,
         # up to the largest a float64 holds
         assert type(rec.rate) is int
@@ -136,7 +136,7 @@ class TestReadRecord:
         ({"count": True}, "outer key 'count' must be int, got bool"),
         ({"count": 1, "rate": "0.5"}, "outer key 'rate' must be float, got str"),
         ({"count": 1, "rate": False}, "outer key 'rate' must be float, got bool"),
-        ({"count": 1, "flag": 1}, "outer key 'flag' must be bool, got int"),
+        ({"count": 1, "label": False}, "outer key 'label' must be str, got bool"),
         ({"count": 1, "label": 7}, "outer key 'label' must be str, got int"),
         ({"count": 1, "pairs": [[0.5, 1]]}, r"outer key 'pairs'\[0\]\[0\] must be int"),
         ({"count": 1, "pairs": {}}, "outer key 'pairs' must be list, got dict"),
@@ -169,7 +169,7 @@ class TestReadRecord:
              "vector": encode_vector(np.array([0.5]))})
         assert write_record(VersionedOuter(1)) == {"version": 2, **write_record(Outer(1))}
         assert list(write_record(VersionedOuter(1))) == [
-            "version", "count", "rate", "flag", "label", "pairs", "inner"]
+            "version", "count", "rate", "label", "pairs", "inner"]
 
     def test_reads_ids_vectors_and_saved_keys(self):
         rec = read_record(Saved, {"by_id": [1.5, 2], "nested": [[], [4, 5]],
@@ -583,6 +583,33 @@ class TestClusters:
         # squares of gaps near 1e200 overflow unless the gaps are scaled first
         durations = DurationMeans([1] * 4, [1e200, 2e200, 5e200, 5.5e200], [])
         assert build_clusters(durations, 3).assignments == [0, 1, 2, 2, 0]
+
+    @pytest.mark.parametrize("block", [2, 3, 5])
+    def test_blocks_of_start_rows_find_the_same_runs(self, monkeypatch, block):
+        # integer gaps make equal-error splits, so ties must go to the first
+        # start across blocks as they do within one
+        rng = np.random.default_rng(block)
+        for _ in range(30):
+            values = np.unique(rng.integers(0, 20, size=int(rng.integers(1, 12)))) + 1.0
+            weights = rng.integers(1, 4, size=values.size).astype(float)
+            for m in range(1, values.size + 1):
+                want = data._optimal_runs(values, weights, m)
+                with monkeypatch.context() as patch:
+                    patch.setattr(data, "RUN_BLOCK", block)
+                    got = data._optimal_runs(values, weights, m)
+                np.testing.assert_array_equal(got, want, err_msg=f"{values} {weights} {m}")
+
+    def test_memory_grows_with_the_distinct_gaps_not_their_square(self):
+        # one 2,000 x 2,000 float64 table of run errors alone takes 32 MB
+        means = np.random.default_rng(4).uniform(0.1, 100.0, size=2000).tolist()
+        tracemalloc.start()
+        try:
+            cm = build_clusters(DurationMeans([1] * 2000, means, []), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(set(cm.assignments)) == list(range(8))
+        assert peak < 32e6
 
     def test_mean_is_gap_to_next_action(self):
         corpus = [seq(0, 0, [0, 1, 0, 1], [0.0, 2.0, 3.0, 7.0])]

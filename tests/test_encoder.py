@@ -29,7 +29,7 @@ def attention(store, cfg, x, segs):
 
 def make_cfg(**kw):
     # max_len 11 gives a 12-row positional table
-    base = dict(d=D, heads=2, blocks=2, max_len=11, ffn="summed")
+    base = dict(d=D, heads=2, blocks=2, max_len=11)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -56,10 +56,6 @@ class TestConfig:
     def test_bad_block_count(self):
         with pytest.raises(ValueError):
             make_cfg(blocks=0).validate()
-
-    def test_bad_ffn_form(self):
-        with pytest.raises(ValueError):
-            make_cfg(ffn="other").validate()
 
     def test_capacity_floor(self):
         with pytest.raises(ValueError):
@@ -89,12 +85,6 @@ class TestInit:
         assert np.all(np.abs(store["block0.attn.wq"].data) <= bound)
         assert np.all(store["block0.ln1.bias"].data == 0.0)
         assert np.all(store["block0.ln1.gain"].data == 1.0)
-
-    def test_standard_ffn_names(self):
-        cfg = make_cfg(blocks=1, ffn="standard")
-        store = make_store(cfg)
-        assert store["block0.ffn.w1"].data.shape == (D, 4 * D)
-        assert store["block0.ffn.w2"].data.shape == (4 * D, D)
 
     def test_set_params_only_for_plus(self):
         cfg = make_cfg()
@@ -170,7 +160,7 @@ class TestEmbedding:
             with pytest.raises(ShapeError):
                 embed_actions(store, marks, times, segs)
         # every packed sequence needs at least one action
-        with pytest.raises(ValueError, match="empty prefix"):
+        with pytest.raises(ShapeError):
             embed_actions(store, marks, times, Segments(3, [3, 0]))
 
 
@@ -285,9 +275,8 @@ class TestAttention:
 class TestPacked:
     """A sequence's rows are the same alone and packed with others."""
 
-    @pytest.mark.parametrize("ffn", ["summed", "standard"])
-    def test_packed_rows_match_each_sequence_alone(self, ffn):
-        cfg = make_cfg(ffn=ffn)
+    def test_packed_rows_match_each_sequence_alone(self):
+        cfg = make_cfg()
         store = make_store(cfg, seed=21, with_set=True)
         rng = np.random.default_rng(15)
         seqs = [random_sequence(rng, k) for k in (1, 7, 3, 11)]
@@ -331,12 +320,14 @@ class TestEncode:
     def test_empty_prefix_rejected(self):
         cfg = make_cfg()
         store = make_store(cfg)
-        with pytest.raises(ValueError):
-            encode(store, cfg, Tensor(np.zeros((0, D))), Segments(0))
+        # no layout has an empty segment, and no rows fit a layout of one
+        with pytest.raises(ShapeError):
+            Segments(0)
+        with pytest.raises(ShapeError):
+            encode(store, cfg, Tensor(np.zeros((0, D))), Segments(1))
 
-    @pytest.mark.parametrize("ffn", ["summed", "standard"])
-    def test_causality_is_exact(self, ffn):
-        cfg = make_cfg(ffn=ffn)
+    def test_causality_is_exact(self):
+        cfg = make_cfg()
         store = make_store(cfg, seed=13)
         rng = np.random.default_rng(7)
         for trial in range(20):
@@ -362,17 +353,6 @@ class TestEncode:
         s = encode(store, cfg, embed_actions(store, marks, times, segs), segs).data
         assert np.all(np.abs(s.mean(axis=1)) < 1e-10)
         np.testing.assert_allclose(s.var(axis=1), 1.0, atol=1e-6)
-
-    def test_ffn_forms_disagree(self):
-        rng = np.random.default_rng(9)
-        marks, times = random_sequence(rng, 4)
-        outs = {}
-        for ffn in ("summed", "standard"):
-            cfg = make_cfg(ffn=ffn, blocks=1)
-            store = make_store(cfg, seed=15)
-            segs = Segments(4)
-            outs[ffn] = encode(store, cfg, embed_actions(store, marks, times, segs), segs).data
-        assert np.any(np.abs(outs["summed"] - outs["standard"]) > 1e-6)
 
     def test_deterministic(self):
         cfg = make_cfg()

@@ -28,14 +28,13 @@ def make_model(seed=0, max_len=8, **arch):
     return Model.init(cfg, vocab, cm, seed=seed)
 
 
-# variant x feed-forward form x blocks x heads
-ARCHS = [dict(variant=v, ffn=f, blocks=b, heads=h)
-         for v, f, b, h in itertools.product(("base", "plus"), ("summed", "standard"),
-                                             (1, 2), (1, 2))]
+# variant x blocks x heads; every encoder runs the summed feed-forward
+ARCHS = [dict(variant=v, blocks=b, heads=h)
+         for v, b, h in itertools.product(("base", "plus"), (1, 2), (1, 2))]
 
 
 def arch_id(arch):
-    return "{variant}-{ffn}-{blocks}b-{heads}h".format(**arch)
+    return "{variant}-summed-{blocks}b-{heads}h".format(**arch)
 
 
 def force_mark(model, mark, strength=50.0):

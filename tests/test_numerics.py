@@ -288,8 +288,8 @@ class TestPerPrimitiveGradients:
                                 lambda s: sum_all(mul(shifted_prefix_max(
                                     s["a"], Segments(7, [3, 1, 3])), s["a"]))),
         "segment_sum": ({"a": (5, 3)},
-                        lambda s: sum_all(mul(segment_sum(s["a"], Segments(5, [2, 0, 3])),
-                                              segment_sum(s["a"], Segments(5, [2, 0, 3]))))),
+                        lambda s: sum_all(mul(segment_sum(s["a"], Segments(5, [2, 3])),
+                                              segment_sum(s["a"], Segments(5, [2, 3]))))),
         "segment_sum_1d": ({"a": (5,)},
                            lambda s: sum_all(mul(segment_sum(s["a"], Segments(5, [1, 4])),
                                                  segment_sum(s["a"], Segments(5, [1, 4]))))),
@@ -450,7 +450,7 @@ class TestScatterBackward:
     @pytest.mark.parametrize("rank", [1, 2])
     def test_shifted_prefix_max_equals_add_at(self, seed, rank):
         rng = np.random.default_rng(320 + seed)
-        lens = rng.integers(0, 9, size=int(rng.integers(1, 6))).tolist()
+        lens = rng.integers(1, 9, size=int(rng.integers(1, 6))).tolist()
         segs = Segments(sum(lens), lens)
         shape = (segs.n,) if rank == 1 else (segs.n, 3)
         a = rng.integers(0, 3, size=shape).astype(float)  # plenty of ties
@@ -497,15 +497,18 @@ class TestSegments:
         np.testing.assert_allclose(segment_sum(Tensor(a), self.SEGS).data, want,
                                    rtol=0, atol=1e-12)
 
-    def test_empty_segment_sums_to_zero(self):
-        out = segment_sum(Tensor([1.0, 2.0, 3.0]), Segments(3, [0, 2, 0, 1, 0])).data
-        np.testing.assert_array_equal(out, [0.0, 3.0, 0.0, 3.0, 0.0])
-
     def test_lengths_must_tile_rows(self):
         with pytest.raises(ShapeError):
             Segments(5, [2, 2])
         with pytest.raises(ShapeError):
             Segments(2, [3, -1])
+        # every segment owns at least one row
+        with pytest.raises(ShapeError):
+            Segments(0)
+        with pytest.raises(ShapeError):
+            Segments(3, [0, 3])
+        with pytest.raises(ShapeError):
+            Segments(3, [2, 0, 1])
         with pytest.raises(ShapeError):
             Segments(2, [])
         with pytest.raises(ShapeError):
@@ -521,12 +524,12 @@ class TestSegments:
             causal_attention(x, x, x, Segments(3), 3)
 
     def test_layout_exposes_rows(self):
-        segs = Segments(7, [3, 0, 4])
-        np.testing.assert_array_equal(segs.seg, [0, 0, 0, 2, 2, 2, 2])
+        segs = Segments(7, [3, 4])
+        np.testing.assert_array_equal(segs.seg, [0, 0, 0, 1, 1, 1, 1])
         np.testing.assert_array_equal(segs.pos, [0, 1, 2, 0, 1, 2, 3])
-        np.testing.assert_array_equal(segs.starts, [0, 3, 3])
-        np.testing.assert_array_equal(segs.last[[0, 2]], [2, 6])
-        assert (segs.n, segs.count, segs.width) == (7, 3, 4)
+        np.testing.assert_array_equal(segs.starts, [0, 3])
+        np.testing.assert_array_equal(segs.last, [2, 6])
+        assert (segs.n, segs.count, segs.width) == (7, 2, 4)
 
 
 class TestLayoutCheck:
@@ -577,7 +580,7 @@ class TestGroups:
     @pytest.mark.parametrize("seed", range(6))
     def test_blocks_partition_the_segments_by_length(self, seed):
         rng = np.random.default_rng(seed)
-        lens = rng.integers(0, 98, size=int(rng.integers(2, 33))).tolist()
+        lens = rng.integers(1, 98, size=int(rng.integers(2, 33))).tolist()
         segs = Segments(sum(lens), lens)
         rows = []
         for block_rows, sub in segs.groups:
@@ -619,13 +622,10 @@ class TestGroups:
         for _ in range(200):
             count = int(rng.integers(1, 40))
             top = int(rng.integers(1, 100))
-            lo = top - int(rng.integers(0, top + 1))
-            lens = rng.integers(lo, top + 1, size=count)
-            lens[rng.random(count) < 0.1] = 0
-            lens = lens.tolist()
+            lo = top - int(rng.integers(0, top))
+            lens = rng.integers(lo, top + 1, size=count).tolist()
             sizes = sorted(lens)
-            empty = sizes.count(0)
-            cuts = [0, *(empty + c for c in numerics._length_cuts(sizes[empty:])[1:])]
+            cuts = numerics._length_cuts(sizes)
             want = [sizes] if len(cuts) <= 2 else [sizes[a:b] for a, b in zip(cuts, cuts[1:])]
             segs = Segments(sum(lens), lens)
             got = [sorted(sub.lens.tolist()) for _, sub in segs.groups]
@@ -643,17 +643,6 @@ class TestGroups:
         got = causal_attention(Tensor(q), Tensor(k), Tensor(v), segs, heads).data
         np.testing.assert_allclose(got, naive_attention(q, k, v, self.MIXED, heads),
                                    rtol=0, atol=1e-12)
-
-    def test_segments_without_rows_join_a_block(self):
-        # on their own, the two empty segments would be cheaper as a block
-        # of width 0 than padded to 90
-        lens = [0, 97, 90, 0]
-        segs = Segments(187, lens)
-        assert all(sub.width > 0 for _, sub in segs.groups)
-        rng = np.random.default_rng(64)
-        q, k, v = (rng.normal(size=(187, 4)) for _ in range(3))
-        got = causal_attention(Tensor(q), Tensor(k), Tensor(v), segs, 2).data
-        np.testing.assert_allclose(got, naive_attention(q, k, v, lens, 2), rtol=0, atol=1e-12)
 
     def test_masked_and_padding_weights_are_exactly_zero_in_every_block(self):
         # one-hot values make each output row the row's attention weights;

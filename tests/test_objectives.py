@@ -33,13 +33,13 @@ from actionflow.objectives import (
 import reference
 
 
-def make_model(variant="base", seed=0, clusters=2, ffn="summed", max_len=8, blocks=1):
+def make_model(variant="base", seed=0, clusters=2, max_len=8, blocks=1):
     vocab = Vocab(["a", "b", "c"], ["g0", "g1"],
                   goal_marks=[(0, 1), (1, 2)])
     cm = ClusterMap(m=clusters,
                     assignments=[i % clusters for i in range(vocab.n_marks)])
     cfg = ModelConfig(d=4, heads=2, blocks=blocks, clusters=clusters, max_len=max_len,
-                      variant=variant, ffn=ffn)
+                      variant=variant)
     return Model.init(cfg, vocab, cm, seed=seed)
 
 
@@ -94,26 +94,6 @@ class TestNll:
         seq = make_seq([0], [0.5])
         with pytest.raises(ValueError):
             nll(model, [seq], fwd=fwd_of(model, seq))
-
-    def test_eos_time_term_flag_drops_only_terminal_gap(self):
-        model = make_model(seed=3)
-        seq = eos_seq(model, [0, 1], [0.2, 0.9], goal=1)
-        fwd = fwd_of(model, seq)
-        full = one(nll(model, [seq], eos_time_term=True, fwd=fwd))
-        partial = one(nll(model, [seq], eos_time_term=False, fwd=fwd))
-        k = len(seq.actions) - 2
-        td = TimeDensity(mu=float(fwd.mu.data[k, 0]),
-                         sigma2=float(fwd.sigma2.data[k, 0]))
-        gap = seq.actions[-1].t - seq.actions[-2].t
-        assert full - partial == pytest.approx(-log_density(td, gap), abs=1e-9)
-
-    def test_flag_ignored_without_terminal_mark(self):
-        model = make_model(seed=4)
-        seq = make_seq([0, 1, 2], [0.2, 0.9, 1.7])
-        fwd = fwd_of(model, seq)
-        a = one(nll(model, [seq], eos_time_term=True, fwd=fwd))
-        b = one(nll(model, [seq], eos_time_term=False, fwd=fwd))
-        assert a == b
 
     def test_nonpositive_gap_propagates_with_id(self):
         model = make_model()
@@ -397,39 +377,33 @@ class TestPackedMatchesReference:
     """The packed batch path against the per-sequence oracle in reference.py."""
 
     @staticmethod
-    def check(model, batch, eos_time_term=True):
+    def check(model, batch):
         """Every term, the total and every gradient match the oracle to 1e-12."""
-        terms = sequence_terms(model, batch, gamma=0.9, eos_time_term=eos_time_term)
-        total, bd = total_loss(model, batch, eos_time_term=eos_time_term, **LOSS)
-        ref_total, ref_terms = reference.total_loss(model, batch,
-                                                    eos_time_term=eos_time_term, **LOSS)
+        terms = sequence_terms(model, batch, gamma=0.9)
+        total, bd = total_loss(model, batch, **LOSS)
+        ref_total, ref_terms = reference.total_loss(model, batch, **LOSS)
         for i, ref in enumerate(ref_terms):
             for name, value in ref.items():
                 assert terms[name].data[i] == pytest.approx(value, abs=1e-12), (i, name)
         assert float(total.data) == pytest.approx(float(ref_total.data), abs=1e-12)
         assert bd.nll == pytest.approx(np.mean([r["nll"] for r in ref_terms]), abs=1e-12)
-        got = gradients(model, lambda: total_loss(
-            model, batch, eos_time_term=eos_time_term, **LOSS)[0])
-        want = gradients(model, lambda: reference.total_loss(
-            model, batch, eos_time_term=eos_time_term, **LOSS)[0])
+        got = gradients(model, lambda: total_loss(model, batch, **LOSS)[0])
+        want = gradients(model, lambda: reference.total_loss(model, batch, **LOSS)[0])
         for name in want:
             np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12,
                                        err_msg=name)
 
-    @pytest.mark.parametrize("eos_time_term", [True, False])
-    @pytest.mark.parametrize("ffn", ["summed", "standard"])
     @pytest.mark.parametrize("variant", ["base", "plus"])
-    def test_terms_total_and_gradients(self, variant, ffn, eos_time_term):
-        model = make_model(variant=variant, seed=31, ffn=ffn, max_len=12, blocks=2)
+    def test_terms_total_and_gradients(self, variant):
+        model = make_model(variant=variant, seed=31, max_len=12, blocks=2)
         batch = random_batch(model, np.random.default_rng(32), [2, 9, 5, 13, 3, 2])
-        self.check(model, batch, eos_time_term)
+        self.check(model, batch)
 
-    @pytest.mark.parametrize("ffn", ["summed", "standard"])
     @pytest.mark.parametrize("variant", ["base", "plus"])
-    def test_mixed_lengths_across_attention_blocks(self, variant, ffn):
+    def test_mixed_lengths_across_attention_blocks(self, variant):
         # lengths 9 to 97, as in a train_mixed batch: attention runs in
         # several length-grouped blocks
-        model = make_model(variant=variant, seed=37, ffn=ffn, max_len=100, blocks=2)
+        model = make_model(variant=variant, seed=37, max_len=100, blocks=2)
         rng = np.random.default_rng(38)
         batch = random_batch(model, rng, [9, 97, *rng.integers(9, 98, size=6).tolist()])
         assert len(pack(batch)[2].groups) >= 2

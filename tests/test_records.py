@@ -4,8 +4,8 @@
 the program saves or loads, from the dataclass declarations alone. The
 golden texts pin that format byte for byte: they are what files saved in
 this format hold, except that MODEL_CONFIG_TEXT keeps a model config's
-"version" key last, where older files have it (they still load); it is now
-written first.
+"version" key last, to show that a reader takes it anywhere; it is written
+first.
 The property tests check that every record class reads back what is
 written, for records drawn under fixed settings.
 """
@@ -23,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 from actionflow import data, training
 from actionflow.cli import DataSection, RunConfig
 from actionflow.data import EOS_NAME, ClusterMap, Vocab, read_record, write_record
-from actionflow.model import FFN_FORMS, VARIANTS, Model, ModelConfig, layout
+from actionflow.model import VARIANTS, Model, ModelConfig, layout
 from actionflow.synth import GoalTemplate, SynthSpec
 from actionflow.training import (Adam, OptimizerState, TrainConfig, load_checkpoint,
                                  save_checkpoint)
@@ -36,12 +36,11 @@ VOCAB_TEXT = ('{"marks": ["boil", "pour", "grind"], "goals": ["tea", "coffee"], 
 CLUSTERS = ClusterMap(m=2, assignments=[0, 0, 1, 1, 0])
 CLUSTERS_TEXT = '{"m": 2, "assignments": [0, 0, 1, 1, 0]}'
 
-MODEL_CONFIG = ModelConfig(d=4, heads=2, blocks=1, clusters=2, variant="plus", alpha_mark=1,
-                           ffn="standard")
+MODEL_CONFIG = ModelConfig(d=4, heads=2, blocks=1, clusters=2, variant="plus", alpha_mark=1)
 # as files already saved hold it, with "version" last
 MODEL_CONFIG_TEXT = ('{"d": 4, "heads": 2, "blocks": 1, "clusters": 2, "max_len": null, '
                      '"variant": "plus", "alpha_mark": 1, "alpha_time": 0.1, '
-                     '"alpha_goal": 0.1, "ffn": "standard", "version": 1}')
+                     '"alpha_goal": 0.1, "version": 2}')
 
 SYNTH_SPEC = SynthSpec(
     goals=[GoalTemplate(name="brew", template=["grind", "pour"], mu=[0, 0.5],
@@ -56,9 +55,9 @@ SYNTH_SPEC_TEXT = (
 
 # tiny_checkpoint's file
 CHECKPOINT = (
-    '{"version": 6, "model_config": {"version": 1, "d": 2, "heads": 1, "blocks": 1, '
+    '{"version": 7, "model_config": {"version": 2, "d": 2, "heads": 1, "blocks": 1, '
     '"clusters": 1, "max_len": 2, "variant": "base", "alpha_mark": 0.1, "alpha_time": 0.1, '
-    '"alpha_goal": 0.1, "ffn": "summed"}, "vocab": {"marks": ["a"], '
+    '"alpha_goal": 0.1}, "vocab": {"marks": ["a"], '
     '"goals": ["g"], "goal_marks": [[0]]}, "clusters": {"m": 1, '
     '"assignments": [0, 0]}, "names": ["block0.attn.wk", '
     '"block0.attn.wo", "block0.attn.wq", "block0.attn.wv", "block0.ffn.b_in", '
@@ -79,8 +78,8 @@ CHECKPOINT = (
     'AAAD3PwAAAAAAAPg/AAAAAAAA+T8AAAAAAAD6PwAAAAAAAPs/AAAAAAAA/D8AAAAAAAD9PwAAAAAAAP4/AAAAA'
     'AAA/z8AAAAAAAAAQAAAAAAAgABAAAAAAAAAAUAAAAAAAIABQAAAAAAAAAJAAAAAAACAAkAAAAAAAAADQA==", '
     '"train_config": {"lr": 0.01, "beta1": 0.9, "beta2": 0.999, "eps": 1e-08, "epochs": 2, '
-    '"batch_size": 32, "seed": 0, "margin_weight": 0.1, "l2_coeff": 0.001, "gamma": 0.9, '
-    '"eos_time_term": true}, "optimizer": {"step": 3, '
+    '"batch_size": 32, "seed": 0, "margin_weight": 0.1, "l2_coeff": 0.001, "gamma": 0.9}, '
+    '"optimizer": {"step": 3, '
     '"m": "AAAAAAAA4L8AAAAAAADfvwAAAAAAAN6/AAAAAAAA3b8AAAAAAADcvwAAAAAAANu/AAAAAAAA2r8AAAAA'
     'AADZvwAAAAAAANi/AAAAAAAA178AAAAAAADWvwAAAAAAANW/AAAAAAAA1L8AAAAAAADTvwAAAAAAANK/AAAAAA'
     'AA0b8AAAAAAADQvwAAAAAAAM6/AAAAAAAAzL8AAAAAAADKvwAAAAAAAMi/AAAAAAAAxr8AAAAAAADEvwAAAAAA'
@@ -184,7 +183,7 @@ TRAIN_CONFIGS = st.builds(
     TrainConfig, lr=NON_NEGATIVE, beta1=st.floats(0, 1, exclude_max=True),
     beta2=st.floats(0, 1, exclude_max=True) | st.just(0), eps=POSITIVE, epochs=COUNT,
     batch_size=COUNT, seed=SEED, margin_weight=NON_NEGATIVE, l2_coeff=NON_NEGATIVE,
-    gamma=UNIT, eos_time_term=st.booleans())
+    gamma=UNIT)
 
 DATA_SECTIONS = st.builds(DataSection, corpus=st.none() | NAME,
                           train_fraction=st.floats(0, 1, exclude_min=True, exclude_max=True))
@@ -197,7 +196,7 @@ def model_configs(draw):
         d=heads * draw(st.integers(1, 8)), heads=heads, blocks=draw(COUNT),
         clusters=draw(COUNT), max_len=draw(st.none() | st.integers(2, 2**64)),
         variant=draw(st.sampled_from(VARIANTS)), alpha_mark=draw(NUMBER),
-        alpha_time=draw(NUMBER), alpha_goal=draw(NUMBER), ffn=draw(st.sampled_from(FFN_FORMS)))
+        alpha_time=draw(NUMBER), alpha_goal=draw(NUMBER))
 
 
 @st.composite
@@ -254,7 +253,7 @@ def checkpoints(draw):
         d=heads * draw(st.integers(1, 2)), heads=heads, blocks=draw(st.integers(1, 2)),
         clusters=clusters.m, max_len=draw(st.integers(2, 4)),
         variant=draw(st.sampled_from(VARIANTS)), alpha_mark=draw(NUMBER),
-        alpha_time=draw(NUMBER), alpha_goal=draw(NUMBER), ffn=draw(st.sampled_from(FFN_FORMS)))
+        alpha_time=draw(NUMBER), alpha_goal=draw(NUMBER))
     names, shapes = layout(config, vocab, clusters)
     size = sum(map(math.prod, shapes))
     return training.Checkpoint(

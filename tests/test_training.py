@@ -88,7 +88,7 @@ class TestTrainConfig:
         TrainConfig().validate()
 
     def test_dict_round_trip(self):
-        cfg = TrainConfig(lr=0.01, epochs=3, gamma=0.5, eos_time_term=False)
+        cfg = TrainConfig(lr=0.01, epochs=3, gamma=0.5)
         assert TrainConfig.from_dict(write_record(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
@@ -101,8 +101,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("key,value,kind", [
         ("batch_size", 2.5, "int"), ("epochs", True, "int"), ("seed", "1", "int"),
-        ("lr", "0.1", "float"), ("lr", False, "float"), ("eos_time_term", "no", "bool"),
-        ("eos_time_term", 0, "bool"),
+        ("lr", "0.1", "float"), ("lr", False, "float"),
     ])
     def test_ill_typed_value_rejected(self, key, value, kind):
         with pytest.raises(ValueError, match=f"train config key '{key}' must be {kind}"):
@@ -358,13 +357,13 @@ class TestAdam:
 class TestModelInit:
     # sha256 of the names, shapes and flat bytes Model.init drew before its
     # parameters were described as (name, shape, draw) specs
-    @pytest.mark.parametrize("variant,ffn,digest", [
-        ("base", "summed", "f151fca59aa0c5081a2b896d2aad439adcef60d9c6cc7988a162dac22dcca770"),
-        ("plus", "standard", "0060f52a09b1feb01cf42cc34f0d2046d1cb2e651591b5cab2dedf525e74becd"),
+    @pytest.mark.parametrize("variant,digest", [
+        ("base", "f151fca59aa0c5081a2b896d2aad439adcef60d9c6cc7988a162dac22dcca770"),
+        ("plus", "df57877b58edd4b546b8630277105409ccace9f0760791e0bade2dbb13290250"),
     ])
-    def test_same_seed_draws_are_unchanged(self, variant, ffn, digest):
+    def test_same_seed_draws_are_unchanged(self, variant, digest):
         vocab, cm, _ = tiny_setup()
-        cfg = ModelConfig(d=4, heads=2, blocks=2, clusters=2, max_len=8, variant=variant, ffn=ffn)
+        cfg = ModelConfig(d=4, heads=2, blocks=2, clusters=2, max_len=8, variant=variant)
         store = Model.init(cfg, vocab, cm, seed=11).store
         layout = repr([(name, t.data.shape) for name, t in store.items()]).encode()
         assert hashlib.sha256(layout + store.flat.tobytes()).hexdigest() == digest
